@@ -6,14 +6,16 @@ from .cost import CostKind, CostSpec, bounded_log, cost_derivative, cost_eval, c
     cost_sup, truncated_linear
 from .measures import Grid, SignedDensity, density_from_function, jordan_decompose, lq_norm, \
     mass, mean_zero_projection
-from .transport import Potential, TransportPlan, duality_gap, kr_bounded_log, kr_distance, \
-    kr_truncated, potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm
+from .transport import Potential, TransportPlan, check_plan, duality_gap, kr_bounded_log, \
+    kr_distance, kr_truncated, potential_gradient_on_support, solve_dual, solve_primal, \
+    w_neg11_norm
 from .fields import ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField, \
     PowerCuspField, Rotation2D, SmoothShear2D, VelocityField, default_modulus, \
     exact_flow_oscillatory, field_from_name, maximal_function, psi_one, sobolev_seminorm
 from .pde import AprioriReport, CauchyData, SolutionTrajectory, apriori_lq_check, \
     eulerian_solve, lagrangian_solve
 from .estimates import EtaTrajectory, StabilityInstance, build_eta, check_derivative_identity, \
-    check_prop1, check_rate_bounds, lemma4_combine, stability_rate, track_kr, uniqueness_drive
+    check_prop1, check_rate_bounds, frame_plans, lemma4_combine, stability_rate, track_kr, \
+    uniqueness_drive
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from .cost import CostKind, CostSpec
 from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one, sobolev_seminorm
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
-from .transport import (TransportPlan, kr_distance, potential_gradient_on_support,
-                        solve_primal, w_neg11_norm)
+from .transport import TransportPlan, check_plan, potential_gradient_on_support, solve_primal
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -167,13 +166,34 @@ def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
         + u1 * offset[..., None]
 
 
-def track_kr(eta: EtaTrajectory, delta: float, radius: float) -> np.ndarray:
-    """D_{delta,R}(eta(t)) for every stored frame."""
+def frame_plans(eta: EtaTrajectory, delta: float,
+                radius: float) -> list[TransportPlan | None]:
+    """The optimal plan of every stored frame for D_{delta,R}, None for a
+    zero frame: one exact solve per nonzero frame."""
     spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
+    return [solve_primal(eta.frame(k), spec)[0] if np.abs(eta.frames[k]).max() > 0 else None
+            for k in range(eta.n_frames)]
+
+
+def track_kr(eta: EtaTrajectory, delta: float, radius: float,
+             plans: list[TransportPlan | None] | None = None) -> np.ndarray:
+    """D_{delta,R}(eta(t)) for every stored frame.
+
+    The values are read off ``plans``, the ``frame_plans`` of the same eta,
+    delta and radius; they are solved here when none are given.
+    """
+    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
+    if plans is None:
+        plans = frame_plans(eta, delta, radius)
+    if len(plans) != eta.n_frames:
+        raise ValueError(f"{len(plans)} plans for {eta.n_frames} frames")
     out = np.zeros(eta.n_frames)
-    for k in range(eta.n_frames):
-        if np.abs(eta.frames[k]).max() > 0:
-            out[k] = kr_distance(eta.frame(k), spec)
+    for k, plan in enumerate(plans):
+        if plan is not None:
+            check_plan(plan, eta.frame(k), spec)
+            out[k] = plan.value
+        elif np.abs(eta.frames[k]).max() > 0:
+            raise ValueError(f"frame {k} is nonzero but has no plan")
     return out
 
 
@@ -204,15 +224,19 @@ def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
     if eta.n_frames < 5:
         raise ValueError("need at least 5 stored frames")
     spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    D = track_kr(eta, delta, radius)
+    plans = frame_plans(eta, delta, radius)
+    D = track_kr(eta, delta, radius, plans=plans)
     hv = eta.grid.cell_volume
     times, lhs, rhs = [], [], []
     for k in range(1, eta.n_frames - 1):
         dt = eta.times[k + 1] - eta.times[k - 1]
         lhs.append((D[k + 1] - D[k - 1]) / dt)
+        times.append(eta.times[k])
+        if plans[k] is None:  # a zero frame has an empty plan and pairs to zero
+            rhs.append(0.0)
+            continue
         j = eta_flux(instance, eta, traj2, k)
-        plan, _ = solve_primal(eta.frame(k), spec)
-        g = potential_gradient_on_support(plan, spec)
+        g = potential_gradient_on_support(plans[k], spec)
         # deposit the support gradient at both endpoint cells, mass-averaged
         flat_j = j.reshape(-1, eta.grid.dim)
         acc = np.zeros((eta.grid.ncells, eta.grid.dim))
@@ -225,7 +249,6 @@ def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
         ghat = np.zeros_like(acc)
         ghat[covered] = acc[covered] / wts[covered, None]
         rhs.append(float((flat_j[covered] * ghat[covered]).sum() * hv))
-        times.append(eta.times[k])
     times = np.asarray(times)
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
@@ -255,9 +278,14 @@ def check_rate_bounds(eta_frame: SignedDensity, u: VelocityField, delta: float,
                       modulus: IntegrabilityModulus | None = None,
                       modulus_integral: float | None = None,
                       plan: TransportPlan | None = None) -> RateBoundsReport:
+    """The rate-of-change chain on the optimal plan of ``eta_frame`` for
+    D_{delta,R}: ``plan`` when given (``check_plan`` must accept it), else
+    solved here."""
     spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    if plan is None or plan.cost != spec:
+    if plan is None:
         plan, _ = solve_primal(eta_frame, spec)
+    else:
+        check_plan(plan, eta_frame, spec)
     if plan.n_entries == 0:
         return RateBoundsReport(delta, 0.0, 0.0, 0.0, 0.0, None, None, None)
     g = potential_gradient_on_support(plan, spec)
@@ -310,6 +338,8 @@ class Prop1Report:
     c2_joint: float
     ratio: float               # max/min of sup_d across the sweep
     short_time_ok: bool        # |D(t1)-D(t0)| <= 2 x extrapolated |D(t2)-D(t0)|
+    eta: EtaTrajectory
+    plans: dict[float, list[TransportPlan | None]]  # frame_plans(eta, delta) by delta
 
 
 def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
@@ -323,8 +353,10 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     sup_d = np.zeros(len(deltas))
     short_ok = True
+    plans = {}
     for i, d in enumerate(deltas):
-        series = track_kr(eta, d, radius)
+        plans[float(d)] = frame_plans(eta, d, radius)
+        series = track_kr(eta, d, radius, plans=plans[float(d)])
         sup_d[i] = series.max()
         # the change of D from its initial value (zero for equal initial
         # data) vanishes at least linearly as t -> t0
@@ -360,7 +392,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
     ratio = float(sup_d.max() / sup_d.min()) if sup_d.min() > 0 else math.inf
     return Prop1Report(deltas, sup_d, r, slope, intercept, r2, c1_joint, c2_joint,
-                       ratio, short_ok)
+                       ratio, short_ok, eta, plans)
 
 
 # ---------------------------------------------------------------------------

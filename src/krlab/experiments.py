@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
 from .cost import CostKind, CostSpec, cost_eval, cost_sup
 from .estimates import (StabilityInstance, build_eta, check_prop1, check_rate_bounds,
-                        lemma4_combine, linear_fit, stability_rate, track_kr,
-                        uniqueness_drive)
+                        lemma4_combine, linear_fit, stability_rate, uniqueness_drive)
 from .fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                      SmoothShear2D, default_modulus, modulus_gradient_integral, psi_one)
 from .measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
@@ -25,7 +25,8 @@ from .measures import (Grid, SignedDensity, density_from_function, jordan_decomp
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
     lagrangian_solve
 from .records import ExperimentRecord
-from .transport import (duality_gap, kr_distance, solve_dual, solve_primal, w_neg11_norm)
+from .transport import (SOLVER_COUNTS, duality_gap, kr_distance, solve_dual, solve_primal,
+                        w_neg11_norm)
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,11 +42,24 @@ def merge_params(defaults: dict, params: dict | None, experiment: str) -> dict:
     return merged
 
 
+def _solves_since(before: dict) -> dict:
+    return {key: n - before[key] for key, n in SOLVER_COUNTS.items()}
+
+
+def _counted(fn, item):
+    before = dict(SOLVER_COUNTS)
+    return fn(item), _solves_since(before)
+
+
 def _pmap(fn, items, jobs: int):
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))  # map preserves input order
+        done = list(ex.map(partial(_counted, fn), items))  # map preserves input order
+    for _, solves in done:  # the workers' solves belong to this run
+        for key, n in solves.items():
+            SOLVER_COUNTS[key] += n
+    return [out for out, _ in done]
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
@@ -103,7 +117,7 @@ def run_transport_selftest(params: dict | None = None, jobs: int = 1) -> Experim
         eta = random_mean_zero(grid, rng)
         spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
         plan, primal = solve_primal(eta, spec)
-        pot, dual = solve_dual(eta, spec)
+        pot, dual = solve_dual(eta, spec, plan)
         gap = duality_gap(plan, pot) / (1.0 + abs(primal))
         phi = pot.values.ravel()
         sat = float(np.abs(np.abs(phi[plan.src_cells[plan.src_idx]]
@@ -301,7 +315,7 @@ def run_prop1_sweep(params: dict | None = None, jobs: int = 1) -> ExperimentReco
     rec = ExperimentRecord("prop1-sweep", p)
     grid, field, inst, traj1, traj2 = _twin_cusp_instance(p)
     report = check_prop1(inst, traj1, traj2, p["deltas"], p["radius"])
-    eta = build_eta(inst, traj1, traj2)
+    eta = report.eta
     for d, s in zip(report.deltas, report.sup_d):
         rec.row("twin_sweep", delta=float(d), sup_d=float(s))
     rec.meta.update(twin_slope=report.log_slope, twin_r2=report.r2,
@@ -316,15 +330,18 @@ def run_prop1_sweep(params: dict | None = None, jobs: int = 1) -> ExperimentReco
     rec.add("short-time-vanishing", report.short_time_ok, float(report.short_time_ok),
             1.0, comparator=">=", detail="D(t1) <= 2 x extrapolated D(t2)")
 
-    # exact chain + Sobolev-route constants on selected frames
+    # exact chain + Sobolev-route constants on selected frames, on the plans
+    # that check_prop1 solved for them
     worst_chain = 0.0
     c3_by_delta: dict[float, list[float]] = {}
     for k in p["chain_frames"]:
-        frame = eta.frame(min(k, eta.n_frames - 1))
+        idx = min(k, eta.n_frames - 1)
+        frame = eta.frame(idx)
         if np.abs(frame.values).max() == 0:
             continue
         for d in p["deltas"]:
-            rb = check_rate_bounds(frame, field, d, p["radius"], p=2.0, q=2.0)
+            rb = check_rate_bounds(frame, field, d, p["radius"], p=2.0, q=2.0,
+                                   plan=report.plans[d][idx])
             worst_chain = max(worst_chain, rb.chain_slack)
             if rb.c_l3 is not None:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
@@ -345,7 +362,8 @@ def run_prop1_sweep(params: dict | None = None, jobs: int = 1) -> ExperimentReco
     c5_sweep = []
     for d in p["deltas"]:
         rb = check_rate_bounds(frame, l5field, d, p["radius"], p=1.0, q=math.inf,
-                               modulus=modulus, modulus_integral=e_int)
+                               modulus=modulus, modulus_integral=e_int,
+                               plan=report.plans[d][-1])
         if rb.c_l5 is not None:
             c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
@@ -652,6 +670,8 @@ def run_experiment(name: str, params: dict | None = None, jobs: int = 1) -> Expe
                        + ", ".join(sorted(EXPERIMENTS)))
     fn, _ = EXPERIMENTS[name]
     t0 = time.time()
+    before = dict(SOLVER_COUNTS)
     rec = fn(params, jobs=jobs)
     rec.meta["runtime_s"] = round(time.time() - t0, 3)
+    rec.meta["transport"] = _solves_since(before)
     return rec

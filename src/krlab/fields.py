@@ -224,6 +224,7 @@ class PowerCuspField(VelocityField):
         self.alpha, self.x0, self.amp = alpha, x0, amp
         self.cut0, self.cut1 = cut0, cut1
         self.name = f"power_cusp:{alpha:g}"
+        self._grad_norms: dict[float, float] = {}  # by p; the field is never mutated
 
     @property
     def p_max(self) -> float:
@@ -262,9 +263,11 @@ class PowerCuspField(VelocityField):
     def grad_norm_lp(self, p):
         if p >= self.p_max:
             return math.inf
-        val, _ = integrate.quad(lambda x: float(np.abs(self.derivative(x))) ** p,
-                                0.0, 1.0, points=[self.x0], limit=400)
-        return val ** (1.0 / p)
+        if p not in self._grad_norms:
+            val, _ = integrate.quad(lambda x: float(np.abs(self.derivative(x))) ** p,
+                                    0.0, 1.0, points=[self.x0], limit=400)
+            self._grad_norms[p] = val ** (1.0 / p)
+        return self._grad_norms[p]
 
 
 class SmoothShear2D(VelocityField):

@@ -79,8 +79,9 @@ def _check_advectable(u: VelocityField) -> None:
 
 
 def _store_times(horizon: float, n_frames: int) -> np.ndarray:
-    n_frames = min(max(int(n_frames), 2), 65)
-    return np.linspace(0.0, horizon, n_frames)
+    if not 2 <= n_frames <= 65:
+        raise ValueError(f"n_frames must be in [2, 65], got {n_frames}")
+    return np.linspace(0.0, horizon, int(n_frames))
 
 
 # ---------------------------------------------------------------------------

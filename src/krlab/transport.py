@@ -11,10 +11,17 @@ as an exact linear program.  Two backends, both certified by LP optimality:
   simplex, which also returns the node duals used to build Kantorovich-
   Rubinstein potentials.
 
-Potentials are extended from the LP duals to the whole grid by the metric
-envelope ``phi(z) = min_j (c(dist(z, y_j)) - v_j)``, which is c-Lipschitz by
+An LP plan keeps the target duals of the LP that produced it.  The potential
+comes from the duals of the plan's own LP: ``solve_dual(eta, cost, plan)``
+extends them to the whole grid by the metric envelope
+``phi(z) = min_j (c(dist(z, y_j)) - v_j)``, which is c-Lipschitz by
 construction and attains the dual optimum, hence saturates the constraint on
-the support of every optimal plan.
+the support of every optimal plan.  Only without such a plan does
+``solve_dual`` solve the LP itself.
+
+Callers solve an instance once and pass the plan to every check that reads
+it; ``check_plan`` rejects a plan that was solved for another density or
+cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ _HIGHS_OPTS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+# running totals of the exact solves made by this process: transportation LPs
+# (one per instance), the extra HiGHS attempts after presolve failed, and the
+# uniform-mass instances solved as assignments
+SOLVER_COUNTS = {"lp": 0, "lp_presolve_retries": 0, "assignment": 0}
+
 
 @dataclass
 class TransportPlan:
@@ -53,6 +65,7 @@ class TransportPlan:
     dst_idx: np.ndarray = field(repr=False)
     plan_mass: np.ndarray = field(repr=False)
     value: float = 0.0
+    dst_dual: np.ndarray | None = field(default=None, repr=False)  # target duals of its LP
 
     @property
     def n_entries(self) -> int:
@@ -128,11 +141,13 @@ def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     # presolve misreads rows whose mass is below the feasibility tolerance as
     # inconsistent; fall back deterministically before giving up
     res = None
-    for opts in (_HIGHS_OPTS, {**_HIGHS_OPTS, "presolve": False}, {}):
+    for retries, opts in enumerate((_HIGHS_OPTS, {**_HIGHS_OPTS, "presolve": False}, {})):
         res = linprog(C.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None),
                       method="highs", options=opts)
         if res.status == 0:
             break
+    SOLVER_COUNTS["lp"] += 1
+    SOLVER_COUNTS["lp_presolve_retries"] += retries
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     x = res.x * scale
@@ -152,15 +167,16 @@ def _prune_atoms(pos, masses, cells):
     return pos[keep], masses[keep], cells[keep]
 
 
-def _prepare_instance(eta: SignedDensity, cost: CostSpec):
+def _prepare_instance(eta: SignedDensity):
     total = mass(eta)
     l1 = lq_norm(eta, 1)
     if l1 > 0 and abs(total) > MASS_TOL * l1:
         raise ValueError(
             f"density is not mean-zero (mass {total:.3e} vs L1 {l1:.3e}); "
             "apply mean_zero_projection first")
-    pos_p, mass_p, cells_p = _prune_atoms(*_atoms(jordan_decompose(eta)[0]))
-    pos_n, mass_n, cells_n = _prune_atoms(*_atoms(jordan_decompose(eta)[1]))
+    pos_part, neg_part = jordan_decompose(eta)
+    pos_p, mass_p, cells_p = _prune_atoms(*_atoms(pos_part))
+    pos_n, mass_n, cells_n = _prune_atoms(*_atoms(neg_part))
     if len(mass_p) and len(mass_n):
         # remove the residual float imbalance exactly
         mass_n = mass_n * (mass_p.sum() / mass_n.sum())
@@ -169,30 +185,61 @@ def _prepare_instance(eta: SignedDensity, cost: CostSpec):
 
 def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, float]:
     """Exact optimal plan between the Jordan parts and its transport cost."""
-    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta, cost)
+    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta)
     empty = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
                           np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     if len(mass_p) == 0 or len(mass_n) == 0:
         return empty, 0.0
     C = cost_matrix(cost, pos_p, pos_n, eta.grid.length)
+    v = None
     if len(mass_p) == len(mass_n) and _uniform(mass_p) and _uniform(mass_n):
         si, dj = linear_sum_assignment(C)
         pm = np.full(len(si), mass_p.mean())
+        SOLVER_COUNTS["assignment"] += 1
     else:
-        (si, dj, pm), _, _ = _solve_transport_lp(mass_p, mass_n, C)
+        (si, dj, pm), _, v = _solve_transport_lp(mass_p, mass_n, C)
     value = float((C[si, dj] * pm).sum())
     plan = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
-                         si, dj, pm, value)
+                         si, dj, pm, value, v)
     return plan, value
 
 
-def solve_dual(eta: SignedDensity, cost: CostSpec) -> tuple[Potential, float]:
-    """Optimal potential on the full grid and the dual value (= primal value)."""
-    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta, cost)
-    if len(mass_p) == 0 or len(mass_n) == 0:
-        return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
-    C = cost_matrix(cost, pos_p, pos_n, eta.grid.length)
-    _, _, v = _solve_transport_lp(mass_p, mass_n, C)
+def check_plan(plan: TransportPlan, eta: SignedDensity, cost: CostSpec) -> None:
+    """Raise ValueError, naming the mismatch, unless ``plan`` was solved for
+    ``eta`` and ``cost``: the same grid and cost, and the atom cells and
+    masses of eta's Jordan parts.  Atoms are compared bit for bit, since a
+    reused plan comes from the same deterministic solve."""
+    if plan.grid != eta.grid:
+        raise ValueError(f"plan was solved on a different grid: {plan.grid} vs {eta.grid}")
+    if plan.cost != cost:
+        raise ValueError(f"plan was solved for a different cost: {plan.cost} vs {cost}")
+    _, mass_p, cells_p, _, mass_n, cells_n = _prepare_instance(eta)
+    if not (np.array_equal(plan.src_cells, cells_p) and np.array_equal(plan.dst_cells, cells_n)):
+        raise ValueError("plan atoms sit on other cells than the Jordan parts of the "
+                         "density: it was solved for another density")
+    if not (np.array_equal(plan.src_mass, mass_p) and np.array_equal(plan.dst_mass, mass_n)):
+        raise ValueError("plan atom masses differ from the Jordan parts of the density: "
+                         "it was solved for another density")
+
+
+def solve_dual(eta: SignedDensity, cost: CostSpec,
+               plan: TransportPlan | None = None) -> tuple[Potential, float]:
+    """Optimal potential on the full grid and the dual value (= primal value).
+
+    The potential is built from the target duals of ``plan``'s own LP when
+    it has them (``check_plan`` must accept it); without such a plan, e.g.
+    for an assignment plan, the LP is solved here.
+    """
+    if plan is not None:
+        check_plan(plan, eta, cost)
+    if plan is not None and plan.dst_dual is not None:
+        pos_n, v = plan.dst_pos, plan.dst_dual
+    else:
+        pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+        if len(mass_p) == 0 or len(mass_n) == 0:
+            return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
+        C = cost_matrix(cost, pos_p, pos_n, eta.grid.length)
+        _, _, v = _solve_transport_lp(mass_p, mass_n, C)
     # metric envelope from the target duals; c-Lipschitz and optimal
     all_centers = eta.grid.centers()
     phi = np.full(eta.grid.ncells, np.inf)

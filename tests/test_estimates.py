@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import krlab.estimates
 from krlab.cost import bounded_log, truncated_linear
 from krlab.estimates import (StabilityInstance, build_eta, check_derivative_identity,
-                             check_prop1, check_rate_bounds, lemma4_combine, linear_fit,
-                             stability_rate, track_kr, uniqueness_drive)
+                             check_prop1, check_rate_bounds, frame_plans, lemma4_combine,
+                             linear_fit, stability_rate, track_kr, uniqueness_drive)
 from krlab.fields import ConstantField, OscillatoryField, default_modulus
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
 from krlab.pde import CauchyData, eulerian_solve
-from krlab.transport import kr_distance
+from krlab.transport import kr_distance, solve_primal
 
 TWO_PI = 2 * math.pi
 
@@ -183,10 +184,10 @@ def test_linear_fit_exact_line():
     assert r2 == pytest.approx(1.0)
 
 
-def test_derivative_identity_twin():
-    # twin upwind runs of one oscillatory field, the second from rho0 plus a
-    # small smooth bump of nonzero mass; eta solves the continuity equation
-    # with the flux u * (eta + mean(drho0)) that eta_flux returns
+def _upwind_twin():
+    """Twin upwind runs of one oscillatory field, the second from rho0 plus a
+    small smooth bump of nonzero mass; eta solves the continuity equation
+    with the flux u * (eta + mean(drho0)) that eta_flux returns."""
     g = Grid(1, 64, length=TWO_PI)
     field = OscillatoryField(1)
     rho0 = density_from_function(g, lambda x: 1.0 + 0.3 * np.sin(x))
@@ -197,11 +198,95 @@ def test_derivative_identity_twin():
     t1 = eulerian_solve(d1, g, cfl=0.5, n_frames=17)
     t2 = eulerian_solve(d2, g, cfl=0.5, n_frames=17)
     inst = StabilityInstance(d1, d2, p=2.0, q=2.0)
-    eta = build_eta(inst, t1, t2)
+    return inst, build_eta(inst, t1, t2), t2
+
+
+def test_derivative_identity_twin():
+    inst, eta, t2 = _upwind_twin()
     rep = check_derivative_identity(inst, eta, t2, delta=0.05, radius=math.pi)
     # the pairing and dD/dt agree up to the upwind discretization error
     assert rep.rel_gap < 0.6
     assert np.isfinite(rep.lhs).all() and np.isfinite(rep.rhs).all()
+
+
+def test_derivative_identity_solves_each_frame_once(monkeypatch):
+    inst, eta, t2 = _upwind_twin()
+    calls = []
+
+    def counted(frame, spec):
+        calls.append(spec)
+        return solve_primal(frame, spec)
+
+    monkeypatch.setattr(krlab.estimates, "solve_primal", counted)
+    rep = check_derivative_identity(inst, eta, t2, delta=0.05, radius=math.pi)
+    nonzero = sum(bool(np.abs(eta.frames[k]).max() > 0) for k in range(eta.n_frames))
+    assert nonzero == eta.n_frames
+    assert len(calls) == nonzero
+    # the same value as when each interior frame was solved a second time
+    assert rep.rel_gap == pytest.approx(0.06428890712575, rel=1e-10)
+    D = track_kr(eta, 0.05, math.pi)
+    assert np.array_equal(rep.lhs, (D[2:] - D[:-2]) / (eta.times[2:] - eta.times[:-2]))
+
+
+def _rate_bounds_frames():
+    g = Grid(1, 64)
+    rng = np.random.default_rng(5)
+    return [mean_zero_projection(SignedDensity(g, rng.standard_normal(64))) for _ in range(2)]
+
+
+def test_rate_bounds_reuses_a_matching_plan():
+    eta, _ = _rate_bounds_frames()
+    u = OscillatoryField(2)
+    plan, _ = solve_primal(eta, bounded_log(0.05, 0.5))
+    solved = check_rate_bounds(eta, u, 0.05, 0.5, p=2.0, q=2.0)
+    reused = check_rate_bounds(eta, u, 0.05, 0.5, p=2.0, q=2.0, plan=plan)
+    assert reused == solved
+
+
+def test_rate_bounds_rejects_a_plan_of_another_frame():
+    eta, other = _rate_bounds_frames()
+    plan, _ = solve_primal(other, bounded_log(0.05, 0.5))
+    with pytest.raises(ValueError, match="another density"):
+        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
+
+
+def test_rate_bounds_rejects_a_plan_of_another_delta():
+    eta, _ = _rate_bounds_frames()
+    plan, _ = solve_primal(eta, bounded_log(0.01, 0.5))
+    with pytest.raises(ValueError, match="different cost"):
+        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
+
+
+def test_rate_bounds_rejects_a_plan_on_another_grid():
+    eta, _ = _rate_bounds_frames()
+    coarse = mean_zero_projection(SignedDensity(Grid(1, 32), eta.values[::2]))
+    plan, _ = solve_primal(coarse, bounded_log(0.05, 0.5))
+    with pytest.raises(ValueError, match="different grid"):
+        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
+
+
+def test_track_kr_reads_values_off_matching_plans():
+    _, eta, _ = _upwind_twin()
+    plans = frame_plans(eta, 0.05, math.pi)
+    assert np.array_equal(track_kr(eta, 0.05, math.pi, plans=plans),
+                          track_kr(eta, 0.05, math.pi))
+    with pytest.raises(ValueError, match="different cost"):
+        track_kr(eta, 0.01, math.pi, plans=plans)
+    with pytest.raises(ValueError, match="another density"):
+        track_kr(eta, 0.05, math.pi, plans=plans[::-1])
+    with pytest.raises(ValueError, match="no plan"):
+        track_kr(eta, 0.05, math.pi, plans=[None] * eta.n_frames)
+
+
+def test_check_prop1_carries_the_plans_it_solved():
+    inst, eta, t2 = _upwind_twin()
+    t1 = eulerian_solve(inst.data1, eta.grid, cfl=0.5, n_frames=17)
+    rep = check_prop1(inst, t1, t2, [0.1, 0.01], math.pi)
+    assert np.array_equal(rep.eta.frames, eta.frames)
+    assert sorted(rep.plans) == [0.01, 0.1]
+    for i, d in enumerate(rep.deltas):
+        values = track_kr(rep.eta, d, math.pi, plans=rep.plans[d])
+        assert values.max() == rep.sup_d[i]
 
 
 def test_check_prop1_zero_twin():

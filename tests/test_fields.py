@@ -304,6 +304,26 @@ def test_modulus_integral_against_graded_riemann():
     assert val == pytest.approx(oracle, rel=2e-3)
 
 
+def test_power_cusp_lp_norm_integrates_once_per_p(monkeypatch):
+    import krlab.fields
+    calls = []
+    quad = krlab.fields.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(krlab.fields.integrate, "quad", counted)
+    f = PowerCuspField(0.6, x0=0.31, amp=0.4)
+    first = f.grad_norm_lp(2.0)
+    assert f.grad_norm_lp(2.0) == first and sobolev_seminorm(f, 2.0) == first
+    assert len(calls) == 1
+    f.grad_norm_lp(1.5)
+    assert len(calls) == 2
+    assert PowerCuspField(0.6, x0=0.31, amp=0.4).grad_norm_lp(2.0) == first
+    assert len(calls) == 3
+
+
 def test_custom_modulus_changes_psi():
     stronger = IntegrabilityModulus(
         "xi*(1+log+xi)^2",

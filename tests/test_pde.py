@@ -229,6 +229,15 @@ def test_apriori_oscillatory_q2():
     assert rep.holds and rep.slack <= 0.05
 
 
+@pytest.mark.parametrize("solver", [lagrangian_solve, eulerian_solve])
+@pytest.mark.parametrize("n_frames", [1, 66])
+def test_frame_count_out_of_range_is_refused(solver, n_frames):
+    g = Grid(1, 16)
+    data = CauchyData(ConstantField([1.0]), None, smooth_1d(g), 0.25)
+    with pytest.raises(ValueError, match=r"n_frames must be in \[2, 65\], got " + str(n_frames)):
+        solver(data, g, n_frames=n_frames)
+
+
 def test_trajectory_export(tmp_path):
     g = Grid(1, 32)
     data = CauchyData(ConstantField([1.0]), None, smooth_1d(g), 0.25)

@@ -8,8 +8,9 @@ from scipy import optimize
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix)
-from krlab.transport import (duality_gap, kr_distance, plan_to_csv, potential_gradient_on_support,
-                             potential_to_csv, solve_dual, solve_primal, w_neg11_norm)
+from krlab.transport import (SOLVER_COUNTS, duality_gap, kr_distance, plan_to_csv,
+                             potential_gradient_on_support, potential_to_csv, solve_dual,
+                             solve_primal, w_neg11_norm)
 
 
 def step(n):
@@ -59,6 +60,42 @@ def test_two_atom_primal_dual():
     i, j = np.nonzero(eta.values > 0)[0][0], np.nonzero(eta.values < 0)[0][0]
     assert pot.values[i] - pot.values[j] == pytest.approx(val, abs=1e-12)
     assert duality_gap(plan, pot) <= 1e-12
+
+
+def test_dual_from_the_plan_needs_no_second_lp(rng):
+    eta = random_mean_zero(Grid(1, 64), rng)
+    spec = bounded_log(0.05, 0.5)
+    plan, primal = solve_primal(eta, spec)
+    assert plan.dst_dual is not None
+    lps = SOLVER_COUNTS["lp"]
+    pot, dual = solve_dual(eta, spec, plan)
+    assert SOLVER_COUNTS["lp"] == lps
+    # the same LP, so the same duals, bit for bit, as a solve of its own
+    alone, dual_alone = solve_dual(eta, spec)
+    assert SOLVER_COUNTS["lp"] == lps + 1
+    assert np.array_equal(pot.values, alone.values) and dual == dual_alone
+    assert duality_gap(plan, pot) <= 1e-9 * (1 + abs(primal))
+
+
+def test_dual_rejects_a_plan_of_another_instance(rng):
+    eta, other = random_mean_zero(Grid(1, 32), rng), random_mean_zero(Grid(1, 32), rng)
+    plan, _ = solve_primal(other, bounded_log(0.05, 0.5))
+    with pytest.raises(ValueError, match="another density"):
+        solve_dual(eta, bounded_log(0.05, 0.5), plan)
+    with pytest.raises(ValueError, match="different cost"):
+        solve_dual(other, bounded_log(0.1, 0.5), plan)
+
+
+def test_assignment_plan_has_no_duals_and_dual_solves_its_lp():
+    eta = step(16)
+    spec = bounded_log(0.1, 0.5)
+    counts = dict(SOLVER_COUNTS)
+    plan, primal = solve_primal(eta, spec)
+    assert plan.dst_dual is None
+    assert SOLVER_COUNTS["assignment"] == counts["assignment"] + 1
+    pot, dual = solve_dual(eta, spec, plan)
+    assert SOLVER_COUNTS["lp"] == counts["lp"] + 1
+    assert dual == pytest.approx(primal, rel=1e-10)
 
 
 def test_two_atom_truncated():
