@@ -2,16 +2,14 @@
 distances with bounded concave costs and for stability estimates of the
 continuity equation on the periodic torus."""
 
-from .cost import CostKind, CostSpec, bounded_log, cost_derivative, cost_eval, cost_inverse, \
-    cost_sup, truncated_linear
+from .cost import CostKind, CostSpec, bounded_log, cost_derivative, cost_eval, cost_sup, \
+    truncated_linear
 from .measures import Grid, SignedDensity, density_from_function, jordan_decompose, lq_norm, \
     mass, mean_zero_projection
-from .transport import Potential, TransportPlan, check_plan, duality_gap, kr_bounded_log, \
-    kr_distance, kr_truncated, potential_gradient_on_support, solve_dual, solve_primal, \
-    w_neg11_norm
+from .transport import Potential, TransportPlan, check_plan, duality_gap, kr_distance, \
+    potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm
 from .fields import ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField, \
-    PowerCuspField, Rotation2D, SmoothShear2D, VelocityField, default_modulus, \
-    exact_flow_oscillatory, field_from_name, maximal_function, psi_one, sobolev_seminorm
+    PowerCuspField, SmoothShear2D, VelocityField, default_modulus, maximal_function, psi_one
 from .pde import AprioriReport, CauchyData, SolutionTrajectory, apriori_lq_check, \
     eulerian_solve, lagrangian_solve
 from .estimates import EtaTrajectory, StabilityInstance, build_eta, check_derivative_identity, \

@@ -1,20 +1,23 @@
-"""Batch front end: ``krlab run <config> [--grid N] [--out DIR] [--jobs K]``
-and ``krlab list``.
+"""Batch front end: ``krlab run <config> [--grid N] [--out DIR]`` and
+``krlab list``.
 
 Configs are YAML with one table per section::
 
     experiment: e1-example
-    seed: 2024
     out: results/e1
-    jobs: 1
     params:
       n: 4096
       deltas: [1.0e-1, 1.0e-2]
 
+A seed, where the experiment takes one, is the ``seed`` key under
+``params``.  ``--grid`` sets the experiment's main grid size (``n``,
+``n_grid`` or ``apriori_n``), a power of two.
+
 Outputs per run: ``record.json``, one ``<table>.csv`` per sweep table, and
 ``verdict.txt`` (one inequality per line; byte-stable for a fixed config and
-seed).  Exit status 0 iff every build-breaking check passed.  The CSV
-columns are documented in docs/csv_schema.md.
+seed).  Exit status 0 iff every build-breaking check passed, 1 if one failed,
+2 for a config or command-line error.  The CSV columns are documented in
+docs/csv_schema.md.
 """
 
 from __future__ import annotations
@@ -26,18 +29,18 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, merge_params, run_experiment
+
+GRID_KEYS = ("n", "n_grid", "apriori_n")
 
 
 @dataclass
 class RunConfig:
     experiment: str
     params: dict = field(default_factory=dict)
-    seed: int | None = None
     out: str = "results"
-    jobs: int = 1
 
-    _KEYS = {"experiment", "params", "seed", "out", "jobs"}
+    _KEYS = {"experiment", "params", "out"}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
@@ -56,34 +59,28 @@ class RunConfig:
                              f"valid keys: {sorted(cls._KEYS)}")
         if "experiment" not in raw:
             raise ValueError("config is missing the required key 'experiment'")
-        name = raw["experiment"]
-        if name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {name!r}; valid names: "
-                             + ", ".join(sorted(EXPERIMENTS)))
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("'params' must be a table of experiment parameters")
-        defaults = EXPERIMENTS[name][1]
-        bad = set(params) - set(defaults)
-        if bad:
-            raise ValueError(f"unknown parameter keys {sorted(bad)} for {name!r}; "
-                             f"valid keys: {sorted(defaults)}")
-        return cls(experiment=name, params=dict(params), seed=raw.get("seed"),
-                   out=str(raw.get("out", "results")), jobs=int(raw.get("jobs", 1)))
+        return cls(experiment=raw["experiment"], params=merge_params(raw["experiment"], params),
+                   out=str(raw.get("out", "results")))
+
+    def set_grid(self, n: int) -> None:
+        """Put ``--grid n`` on the experiment's main grid size parameter."""
+        key = next((k for k in GRID_KEYS if k in self.params), None)
+        if key is None:
+            raise ValueError(f"--grid: {self.experiment!r} has no main grid size "
+                             f"({', '.join(GRID_KEYS)}); drop --grid and set its sizes "
+                             "under params in the config")
+        if n < 2 or n & (n - 1):
+            lower = 1 << max(n.bit_length() - 1, 1)
+            raise ValueError(f"--grid {n}: the grid size must be a power of two >= 2; "
+                             f"use {lower} or {2 * lower}")
+        self.params[key] = n
 
 
-def run(config: RunConfig, grid_override: int | None = None,
-        out_override: str | None = None, jobs_override: int | None = None) -> int:
-    params = dict(config.params)
-    if config.seed is not None and "seed" in EXPERIMENTS[config.experiment][1]:
-        params.setdefault("seed", config.seed)
-    if grid_override is not None:
-        for key in ("n", "n_grid", "apriori_n"):
-            if key in EXPERIMENTS[config.experiment][1]:
-                params[key] = grid_override
-                break
-    jobs = jobs_override if jobs_override is not None else config.jobs
-    rec = run_experiment(config.experiment, params, jobs=jobs)
+def run(config: RunConfig, out_override: str | None = None) -> int:
+    rec = run_experiment(config.experiment, config.params)
     out_dir = Path(out_override or config.out) / config.experiment
     rec.write(out_dir)
     sys.stdout.write(rec.verdict_text())
@@ -96,9 +93,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a YAML config")
     p_run.add_argument("config", help="path to the YAML config file")
-    p_run.add_argument("--grid", type=int, default=None, help="override the main grid size")
+    p_run.add_argument("--grid", type=int, default=None,
+                       help="override the main grid size (a power of two)")
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument("--jobs", type=int, default=None, help="worker pool size for sweeps")
     sub.add_parser("list", help="print the available experiment names")
     args = parser.parse_args(argv)
 
@@ -108,10 +105,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         config = RunConfig.from_file(args.config)
+        if args.grid is not None:
+            config.set_grid(args.grid)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config, args.grid, args.out, args.jobs)
+    return run(config, args.out)
 
 
 if __name__ == "__main__":

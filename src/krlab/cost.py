@@ -90,22 +90,6 @@ def cost_derivative(spec: CostSpec, z):
     return out if isinstance(z, np.ndarray) else float(out)
 
 
-def cost_inverse(spec: CostSpec, xi):
-    """Inverse of the logarithmic branch: c^{-1}(xi) = delta*(exp(xi) - 1).
-
-    Only defined for the bounded-log cost and xi <= log(radius/delta + 1),
-    i.e. while the inverse stays on the first branch.
-    """
-    if spec.kind is not CostKind.BOUNDED_LOG:
-        raise ValueError("cost_inverse is defined for the bounded-log cost only")
-    xs = _validate_arg(xi, "xi")
-    branch_top = math.log1p(spec.radius / spec.delta)
-    if np.any(xs > branch_top * (1 + 1e-12) + 1e-15):
-        raise ValueError(f"xi exceeds log(radius/delta + 1) = {branch_top}")
-    out = spec.delta * np.expm1(xs)
-    return out if isinstance(xi, np.ndarray) else float(out)
-
-
 def cost_sup(spec: CostSpec) -> float:
     """Supremum of c over [0, inf): the global cost bound."""
     if spec.kind is CostKind.TRUNCATED_LINEAR:

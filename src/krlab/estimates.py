@@ -13,12 +13,12 @@ statistical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import CostKind, CostSpec
-from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one, sobolev_seminorm
+from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
 from .transport import TransportPlan, check_plan, potential_gradient_on_support, solve_primal
@@ -91,7 +91,6 @@ class EtaTrajectory:
     times: np.ndarray
     frames: np.ndarray
     projection_magnitudes: np.ndarray
-    instance: StabilityInstance | None = None
 
     def frame(self, k: int) -> SignedDensity:
         return SignedDensity(self.grid, self.frames[k])
@@ -137,8 +136,7 @@ def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
         eta = SignedDensity(grid, raw)
         projections.append(abs(mass(eta)))
         frames.append(mean_zero_projection(eta).values)
-    return EtaTrajectory(grid, traj1.times.copy(), np.stack(frames),
-                         np.asarray(projections), instance)
+    return EtaTrajectory(grid, traj1.times.copy(), np.stack(frames), np.asarray(projections))
 
 
 def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
@@ -300,16 +298,12 @@ def check_rate_bounds(eta_frame: SignedDensity, u: VelocityField, delta: float,
     else:
         pairing = float((g.mass * (du * g.grad).sum(axis=1)).sum())
         du_mag = np.sqrt((du * du).sum(axis=1))
-    delta_vec = xs - ys
-    L = eta_frame.grid.length
-    delta_vec = delta_vec - L * np.round(delta_vec / L)
-    dist = np.abs(delta_vec[:, 0]) if u.dim == 1 else np.sqrt((delta_vec**2).sum(axis=1))
-    quotient = float((g.mass * du_mag / (delta + dist)).sum())
-    over_d = float((g.mass * du_mag / dist).sum())
+    quotient = float((g.mass * du_mag / (delta + g.dist)).sum())
+    over_d = float((g.mass * du_mag / g.dist).sum())
     lhs = abs(pairing)
     c_l3 = c_l5 = psi1 = None
     if p > 1:
-        denom = lq_norm(eta_frame, q) * sobolev_seminorm(u, p)
+        denom = lq_norm(eta_frame, q) * u.grad_norm_lp(p)
         if 0 < denom < math.inf:
             c_l3 = over_d / denom
     else:

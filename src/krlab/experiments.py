@@ -2,16 +2,15 @@
 
 Each experiment is a pure function of its parameter dict (plus the seed
 inside it) and returns an ``ExperimentRecord`` with sweep tables and
-verdicts.  Defaults are the acceptance-grade parameters; the CLI merges
-config values over them and rejects unknown keys.
+verdicts.  Defaults are the acceptance-grade parameters; ``merge_params``
+lays given values over them and rejects unknown keys, and
+``run_experiment`` hands the merged dict to the experiment.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import numpy as np
 
@@ -19,9 +18,8 @@ from .cost import CostKind, CostSpec, cost_eval, cost_sup
 from .estimates import (StabilityInstance, build_eta, check_prop1, check_rate_bounds,
                         lemma4_combine, linear_fit, stability_rate, uniqueness_drive)
 from .fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
-                     SmoothShear2D, default_modulus, modulus_gradient_integral, psi_one)
-from .measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
-                       lq_norm, mean_zero_projection)
+                     SmoothShear2D, default_modulus, modulus_gradient_integral)
+from .measures import Grid, SignedDensity, density_from_function, lq_norm, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
     lagrangian_solve
 from .records import ExperimentRecord
@@ -31,35 +29,25 @@ from .transport import (SOLVER_COUNTS, duality_gap, kr_distance, solve_dual, sol
 TWO_PI = 2.0 * math.pi
 
 
-def merge_params(defaults: dict, params: dict | None, experiment: str) -> dict:
-    merged = dict(defaults)
-    for key, val in (params or {}).items():
-        if key not in defaults:
-            raise KeyError(
-                f"unknown parameter {key!r} for experiment {experiment!r}; "
-                f"valid keys: {', '.join(sorted(defaults))}")
-        merged[key] = val
-    return merged
+def merge_params(name: str, params: dict | None) -> dict:
+    """The defaults of experiment ``name`` with ``params`` laid over them.
+
+    Raises ValueError naming the valid experiments for an unknown name and
+    the valid keys for an unknown parameter.
+    """
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}; valid names: "
+                         + ", ".join(sorted(EXPERIMENTS)))
+    defaults = EXPERIMENTS[name][1]
+    unknown = sorted(set(params or {}) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown parameter keys {unknown} for {name!r}; "
+                         f"valid keys: {', '.join(sorted(defaults))}")
+    return {**defaults, **(params or {})}
 
 
 def _solves_since(before: dict) -> dict:
     return {key: n - before[key] for key, n in SOLVER_COUNTS.items()}
-
-
-def _counted(fn, item):
-    before = dict(SOLVER_COUNTS)
-    return fn(item), _solves_since(before)
-
-
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        done = list(ex.map(partial(_counted, fn), items))  # map preserves input order
-    for _, solves in done:  # the workers' solves belong to this run
-        for key, n in solves.items():
-            SOLVER_COUNTS[key] += n
-    return [out for out, _ in done]
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
@@ -104,8 +92,7 @@ TRANSPORT_SELFTEST_DEFAULTS = {
 }
 
 
-def run_transport_selftest(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(TRANSPORT_SELFTEST_DEFAULTS, params, "transport-selftest")
+def run_transport_selftest(p: dict) -> ExperimentRecord:
     rng = np.random.default_rng(p["seed"])
     rec = ExperimentRecord("transport-selftest", p)
 
@@ -184,31 +171,25 @@ E1_DEFAULTS = {
 }
 
 
-def _e1_point(args):
-    n, delta, radius = args
-    grid = Grid(1, n)
-    eta = step_density(grid)
-    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    plan, value = solve_primal(eta, spec)
-    field = E1StepField()
-    report = check_rate_bounds(eta, field, delta, radius, p=1.0, q=math.inf, plan=plan)
-    return value, report.difference_quotient, report.chain_slack, report.lhs_pairing
-
-
-def run_e1_example(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(E1_DEFAULTS, params, "e1-example")
+def run_e1_example(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("e1-example", p)
     deltas = sorted(p["deltas"], reverse=True)
-    results = _pmap(_e1_point, [(p["n"], d, p["radius"]) for d in deltas], jobs)
+    grid = Grid(1, p["n"])
+    eta = step_density(grid)
     worst_chain = 0.0
     dvals = []
-    for delta, (value, integral, chain_slack, lhs) in zip(deltas, results):
+    for delta in deltas:
+        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
+        plan, value = solve_primal(eta, spec)
+        report = check_rate_bounds(eta, E1StepField(), delta, p["radius"], p=1.0, q=math.inf,
+                                   plan=plan)
+        integral, chain_slack = report.difference_quotient, report.chain_slack
         closed = 2.0 * math.log(1.0 / (2.0 * delta) + 1.0)
         rel = integral / closed - 1.0
         exact_d = (0.5 + delta) * math.log(0.5 / delta + 1.0) - 0.5
         rec.row("sweep", delta=delta, measured_integral=integral, closed_form=closed,
                 rel_error=rel, kr_value=value, kr_continuum=exact_d,
-                chain_lhs=lhs, chain_slack=chain_slack)
+                chain_lhs=report.lhs_pairing, chain_slack=chain_slack)
         worst_chain = max(worst_chain, chain_slack)
         dvals.append(value)
         if delta in p["report_deltas"]:
@@ -248,8 +229,7 @@ def _oscillatory_l1(k: int, T: float) -> float:
     return val
 
 
-def run_oscillatory_example(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(OSCILLATORY_DEFAULTS, params, "oscillatory-example")
+def run_oscillatory_example(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("oscillatory-example", p)
     T = p["horizon"]
     grid = Grid(1, p["n_grid"], length=TWO_PI)
@@ -310,8 +290,7 @@ def _twin_cusp_instance(p: dict):
     return grid, field, inst, traj1, traj2
 
 
-def run_prop1_sweep(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(PROP1_DEFAULTS, params, "prop1-sweep")
+def run_prop1_sweep(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("prop1-sweep", p)
     grid, field, inst, traj1, traj2 = _twin_cusp_instance(p)
     report = check_prop1(inst, traj1, traj2, p["deltas"], p["radius"])
@@ -402,8 +381,7 @@ LEMMA4_DEFAULTS = {
 }
 
 
-def run_lemma4_suite(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(LEMMA4_DEFAULTS, params, "lemma4-suite")
+def run_lemma4_suite(p: dict) -> ExperimentRecord:
     rng = np.random.default_rng(p["seed"])
     rec = ExperimentRecord("lemma4-suite", p)
     grid = Grid(1, p["n"])
@@ -442,8 +420,7 @@ UNIQUENESS_DEFAULTS = {
 }
 
 
-def run_uniqueness_drive(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(UNIQUENESS_DEFAULTS, params, "uniqueness-drive")
+def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("uniqueness-drive", p)
     grid = Grid(1, p["n"], length=TWO_PI)
     field = OscillatoryField(1)
@@ -512,8 +489,7 @@ def _bump(x):
     return out
 
 
-def run_stability_rate(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(STABILITY_DEFAULTS, params, "stability-rate")
+def run_stability_rate(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("stability-rate", p)
     grid = Grid(1, p["n"], length=TWO_PI)
     field = OscillatoryField(1)
@@ -578,8 +554,7 @@ PDE_DEFAULTS = {
 }
 
 
-def run_pde_convergence(params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    p = merge_params(PDE_DEFAULTS, params, "pde-convergence")
+def run_pde_convergence(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("pde-convergence", p)
 
     # 1-d translation refinement: constant field over one full period
@@ -664,14 +639,11 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, params: dict | None = None, jobs: int = 1) -> ExperimentRecord:
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; valid names: "
-                       + ", ".join(sorted(EXPERIMENTS)))
-    fn, _ = EXPERIMENTS[name]
+def run_experiment(name: str, params: dict | None = None) -> ExperimentRecord:
+    p = merge_params(name, params)
     t0 = time.time()
     before = dict(SOLVER_COUNTS)
-    rec = fn(params, jobs=jobs)
+    rec = EXPERIMENTS[name][0](p)
     rec.meta["runtime_s"] = round(time.time() - t0, 3)
     rec.meta["transport"] = _solves_since(before)
     return rec

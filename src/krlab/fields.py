@@ -1,18 +1,19 @@
-"""Velocity fields, maximal functions, Sobolev seminorms, and the
-superlinear integrability modulus.
+"""Velocity fields, maximal functions and the superlinear integrability
+modulus.
 
-Field families (identifier strings in parentheses):
+Field families:
 
-* ``E1StepField`` ("e1_step") -- the +-1 step on the unit circle; BV but not
-  Sobolev.  Refused as an advecting field (discontinuous characteristic ODE).
-* ``OscillatoryField(k)`` ("oscillatory:k") -- u(x) = sin(k x)/k on the
-  2*pi-periodic circle, with the closed-form flow obtained by separation of
-  variables on each k-cell.
-* ``PowerCuspField(alpha)`` ("power_cusp:alpha") -- sign-symmetric
-  |x - x0|^alpha cusp, smoothly cut off away from the cusp; the gradient is
-  in L^p exactly when p*(1 - alpha) < 1.
-* ``SmoothShear2D`` ("shear2d") and ``Rotation2D`` ("rotation2d") -- C-infty
-  divergence-free planar fields with exact flows.
+* ``E1StepField`` -- the +-1 step on the unit circle; BV but not Sobolev.
+  Refused as an advecting field (discontinuous characteristic ODE).
+* ``OscillatoryField(k)`` -- u(x) = sin(k x)/k on the 2*pi-periodic circle,
+  with the closed-form flow obtained by separation of variables on each
+  k-cell.
+* ``PowerCuspField(alpha)`` -- sign-symmetric |x - x0|^alpha cusp, smoothly
+  cut off away from the cusp; the gradient is in L^p exactly when
+  p*(1 - alpha) < 1.
+* ``SmoothShear2D`` -- a C-infty divergence-free planar shear with an exact
+  flow.
+* ``ConstantField`` -- uniform translation.
 
 All fields are autonomous; they take positions of shape (..., dim) and
 return velocities of the same shape.  Flows act on unwrapped (real-line)
@@ -29,13 +30,13 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from .measures import Grid
+from .measures import Grid, periodic_wrap
 
 TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# smooth cutoff machinery (C-infty transition used by cusp and rotation)
+# smooth cutoff machinery (the C-infty transition of the cusp)
 
 def _bump_f(t):
     t = np.asarray(t, dtype=float)
@@ -76,7 +77,6 @@ class VelocityField:
 
     dim: int = 1
     length: float = 1.0
-    time_dependent: bool = False
     advectable: bool = True
     name: str = "field"
 
@@ -86,18 +86,9 @@ class VelocityField:
     def divergence(self, t: float, pos: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def max_speed(self) -> float:
-        probe = np.linspace(0.0, self.length, 4096, endpoint=False)
-        if self.dim == 1:
-            v = self(0.0, probe[:, None])
-        else:
-            X, Y = np.meshgrid(probe[::8], probe[::8], indexing="ij")
-            v = self(0.0, np.stack([X.ravel(), Y.ravel()], axis=1))
-        return float(np.abs(v).max())
-
-    def grad_norm_lp(self, p: float) -> float | None:
-        """Analytic ||grad u||_{L^p} over one period, or None if unknown."""
-        return None
+    def grad_norm_lp(self, p: float) -> float:
+        """||grad u||_{L^p} over one period; +inf where u is not W^{1,p}."""
+        raise NotImplementedError
 
     def exact_flow(self, t: float, pos: np.ndarray) -> np.ndarray | None:
         return None
@@ -155,13 +146,6 @@ def _flow_unit_circle(t: float, y):
     return m * math.pi + zt, jac
 
 
-def exact_flow_oscillatory(k: int, t: float, x):
-    """Flow of x' = sin(k x)/k, exact per k-cell; scales as phi_1(t, kx)/k."""
-    y, _ = _flow_unit_circle(t, np.asarray(x, dtype=float) * k)
-    out = y / k
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 class OscillatoryField(VelocityField):
     """u_k(x) = sin(k x)/k on the 2*pi circle; converges uniformly to 0."""
 
@@ -180,9 +164,6 @@ class OscillatoryField(VelocityField):
     def divergence(self, t, pos):
         p = np.asarray(pos, dtype=float)
         return np.cos(self.k * (p[..., 0] if p.ndim > 1 else p))
-
-    def max_speed(self):
-        return 1.0 / self.k
 
     def grad_norm_lp(self, p):
         if p == math.inf:
@@ -231,9 +212,7 @@ class PowerCuspField(VelocityField):
         return 1.0 / (1.0 - self.alpha)
 
     def _xi(self, pos):
-        x = np.asarray(pos, dtype=float)
-        xi = x - self.x0
-        return xi - np.round(xi)
+        return periodic_wrap(np.asarray(pos, dtype=float) - self.x0, self.length)
 
     def __call__(self, t, pos):
         xi = self._xi(pos)
@@ -293,9 +272,6 @@ class SmoothShear2D(VelocityField):
         p = np.asarray(pos, dtype=float)
         return np.zeros(p.shape[:-1])
 
-    def max_speed(self):
-        return abs(self.base) + abs(self.amp)
-
     def grad_norm_lp(self, p):
         if p == math.inf:
             return TWO_PI * self.amp
@@ -309,77 +285,6 @@ class SmoothShear2D(VelocityField):
         p = np.asarray(pos, dtype=float).copy()
         p[..., 0] = p[..., 0] + t * self._u1(p[..., 1])
         return p
-
-    def exact_flow_jacobian(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.ones(p.shape[:-1])
-
-
-class Rotation2D(VelocityField):
-    """Localized rigid rotation: angular speed omega inside radius r0,
-    C-infty decay to zero by r1 < 1/2; trajectories are circles."""
-
-    dim = 2
-    length = 1.0
-    name = "rotation2d"
-
-    def __init__(self, omega: float = 1.5, center=(0.5, 0.5),
-                 r0: float = 0.15, r1: float = 0.42):
-        self.omega, self.center, self.r0, self.r1 = omega, np.asarray(center), r0, r1
-
-    def _ang(self, r):
-        return self.omega * smoothstep_down(r, self.r0, self.r1)
-
-    def __call__(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        rel = p - self.center
-        r = np.sqrt((rel * rel).sum(axis=-1))
-        a = self._ang(r)
-        out = np.empty_like(p)
-        out[..., 0] = -a * rel[..., 1]
-        out[..., 1] = a * rel[..., 0]
-        return out
-
-    def divergence(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.zeros(p.shape[:-1])
-
-    def max_speed(self):
-        rr = np.linspace(0, 0.5 * math.sqrt(2), 2048)
-        return float(np.max(np.abs(self._ang(rr)) * rr))
-
-    def grad_magnitude(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        rel = p - self.center
-        r = np.maximum(np.sqrt((rel * rel).sum(axis=-1)), 1e-300)
-        a = self._ang(r)
-        ap = self.omega * smoothstep_down_prime(r, self.r0, self.r1)
-        xb, yb = rel[..., 0], rel[..., 1]
-        g11 = -ap * xb * yb / r
-        g12 = -a - ap * yb * yb / r
-        g21 = a + ap * xb * xb / r
-        g22 = ap * xb * yb / r
-        return np.sqrt(g11**2 + g12**2 + g21**2 + g22**2)
-
-    def grad_norm_lp(self, p):
-        n = 1024
-        c = (np.arange(n) + 0.5) / n
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        g = self.grad_magnitude(0.0, np.stack([X, Y], axis=-1))
-        if p == math.inf:
-            return float(g.max())
-        return float(((g**p).sum() / n**2) ** (1.0 / p))
-
-    def exact_flow(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        rel = p - self.center
-        r = np.sqrt((rel * rel).sum(axis=-1))
-        theta = self._ang(r) * t
-        ct, st = np.cos(theta), np.sin(theta)
-        out = np.empty_like(p)
-        out[..., 0] = self.center[0] + ct * rel[..., 0] - st * rel[..., 1]
-        out[..., 1] = self.center[1] + st * rel[..., 0] + ct * rel[..., 1]
-        return out
 
     def exact_flow_jacobian(self, t, pos):
         p = np.asarray(pos, dtype=float)
@@ -403,9 +308,6 @@ class ConstantField(VelocityField):
         p = np.asarray(pos, dtype=float)
         return np.zeros(p.shape[:-1] if p.ndim > 1 else p.shape)
 
-    def max_speed(self):
-        return float(np.abs(self.velocity).max())
-
     def grad_norm_lp(self, p):
         return 0.0
 
@@ -422,24 +324,6 @@ class ConstantField(VelocityField):
     def exact_flow_jacobian(self, t, pos):
         p = np.asarray(pos, dtype=float)
         return np.ones(p.shape[:-1] if p.ndim > 1 else p.shape)
-
-
-def field_from_name(name: str) -> VelocityField:
-    """Registry for the identifier strings used in config files."""
-    head, _, arg = name.partition(":")
-    if head == "e1_step":
-        return E1StepField()
-    if head == "oscillatory":
-        return OscillatoryField(int(arg))
-    if head == "power_cusp":
-        return PowerCuspField(float(arg))
-    if head == "shear2d":
-        return SmoothShear2D()
-    if head == "rotation2d":
-        return Rotation2D()
-    if head == "constant":
-        return ConstantField([float(v) for v in arg.split(",")])
-    raise ValueError(f"unknown field family {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +355,6 @@ def maximal_function(values: np.ndarray, grid: Grid) -> np.ndarray:
         np.maximum(out, avg, out=out)
         m *= 2
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sobolev seminorms
-
-def sobolev_seminorm(field: VelocityField, p: float, grid: Grid | None = None) -> float:
-    """Spatial ||grad u||_{L^p} over one period.
-
-    Analytic values are preferred; fields that only have BV regularity report
-    +inf for p > 1 (the divergent discrete sums are never trusted).  The grid
-    fallback uses centered periodic differences.
-    """
-    analytic = field.grad_norm_lp(p)
-    if analytic is not None:
-        return analytic
-    if grid is None:
-        raise ValueError(f"{field.name} needs a grid for the discrete seminorm")
-    c = grid.axis_centers()
-    if grid.dim == 1:
-        u = field(0.0, c)
-        du = (np.roll(u, -1) - np.roll(u, 1)) / (2 * grid.h)
-        g = np.abs(du)
-    else:
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        u = field(0.0, np.stack([X, Y], axis=-1))
-        comps = []
-        for axis in (0, 1):
-            comps.append((np.roll(u, -1, axis=axis) - np.roll(u, 1, axis=axis)) / (2 * grid.h))
-        g = np.sqrt(sum((cmp**2).sum(axis=-1) for cmp in comps))
-    if p == math.inf:
-        return float(g.max())
-    return float(((np.abs(g) ** p).sum() * grid.cell_volume) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

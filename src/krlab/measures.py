@@ -9,7 +9,6 @@ on its native 2*pi-periodic circle, which is why L is kept general.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,23 +57,16 @@ class Grid:
         X, Y = np.meshgrid(c, c, indexing="ij")
         return np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def periodic_delta(self, x, y) -> np.ndarray:
-        """Signed displacement x - y wrapped to [-length/2, length/2) per axis."""
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        L = self.length
-        return d - L * np.round(d / L)
 
-    def periodic_distance(self, x, y) -> np.ndarray:
-        d = self.periodic_delta(x, y)
-        if self.dim == 1:
-            return np.abs(d)[..., 0] if d.ndim > 1 else np.abs(d)
-        return np.sqrt((d * d).sum(axis=-1))
+def periodic_wrap(d, length: float) -> np.ndarray:
+    """Displacements d wrapped to [-length/2, length/2] per axis: the
+    shortest representative on the torus."""
+    return d - length * np.round(d / length)
 
 
 def periodic_distance_matrix(pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
     """Pairwise periodic distances between point sets of shape (m, d), (k, d)."""
-    d = pos_a[:, None, :] - pos_b[None, :, :]
-    d -= length * np.round(d / length)
+    d = periodic_wrap(pos_a[:, None, :] - pos_b[None, :, :], length)
     if pos_a.shape[1] == 1:
         return np.abs(d[:, :, 0])
     return np.sqrt((d * d).sum(axis=-1))
@@ -91,9 +83,6 @@ class SignedDensity:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(f"values shape {self.values.shape} != grid shape {self.grid.shape}")
-
-    def copy(self) -> "SignedDensity":
-        return SignedDensity(self.grid, self.values.copy())
 
 
 def density_from_function(grid: Grid, fn) -> SignedDensity:
@@ -132,14 +121,3 @@ def mean_zero_projection(eta: SignedDensity) -> SignedDensity:
     v = eta.values - eta.values.mean()
     v -= v.mean()
     return SignedDensity(eta.grid, v)
-
-
-def density_to_csv(eta: SignedDensity, path) -> None:
-    """Flat CSV layout: index, x-coordinates..., value."""
-    centers = eta.grid.centers()
-    flat = eta.values.ravel()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index"] + [f"x{i}" for i in range(eta.grid.dim)] + ["value"])
-        for i in range(flat.size):
-            w.writerow([i] + [repr(float(c)) for c in centers[i]] + [repr(float(flat[i]))])

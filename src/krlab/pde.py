@@ -20,15 +20,13 @@ ad-hoc Filippov convention.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .fields import VelocityField
-from .measures import Grid, SignedDensity, density_to_csv, lq_norm
+from .measures import Grid, SignedDensity, lq_norm
 
 
 @dataclass
@@ -174,13 +172,13 @@ def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarr
 
 def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
                      ode_rtol: float = 1e-10, ode_atol: float = 1e-12,
-                     n_substeps: int = 4, use_exact_flow: bool = True) -> SolutionTrajectory:
+                     use_exact_flow: bool = True) -> SolutionTrajectory:
     """Characteristics solver implementing the push-forward formula."""
     u = data.velocity
     _check_advectable(u)
     store = _store_times(data.horizon, n_frames)
-    # internal grid refines the stored one for the source quadrature
-    nsub = max(1, int(n_substeps)) if data.source is not None else 1
+    # with a source, 4 substeps per stored interval for its trapezoid quadrature
+    nsub = 4 if data.source is not None else 1
     t_int = np.unique(np.concatenate([
         np.linspace(store[i], store[i + 1], nsub + 1) for i in range(len(store) - 1)
     ])) if len(store) > 1 else store
@@ -246,16 +244,17 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
 # ---------------------------------------------------------------------------
 # Eulerian solver
 
-def _face_velocities(u: VelocityField, grid: Grid, t: float):
+def _face_velocities(u: VelocityField, grid: Grid):
+    """Velocity normal to each cell's lower face; fields are autonomous."""
     n, h = grid.n, grid.h
     edges = np.arange(n) * h
     if grid.dim == 1:
-        return (np.asarray(u(t, edges)),)
+        return (np.asarray(u(0.0, edges)),)
     c = grid.axis_centers()
     EX, CY = np.meshgrid(edges, c, indexing="ij")
-    ux = np.asarray(u(t, np.stack([EX, CY], axis=-1)))[..., 0]
+    ux = np.asarray(u(0.0, np.stack([EX, CY], axis=-1)))[..., 0]
     CX, EY = np.meshgrid(c, edges, indexing="ij")
-    uy = np.asarray(u(t, np.stack([CX, EY], axis=-1)))[..., 1]
+    uy = np.asarray(u(0.0, np.stack([CX, EY], axis=-1)))[..., 1]
     return ux, uy
 
 
@@ -268,7 +267,7 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
         raise ValueError("cfl must be in (0, 1)")
     store = _store_times(data.horizon, n_frames)
     h = grid.h
-    faces = _face_velocities(u, grid, 0.0)
+    faces = _face_velocities(u, grid)
     for f in faces:
         if not np.all(np.isfinite(f)):
             raise ValueError("velocity field produced non-finite face values")
@@ -276,14 +275,11 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     dt_max = cfl * h / speed if speed > 0 else data.horizon
     rho = data.initial.values.astype(float).copy()
     frames = [rho.copy()]
-    mass_defect = 0.0
     t = 0.0
     for k in range(1, len(store)):
         target = store[k]
         while t < target - 1e-14:
             dt = min(dt_max, target - t)
-            if u.time_dependent:
-                faces = _face_velocities(u, grid, t)
             if grid.dim == 1:
                 uf = faces[0]
                 flux = np.where(uf > 0, uf * np.roll(rho, 1), uf * rho)
@@ -344,18 +340,3 @@ def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float,
     rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
     slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return AprioriReport(q, lhs, float(rhs), float(slack), bool(slack <= tol), div_l1)
-
-
-def trajectory_export(traj: SolutionTrajectory, out_dir) -> None:
-    """Snapshots in the measures CSV layout plus a JSON manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for k in range(traj.n_frames):
-        density_to_csv(traj.frame(k), out / f"frame_{k:03d}.csv")
-    manifest = {
-        "scheme": traj.scheme,
-        "times": [float(t) for t in traj.times],
-        "grid": {"dim": traj.grid.dim, "n": traj.grid.n, "length": traj.grid.length},
-        "meta": traj.meta,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))

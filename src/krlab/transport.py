@@ -26,15 +26,15 @@ cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .cost import CostKind, CostSpec, cost_derivative, cost_eval
-from .measures import Grid, SignedDensity, jordan_decompose, lq_norm, mass, periodic_distance_matrix
+from .cost import CostSpec, cost_derivative, cost_eval
+from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
+                       periodic_distance_matrix, periodic_wrap)
 
 MASS_TOL = 1e-10
 _HIGHS_OPTS = {
@@ -71,12 +71,13 @@ class TransportPlan:
     def n_entries(self) -> int:
         return len(self.plan_mass)
 
+    def displacements(self) -> np.ndarray:
+        """Periodic displacement x - y of every plan entry, shape (k, d)."""
+        return periodic_wrap(self.src_pos[self.src_idx] - self.dst_pos[self.dst_idx],
+                             self.grid.length)
+
     def entry_distances(self) -> np.ndarray:
-        if self.n_entries == 0:
-            return np.zeros(0)
-        d = self.src_pos[self.src_idx] - self.dst_pos[self.dst_idx]
-        L = self.grid.length
-        d -= L * np.round(d / L)
+        d = self.displacements()
         return np.sqrt((d * d).sum(axis=1))
 
     def marginal_deviation(self) -> float:
@@ -268,23 +269,9 @@ def duality_gap(plan: TransportPlan, potential: Potential) -> float:
     return gap
 
 
-def plan_value(plan: TransportPlan) -> float:
-    if plan.n_entries == 0:
-        return 0.0
-    return float((cost_eval(plan.cost, plan.entry_distances()) * plan.plan_mass).sum())
-
-
 def kr_distance(eta: SignedDensity, cost: CostSpec) -> float:
     """Kantorovich-Rubinstein distance of eta to zero for the given cost."""
     return solve_primal(eta, cost)[1]
-
-
-def kr_bounded_log(eta: SignedDensity, delta: float, radius: float) -> float:
-    return kr_distance(eta, CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta))
-
-
-def kr_truncated(eta: SignedDensity, radius: float) -> float:
-    return kr_distance(eta, CostSpec(CostKind.TRUNCATED_LINEAR, radius=radius))
 
 
 def w_neg11_norm(eta: SignedDensity) -> float:
@@ -333,6 +320,7 @@ class GradientSamples:
     src_cells: np.ndarray
     dst_cells: np.ndarray
     mass: np.ndarray
+    dist: np.ndarray  # periodic |x - y|, > 0
     grad: np.ndarray  # (k, d)
     magnitude: np.ndarray
 
@@ -340,13 +328,7 @@ class GradientSamples:
 def potential_gradient_on_support(plan: TransportPlan, cost: CostSpec) -> GradientSamples:
     if cost != plan.cost:
         raise ValueError("cost spec does not match the plan")
-    if plan.n_entries == 0:
-        d = plan.src_pos.shape[1] if plan.src_pos.size else plan.grid.dim
-        z = np.zeros(0, dtype=int)
-        return GradientSamples(z, z, z, z, np.zeros(0), np.zeros((0, d)), np.zeros(0))
-    delta = plan.src_pos[plan.src_idx] - plan.dst_pos[plan.dst_idx]
-    L = plan.grid.length
-    delta -= L * np.round(delta / L)
+    delta = plan.displacements()
     dist = np.sqrt((delta * delta).sum(axis=1))
     keep = dist > 0  # diagonal mass transports at zero cost; skip
     delta, dist = delta[keep], dist[keep]
@@ -354,21 +336,4 @@ def potential_gradient_on_support(plan: TransportPlan, cost: CostSpec) -> Gradie
     grad = mag[:, None] * delta / dist[:, None]
     return GradientSamples(plan.src_idx[keep], plan.dst_idx[keep],
                            plan.src_cells[plan.src_idx[keep]], plan.dst_cells[plan.dst_idx[keep]],
-                           plan.plan_mass[keep], grad, mag)
-
-
-def plan_to_csv(plan: TransportPlan, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src_cell", "dst_cell", "mass"])
-        for i in range(plan.n_entries):
-            w.writerow([int(plan.src_cells[plan.src_idx[i]]), int(plan.dst_cells[plan.dst_idx[i]]),
-                        repr(float(plan.plan_mass[i]))])
-
-
-def potential_to_csv(potential: Potential, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["cell", "phi"])
-        for i, p in enumerate(potential.values.ravel()):
-            w.writerow([i, repr(float(p))])
+                           plan.plan_mass[keep], dist, grad, mag)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from krlab.cost import (CostKind, CostSpec, bounded_log, cost_derivative, cost_eval,
-                        cost_inverse, cost_sup, truncated_linear)
+from krlab.cost import (CostKind, CostSpec, bounded_log, cost_derivative, cost_eval, cost_sup,
+                        truncated_linear)
 
 SPEC = bounded_log(delta=0.1, radius=1.0)
 
@@ -40,32 +40,6 @@ def test_derivative_values():
 def test_derivative_only_for_bounded_log():
     with pytest.raises(ValueError):
         cost_derivative(truncated_linear(1.0), 0.5)
-
-
-def test_inverse_examples():
-    assert cost_inverse(SPEC, 0.0) == 0.0
-    assert cost_inverse(SPEC, math.log(11.0)) == pytest.approx(1.0, rel=1e-12)
-    spec2 = bounded_log(delta=0.5, radius=1.0)
-    # oracle: solve log(z/delta + 1) = xi by bisection
-    from scipy.optimize import brentq
-    target = math.log(2.0)
-    z_oracle = brentq(lambda z: cost_eval(spec2, z) - target, 0.0, 1.0, xtol=1e-15)
-    assert cost_inverse(spec2, target) == pytest.approx(z_oracle, abs=1e-12)
-    assert cost_inverse(spec2, target) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_inverse_rejects_second_branch():
-    with pytest.raises(ValueError):
-        cost_inverse(SPEC, math.log(11.0) + 0.1)
-    with pytest.raises(ValueError):
-        cost_inverse(truncated_linear(1.0), 0.5)
-
-
-def test_round_trip(rng):
-    z = rng.uniform(1e-12, SPEC.radius, size=100)
-    xi = cost_eval(SPEC, z)
-    back = cost_inverse(SPEC, xi)
-    assert np.max(np.abs(back - z) / z) < 1e-12
 
 
 def test_c1_matching_at_radius():

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
 from krlab.cli import main
@@ -41,10 +42,94 @@ def test_prop1_sweep_cli_smoke(tmp_path):
     assert transport["assignment"] == 2  # the uniform-mass BV control, one per delta
 
 
-def test_solver_counts_include_pool_workers():
-    # e1-example at two deltas: one uniform-mass assignment each, made in the
-    # worker processes when jobs > 1
-    params = {"n": 64, "deltas": [0.1, 0.01], "report_deltas": [0.1]}
-    serial = run_experiment("e1-example", params).meta["transport"]
-    pooled = run_experiment("e1-example", params, jobs=2).meta["transport"]
-    assert serial == pooled == {"lp": 0, "lp_presolve_retries": 0, "assignment": 2}
+# every experiment shrunk to well under a second: the parameters of the
+# benchmark's self-test (perfbench/test_perfbench.py), plus stability-rate
+SMOKE = {
+    "e1-example": {"n": 128, "deltas": [0.1, 0.01], "report_deltas": [0.1]},
+    "prop1-sweep": {"n": 32, "n_frames": 5, "chain_frames": [2], "deltas": [0.1, 0.01],
+                    "e1_control_n": 32},
+    "oscillatory-example": {"ks": [1, 4], "n_grid": 128},
+    "transport-selftest": {"sizes": [16], "n_instances": 2, "n_triples": 2, "triple_n": 16,
+                           "n_sandwich": 2, "sandwich_n": 16},
+    "lemma4-suite": {"n": 16, "trials": 2},
+    "pde-convergence": {"translation_ns": [16, 32], "agreement_ns": [16, 32], "apriori_n": 32},
+    "uniqueness-drive": {"n": 32, "control_n": 32},
+    "stability-rate": {"n": 64, "rs": [1e-2, 1e-3], "n_frames": 9, "prop1_deltas": [0.1, 0.01]},
+}
+
+VERDICTS = {
+    "e1-example": ["e1-closed-form-delta=0.1", "bv-log-growth-slope", "bv-log-growth-r2",
+                   "rate-chain-slack"],
+    "prop1-sweep": ["sobolev-twin-log-slope", "short-time-vanishing", "rate-chain-slack",
+                    "sobolev-route-uniformity", "w11-route-uniformity", "bv-control-slope",
+                    "bv-control-r2"],
+    "oscillatory-example": ["l1-scaling-agreement", "w-neg11-decay-factor"],
+    "transport-selftest": ["duality-gap-relative", "plan-saturates-potential",
+                           "potential-sup-bound", "potential-slope-bound", "triangle-inequality",
+                           "metric-symmetry", "d1-lower-bounds-w", "w-below-twice-d1"],
+    "lemma4-suite": ["truncated-distance-bound"],
+    "pde-convergence": ["translation-error-monotone", "translation-h23-envelope",
+                        "lagrangian-eulerian-ratio", "eulerian-mass-balance",
+                        "upwind-positivity", "apriori-lq-bound"],
+    "uniqueness-drive": ["uniqueness-bound-monotone", "uniqueness-bound-reduction",
+                         "bv-control-bound-grows"],
+    "stability-rate": ["stability-c-growth", "schedule-dominates-norm", "c2-stability-across-r"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_every_experiment_passes_shrunk(name):
+    rec = run_experiment(name, SMOKE[name])
+    assert [v.name for v in rec.verdicts] == VERDICTS[name]
+    assert rec.ok, rec.verdict_text()
+
+
+# ---------------------------------------------------------------------------
+# config and command-line errors exit 2 with a message that names the fix
+
+def write_config(tmp_path, **raw) -> str:
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+def test_unknown_param_key_lists_the_valid_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="lemma4-suite", params={"trails": 2})
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter keys ['trails']" in err
+    assert "valid keys: delta_range, eps_range, n, radius, seed, trials" in err
+    assert not (tmp_path / "lemma4-suite").exists()
+
+
+@pytest.mark.parametrize("key", ["jobs", "seed"])
+def test_top_level_jobs_and_seed_are_unknown_config_keys(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, experiment="lemma4-suite", **{key: 2})
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
+
+def test_jobs_option_is_rejected(tmp_path):
+    cfg = write_config(tmp_path, experiment="lemma4-suite")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_grid_sets_the_main_grid_size(tmp_path):
+    cfg = write_config(tmp_path, experiment="lemma4-suite", params={"trials": 2})
+    assert main(["run", cfg, "--grid", "16", "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "lemma4-suite" / "record.json").read_text())["params"]
+    assert params["n"] == 16
+
+
+def test_grid_without_a_main_grid_size_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="transport-selftest")
+    assert main(["run", cfg, "--grid", "64", "--out", str(tmp_path)]) == 2
+    assert "has no main grid size" in capsys.readouterr().err
+
+
+def test_grid_that_is_not_a_power_of_two_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="lemma4-suite")
+    assert main(["run", cfg, "--grid", "100", "--out", str(tmp_path)]) == 2
+    assert "must be a power of two >= 2; use 64 or 128" in capsys.readouterr().err

@@ -5,10 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from krlab.fields import (ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField,
-                          PowerCuspField, Rotation2D, SmoothShear2D, default_modulus,
-                          exact_flow_oscillatory, field_from_name, maximal_function,
-                          modulus_gradient_integral, psi_one, sobolev_seminorm)
-from krlab.measures import Grid, SignedDensity, lq_norm
+                          PowerCuspField, SmoothShear2D, default_modulus, maximal_function,
+                          modulus_gradient_integral, psi_one)
+from krlab.measures import Grid, SignedDensity, lq_norm, periodic_wrap
 
 TWO_PI = 2 * math.pi
 
@@ -16,11 +15,16 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 # oscillatory flow
 
+def flow(k, t, x):
+    """The closed-form flow of x' = sin(k x)/k at time t."""
+    return OscillatoryField(k).exact_flow(t, x)
+
+
 def test_flow_fixes_equilibria():
     for k in (1, 3, 8):
         zeros = np.arange(2 * k) * math.pi / k
         for t in (0.5, 1.0, 3.0, -2.0):
-            assert np.allclose(exact_flow_oscillatory(k, t, zeros), zeros, atol=1e-14)
+            assert np.allclose(flow(k, t, zeros), zeros, atol=1e-14)
 
 
 def test_flow_against_ode_oracle():
@@ -28,7 +32,7 @@ def test_flow_against_ode_oracle():
     for k, x0 in ((1, math.pi / 2), (1, 2.5), (3, 0.7), (5, 4.0)):
         sol = solve_ivp(lambda t, y: np.sin(k * y) / k, (0.0, 1.0), [x0],
                         rtol=1e-12, atol=1e-14, dense_output=True)
-        ours = exact_flow_oscillatory(k, 1.0, x0)
+        ours = flow(k, 1.0, x0)
         assert abs(ours - sol.y[0, -1]) < 1e-9
 
 
@@ -37,10 +41,10 @@ def test_flow_ode_residual():
     k, dt = 4, 1e-6
     x = np.linspace(0.01, TWO_PI - 0.01, 101)
     for t in (0.3, 1.0):
-        ahead = exact_flow_oscillatory(k, t + dt, x)
-        behind = exact_flow_oscillatory(k, t - dt, x)
+        ahead = flow(k, t + dt, x)
+        behind = flow(k, t - dt, x)
         vel = (ahead - behind) / (2 * dt)
-        pos = exact_flow_oscillatory(k, t, x)
+        pos = flow(k, t, x)
         assert np.abs(vel - np.sin(k * pos) / k).max() < 1e-9
 
 
@@ -50,8 +54,8 @@ def test_flow_scaling_identity(rng):
         k = int(rng.integers(1, 12))
         t = rng.uniform(-2, 2)
         x = rng.uniform(0, TWO_PI)
-        assert exact_flow_oscillatory(k, t, x) == pytest.approx(
-            exact_flow_oscillatory(1, t, k * x) / k, abs=1e-12)
+        assert flow(k, t, x) == pytest.approx(
+            flow(1, t, k * x) / k, abs=1e-12)
 
 
 def test_flow_inverse_and_jacobian(rng):
@@ -73,7 +77,7 @@ def test_flow_uniform_convergence_in_k():
     x = np.linspace(0, TWO_PI, 4097)
     devs = {}
     for k in (1, 4, 16, 64):
-        devs[k] = np.abs(np.asarray(exact_flow_oscillatory(k, 1.0, x * k / k)) - x).max()
+        devs[k] = np.abs(np.asarray(flow(k, 1.0, x * k / k)) - x).max()
     c = devs[1]
     for k in (4, 16, 64):
         assert devs[k] <= c / k + 1e-9
@@ -88,17 +92,17 @@ def test_e1_step_values_and_metadata():
     assert f(0.0, np.array([0.1]))[0] == 1.0
     assert f(0.0, np.array([0.7]))[0] == -1.0
     assert not f.advectable
-    assert sobolev_seminorm(f, 1) == 4.0
-    assert sobolev_seminorm(f, 2) == math.inf
+    assert f.grad_norm_lp(1) == 4.0
+    assert f.grad_norm_lp(2) == math.inf
 
 
 def test_power_cusp_admissible_range():
     f = PowerCuspField(0.6)
     assert f.p_max == pytest.approx(2.5)
-    assert math.isinf(sobolev_seminorm(f, 2.5))
-    assert math.isinf(sobolev_seminorm(f, 4))
-    assert sobolev_seminorm(f, 2) < math.inf
-    assert sobolev_seminorm(f, 1) < math.inf
+    assert math.isinf(f.grad_norm_lp(2.5))
+    assert math.isinf(f.grad_norm_lp(4))
+    assert f.grad_norm_lp(2) < math.inf
+    assert f.grad_norm_lp(1) < math.inf
 
 
 def test_power_cusp_derivative_matches_fd():
@@ -131,53 +135,30 @@ def _graded_cusp_integral(f, g, kappa=8, n=2**16):
 def test_power_cusp_lp_norm_against_graded_riemann():
     f = PowerCuspField(0.6, x0=0.5, amp=0.4)
     oracle = _graded_cusp_integral(f, lambda d: np.abs(d) ** 2) ** 0.5
-    assert sobolev_seminorm(f, 2) == pytest.approx(oracle, rel=1e-6)
+    assert f.grad_norm_lp(2) == pytest.approx(oracle, rel=1e-6)
 
 
 def test_oscillatory_sobolev_norms():
     for k in (1, 4, 16):
         f = OscillatoryField(k)
-        assert sobolev_seminorm(f, math.inf) == 1.0
-        assert sobolev_seminorm(f, 2) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        assert sobolev_seminorm(f, 1) == pytest.approx(4.0, rel=1e-12)
+        assert f.grad_norm_lp(math.inf) == 1.0
+        assert f.grad_norm_lp(2) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        assert f.grad_norm_lp(1) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_constant_field_norms():
     f = ConstantField([0.7])
-    assert sobolev_seminorm(f, 2) == 0.0
-    assert f.max_speed() == pytest.approx(0.7)
+    assert f.grad_norm_lp(2) == 0.0
+    assert np.all(f(0.0, np.linspace(0.0, 1.0, 9)) == 0.7)
 
 
 def test_shear_and_rotation_are_divergence_free():
     g = Grid(2, 32)
     pts = g.centers()
-    for f in (SmoothShear2D(), Rotation2D()):
-        assert np.abs(np.asarray(f.divergence(0.0, pts))).max() == 0.0
-        # exact flow preserves area: jacobian identically one
-        assert np.allclose(np.asarray(f.exact_flow_jacobian(0.3, pts)), 1.0)
-
-
-def test_rotation_flow_is_circular():
-    f = Rotation2D()
-    p = np.array([[0.62, 0.5]])
-    out = np.asarray(f.exact_flow(1.2, p))
-    r0 = np.hypot(p[0, 0] - 0.5, p[0, 1] - 0.5)
-    r1 = np.hypot(out[0, 0] - 0.5, out[0, 1] - 0.5)
-    assert r1 == pytest.approx(r0, abs=1e-14)
-    # matches an ODE integration of the velocity field
-    sol = solve_ivp(lambda t, y: np.asarray(f(t, y.reshape(1, 2))).ravel(), (0, 1.2),
-                    p.ravel(), rtol=1e-11, atol=1e-13)
-    assert np.abs(sol.y[:, -1] - out[0]).max() < 1e-8
-
-
-def test_field_registry():
-    assert isinstance(field_from_name("e1_step"), E1StepField)
-    assert field_from_name("oscillatory:4").k == 4
-    assert field_from_name("power_cusp:0.6").alpha == 0.6
-    assert isinstance(field_from_name("shear2d"), SmoothShear2D)
-    assert isinstance(field_from_name("rotation2d"), Rotation2D)
-    with pytest.raises(ValueError):
-        field_from_name("vortex9000")
+    f = SmoothShear2D()
+    assert np.abs(np.asarray(f.divergence(0.0, pts))).max() == 0.0
+    # exact flow preserves area: jacobian identically one
+    assert np.allclose(np.asarray(f.exact_flow_jacobian(0.3, pts)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +238,7 @@ def test_difference_quotient_bound(rng):
         idx = rng.integers(0, n, size=(500, 2))
         idx = idx[idx[:, 0] != idx[:, 1]]
         x, y = idx[:, 0], idx[:, 1]
-        dist = np.asarray(g.periodic_distance(centers[x], centers[y]))
+        dist = np.abs(periodic_wrap(centers[x] - centers[y], g.length))
         quot = np.abs(u[x] - u[y]) / dist
         denom = m_grad[x] + m_grad[y]
         worst = max(worst, float((quot / denom).max()))
@@ -316,7 +297,7 @@ def test_power_cusp_lp_norm_integrates_once_per_p(monkeypatch):
     monkeypatch.setattr(krlab.fields.integrate, "quad", counted)
     f = PowerCuspField(0.6, x0=0.31, amp=0.4)
     first = f.grad_norm_lp(2.0)
-    assert f.grad_norm_lp(2.0) == first and sobolev_seminorm(f, 2.0) == first
+    assert f.grad_norm_lp(2.0) == first
     assert len(calls) == 1
     f.grad_norm_lp(1.5)
     assert len(calls) == 2

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from krlab.measures import (Grid, SignedDensity, density_from_function, density_to_csv,
-                            jordan_decompose, lq_norm, mass, mean_zero_projection)
+from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
+                            lq_norm, mass, mean_zero_projection, periodic_wrap)
 
 
 def test_grid_invariants():
@@ -16,8 +16,9 @@ def test_grid_invariants():
     # periodic distance is capped by half the diameter per axis
     g2 = Grid(2, 32)
     pts = g2.centers()
-    d = g2.periodic_distance(pts[:50, None, :], pts[None, :50, :])
-    assert d.max() <= math.sqrt(2) / 2 + 1e-15
+    d = periodic_wrap(pts[:50, None, :] - pts[None, :50, :], g2.length)
+    assert np.abs(d).max() <= g2.length / 2
+    assert np.sqrt((d * d).sum(axis=-1)).max() <= math.sqrt(2) / 2 + 1e-15
 
 
 def test_grid_validation():
@@ -105,17 +106,3 @@ def test_mass_decomposition_consistency(rng):
         pos, neg = jordan_decompose(eta)
         mean_term = eta.values.mean() * g.length**g.dim
         assert mass(pos) - mass(neg) == pytest.approx(mean_term, abs=1e-13)
-
-
-def test_csv_layout(tmp_path):
-    g = Grid(2, 4)
-    eta = density_from_function(g, lambda X, Y: X + 10 * Y)
-    path = tmp_path / "eta.csv"
-    density_to_csv(eta, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,x0,x1,value"
-    assert len(lines) == 1 + 16
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == pytest.approx(g.h / 2)
-    assert float(first[3]) == pytest.approx(eta.values[0, 0])

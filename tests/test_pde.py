@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 from krlab.fields import ConstantField, E1StepField, OscillatoryField, SmoothShear2D
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm
-from krlab.pde import (CauchyData, apriori_lq_check, det_grad_flow, eulerian_solve,
-                       lagrangian_solve, trajectory_export)
+from krlab.pde import CauchyData, apriori_lq_check, det_grad_flow, eulerian_solve, \
+    lagrangian_solve
 
 TWO_PI = 2 * math.pi
 
@@ -236,17 +236,3 @@ def test_frame_count_out_of_range_is_refused(solver, n_frames):
     data = CauchyData(ConstantField([1.0]), None, smooth_1d(g), 0.25)
     with pytest.raises(ValueError, match=r"n_frames must be in \[2, 65\], got " + str(n_frames)):
         solver(data, g, n_frames=n_frames)
-
-
-def test_trajectory_export(tmp_path):
-    g = Grid(1, 32)
-    data = CauchyData(ConstantField([1.0]), None, smooth_1d(g), 0.25)
-    traj = eulerian_solve(data, g, n_frames=3)
-    trajectory_export(traj, tmp_path / "run")
-    assert (tmp_path / "run" / "manifest.json").exists()
-    assert (tmp_path / "run" / "frame_000.csv").exists()
-    assert (tmp_path / "run" / "frame_002.csv").exists()
-    import json
-    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert manifest["scheme"] == "eulerian"
-    assert len(manifest["times"]) == 3

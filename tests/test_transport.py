@@ -8,9 +8,8 @@ from scipy import optimize
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix)
-from krlab.transport import (SOLVER_COUNTS, duality_gap, kr_distance, plan_to_csv,
-                             potential_gradient_on_support, potential_to_csv, solve_dual,
-                             solve_primal, w_neg11_norm)
+from krlab.transport import (SOLVER_COUNTS, duality_gap, kr_distance,
+                             potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm)
 
 
 def step(n):
@@ -331,17 +330,3 @@ def test_w_neg11_2d(rng):
     # bounds the pairing achieved by any true Lipschitz test function
     d1 = kr_distance(eta, truncated_linear(1.0))
     assert w >= d1 - 1e-9
-
-
-def test_csv_exports(tmp_path, rng):
-    g = Grid(1, 32)
-    eta = random_mean_zero(g, rng)
-    spec = bounded_log(0.1, 0.5)
-    plan, _ = solve_primal(eta, spec)
-    pot, _ = solve_dual(eta, spec)
-    plan_to_csv(plan, tmp_path / "plan.csv")
-    potential_to_csv(pot, tmp_path / "pot.csv")
-    plines = (tmp_path / "plan.csv").read_text().strip().splitlines()
-    assert plines[0] == "src_cell,dst_cell,mass"
-    assert len(plines) == 1 + plan.n_entries
-    assert (tmp_path / "pot.csv").read_text().startswith("cell,phi")
