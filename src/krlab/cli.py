@@ -11,7 +11,9 @@ Configs are YAML with one table per section::
 
 A seed, where the experiment takes one, is the ``seed`` key under
 ``params``.  ``--grid`` sets the experiment's main grid size (``n``,
-``n_grid`` or ``apriori_n``), a power of two.
+``n_grid`` or ``apriori_n``).  Every grid size, given by ``--grid`` or
+under ``params``, must be a power of two; any other exits 2 with the two
+nearest powers of two.
 
 Outputs per run: ``record.json``, one ``<table>.csv`` per sweep table, and
 ``verdict.txt`` (one inequality per line; byte-stable for a fixed config and
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import EXPERIMENTS, merge_params, run_experiment
+from .experiments import EXPERIMENTS, check_grid_size, merge_params, run_experiment
 
 GRID_KEYS = ("n", "n_grid", "apriori_n")
 
@@ -72,10 +74,7 @@ class RunConfig:
             raise ValueError(f"--grid: {self.experiment!r} has no main grid size "
                              f"({', '.join(GRID_KEYS)}); drop --grid and set its sizes "
                              "under params in the config")
-        if n < 2 or n & (n - 1):
-            lower = 1 << max(n.bit_length() - 1, 1)
-            raise ValueError(f"--grid {n}: the grid size must be a power of two >= 2; "
-                             f"use {lower} or {2 * lower}")
+        check_grid_size(f"--grid {n}", n)
         self.params[key] = n
 
 

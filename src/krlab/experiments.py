@@ -10,6 +10,7 @@ lays given values over them and rejects unknown keys, and
 from __future__ import annotations
 
 import math
+import operator
 import time
 
 import numpy as np
@@ -29,11 +30,31 @@ from .transport import (SOLVER_COUNTS, duality_gap, kr_distance, solve_dual, sol
 TWO_PI = 2.0 * math.pi
 
 
+# parameters that size a Grid, one size or a list of sizes
+GRID_SIZE_KEYS = ("n", "n_grid", "apriori_n", "e1_control_n", "control_n", "triple_n",
+                  "sandwich_n")
+GRID_SIZE_LIST_KEYS = ("sizes", "translation_ns", "agreement_ns")
+
+
+def check_grid_size(label: str, n) -> None:
+    """Raise ValueError naming the two nearest powers of two unless ``n`` is a
+    power of two >= 2, the cells per axis that ``Grid`` accepts."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{label}: the grid size must be a power of two >= 2") from None
+    if n < 2 or n & (n - 1):
+        lower = 1 << max(n.bit_length() - 1, 1)
+        raise ValueError(f"{label}: the grid size must be a power of two >= 2; "
+                         f"use {lower} or {2 * lower}")
+
+
 def merge_params(name: str, params: dict | None) -> dict:
     """The defaults of experiment ``name`` with ``params`` laid over them.
 
-    Raises ValueError naming the valid experiments for an unknown name and
-    the valid keys for an unknown parameter.
+    Raises ValueError naming the valid experiments for an unknown name, the
+    valid keys for an unknown parameter, and the nearest powers of two for a
+    grid size that is not one.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid names: "
@@ -43,7 +64,18 @@ def merge_params(name: str, params: dict | None) -> dict:
     if unknown:
         raise ValueError(f"unknown parameter keys {unknown} for {name!r}; "
                          f"valid keys: {', '.join(sorted(defaults))}")
-    return {**defaults, **(params or {})}
+    merged = {**defaults, **(params or {})}
+    for key in GRID_SIZE_KEYS:
+        if key in merged:
+            check_grid_size(f"{key} = {merged[key]!r}", merged[key])
+    for key in GRID_SIZE_LIST_KEYS:
+        if key in merged:
+            sizes = merged[key]
+            if not isinstance(sizes, list) or not sizes:
+                raise ValueError(f"{key} = {sizes!r}: expected a non-empty list of grid sizes")
+            for i, n in enumerate(sizes):
+                check_grid_size(f"{key}[{i}] = {n!r}", n)
+    return merged
 
 
 def _solves_since(before: dict) -> dict:
@@ -60,7 +92,7 @@ def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
         else:
             spec[keep:-keep or None, :] = 0.0
             spec[:, keep:] = 0.0
-        vals = np.fft.irfftn(spec, s=grid.shape)
+        vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.dim)))
     return mean_zero_projection(SignedDensity(grid, vals))
 
 
@@ -297,7 +329,8 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     eta = report.eta
     for d, s in zip(report.deltas, report.sup_d):
         rec.row("twin_sweep", delta=float(d), sup_d=float(s))
-    rec.meta.update(twin_slope=report.log_slope, twin_r2=report.r2,
+    rec.meta.update(upwind_steps=traj2.meta["steps"],
+                    twin_slope=report.log_slope, twin_r2=report.r2,
                     twin_ratio=report.ratio, c1_joint=report.c1_joint,
                     c2_joint=report.c2_joint, r=report.r,
                     eta_l1_sup=max(lq_norm(eta.frame(k), 1) for k in range(eta.n_frames)),
@@ -498,6 +531,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
     g_density = SignedDensity(grid, g)
     g = g / lq_norm(g_density, 2)  # unit L^2 so r is exactly the coefficient
     sup_w, c2s = [], []
+    upwind_steps = 0
     for r in p["rs"]:
         rho0_2 = SignedDensity(grid, base.values + r * g)
         data1 = CauchyData(field, None, base, p["horizon"])
@@ -505,6 +539,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         inst = StabilityInstance(data1, data2, p=2.0, q=2.0)
         traj1 = eulerian_solve(data1, grid, cfl=p["cfl"], n_frames=p["n_frames"])
         traj2 = eulerian_solve(data2, grid, cfl=p["cfl"], n_frames=p["n_frames"])
+        upwind_steps += traj1.meta["steps"] + traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
         norms = [w_neg11_norm(eta.frame(k)) if np.abs(eta.frames[k]).max() > 0 else 0.0
                  for k in range(eta.n_frames)]
@@ -518,6 +553,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         rec.row("rate", r=r, r_measured=r_measured, sup_w_neg11=sup_w[-1],
                 fitted_c=sup_w[-1] * abs(math.log(r)), c2_joint=prop1.c2_joint,
                 c2_normalized=prop1.c2_joint / max(rho2_lq * u1_l1lp, 1e-300))
+    rec.meta["upwind_steps"] = upwind_steps
     report = stability_rate(p["rs"], sup_w)
     for i, r in enumerate(p["rs"]):
         t = report.schedule_terms[i]
@@ -556,6 +592,7 @@ PDE_DEFAULTS = {
 
 def run_pde_convergence(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("pde-convergence", p)
+    upwind_steps = 0
 
     # 1-d translation refinement: constant field over one full period
     errs = []
@@ -564,6 +601,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         rho0 = density_from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
         data = CauchyData(ConstantField([1.0]), None, rho0, 1.0)
         traj = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=9)
+        upwind_steps += traj.meta["steps"]
         err = lq_norm(SignedDensity(grid, traj.frames[-1] - rho0.values), 1)
         errs.append(err)
         rec.row("translation", n=n, l1_error=err,
@@ -587,6 +625,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         data = CauchyData(field, None, rho0, p["horizon_2d"])
         lag = lagrangian_solve(data, grid, n_frames=5)
         eul = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=5)
+        upwind_steps += eul.meta["steps"]
         diff = lq_norm(SignedDensity(grid, lag.frames[-1] - eul.frames[-1]), 1)
         agree.append(diff)
         worst_mass = max(worst_mass, abs(eul.meta["mass_defect"])
@@ -617,6 +656,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         grids, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)))
     datas = CauchyData(field, None, rho0s, p["horizon_2d"])
     trajs = eulerian_solve(datas, grids, cfl=p["cfl"], n_frames=5)
+    rec.meta["upwind_steps"] = upwind_steps + trajk.meta["steps"] + trajs.meta["steps"]
     for q in (1.0, 2.0):
         rep = apriori_lq_check(trajs, datas, q, tol=p["apriori_slack"])
         rec.row("apriori", instance="shear2d", q=q, lhs=rep.lhs, rhs=rep.rhs,

@@ -133,3 +133,27 @@ def test_grid_that_is_not_a_power_of_two_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="lemma4-suite")
     assert main(["run", cfg, "--grid", "100", "--out", str(tmp_path)]) == 2
     assert "must be a power of two >= 2; use 64 or 128" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("lemma4-suite", {"n": 100}, "n = 100: the grid size must be a power of two >= 2; "
+                                 "use 64 or 128"),
+    ("pde-convergence", {"agreement_ns": [64, 100]},
+     "agreement_ns[1] = 100: the grid size must be a power of two >= 2; use 64 or 128"),
+    ("transport-selftest", {"sizes": [32, 48]},
+     "sizes[1] = 48: the grid size must be a power of two >= 2; use 32 or 64"),
+])
+def test_param_grid_size_that_is_not_a_power_of_two_is_refused(tmp_path, capsys, experiment,
+                                                                params, message):
+    cfg = write_config(tmp_path, experiment=experiment, params=params)
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
+
+
+def test_upwind_steps_of_the_pde_benchmark_config():
+    # the benchmark tracer counts 1596 upwind steps on this config
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "pde-convergence.yaml"
+    params = yaml.safe_load(config.read_text())["params"]
+    rec = run_experiment("pde-convergence", params)
+    assert rec.meta["upwind_steps"] == 1596

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from krlab.fields import ConstantField, E1StepField, OscillatoryField, SmoothShear2D
+from krlab.fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
+                          SmoothShear2D, VelocityField)
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm
-from krlab.pde import CauchyData, apriori_lq_check, det_grad_flow, eulerian_solve, \
-    lagrangian_solve
+from krlab.pde import CauchyData, _face_velocities, apriori_lq_check, det_grad_flow, \
+    eulerian_solve, lagrangian_solve
 
 TWO_PI = 2 * math.pi
 
@@ -236,3 +237,116 @@ def test_frame_count_out_of_range_is_refused(solver, n_frames):
     data = CauchyData(ConstantField([1.0]), None, smooth_1d(g), 0.25)
     with pytest.raises(ValueError, match=r"n_frames must be in \[2, 65\], got " + str(n_frames)):
         solver(data, g, n_frames=n_frames)
+
+
+# ---------------------------------------------------------------------------
+# the in-place upwind stepper against the roll/where loop it replaced
+
+def reference_eulerian(data, grid, cfl, n_frames):
+    """Frames, step count and mass defect of the allocate-per-step upwind loop."""
+    faces = _face_velocities(data.velocity, grid)
+    h = grid.h
+    speed = sum(np.abs(f).max() for f in faces)
+    dt_max = cfl * h / speed if speed > 0 else data.horizon
+    store = np.linspace(0.0, data.horizon, n_frames)
+    rho = data.initial.values.astype(float).copy()
+    frames = [rho.copy()]
+    t = 0.0
+    steps = 0
+    for k in range(1, len(store)):
+        target = store[k]
+        while t < target - 1e-14:
+            dt = min(dt_max, target - t)
+            if grid.dim == 1:
+                uf = faces[0]
+                flux = np.where(uf > 0, uf * np.roll(rho, 1), uf * rho)
+                div = (np.roll(flux, -1) - flux) / h
+            else:
+                ux, uy = faces
+                fx = np.where(ux > 0, ux * np.roll(rho, 1, axis=0), ux * rho)
+                fy = np.where(uy > 0, uy * np.roll(rho, 1, axis=1), uy * rho)
+                div = (np.roll(fx, -1, axis=0) - fx) / h + (np.roll(fy, -1, axis=1) - fy) / h
+            rho = rho - dt * div
+            f = data.source_at(t, grid)
+            if f is not None:
+                rho = rho + dt * f
+            t += dt
+            steps += 1
+        frames.append(rho.copy())
+    total_source = 0.0
+    if data.source is not None and not callable(data.source):
+        total_source = float(np.sum(data.source_at(0.0, grid)) * grid.cell_volume * store[-1])
+    mass_defect = float(frames[-1].sum() - frames[0].sum()) * grid.cell_volume - total_source
+    return np.stack(frames), steps, mass_defect
+
+
+class SwirlField(VelocityField):
+    """Both components nonzero and of both signs: u = (0.1 + 0.3 sin 2pi y, 0.2 cos 2pi x)."""
+
+    dim = 2
+    name = "swirl"
+
+    def __call__(self, t, pos):
+        p = np.asarray(pos, dtype=float)
+        out = np.empty_like(p)
+        out[..., 0] = 0.1 + 0.3 * np.sin(TWO_PI * p[..., 1])
+        out[..., 1] = 0.2 * np.cos(TWO_PI * p[..., 0])
+        return out
+
+
+class CountingData(CauchyData):
+    """CauchyData that counts its source_at calls, as the benchmark tracer does."""
+
+    calls = 0
+
+    def source_at(self, t, grid):
+        self.calls += 1
+        return super().source_at(t, grid)
+
+
+def _cusp_1d():
+    g = Grid(1, 128)
+    return g, PowerCuspField(0.6, x0=0.31, amp=0.4), \
+        density_from_function(g, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
+
+
+def _blob_2d(n=32):
+    g = Grid(2, n)
+    return g, density_from_function(
+        g, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)))
+
+
+def stepper_cases():
+    g, cusp, rho0 = _cusp_1d()
+    f = 0.3 * np.cos(2 * np.pi * g.axis_centers())
+    g2, rho2 = _blob_2d()
+    return {
+        "cusp-1d": (g, CountingData(cusp, None, rho0, 0.5)),
+        "cusp-1d-constant-source": (g, CountingData(cusp, f, rho0, 0.5)),
+        "cusp-1d-callable-source": (g, CountingData(cusp, lambda t: (1.0 + t) * f, rho0, 0.5)),
+        "shear-2d": (g2, CountingData(SmoothShear2D(), None, rho2, 0.5)),
+        "swirl-2d": (g2, CountingData(SwirlField(), None, rho2, 0.5)),
+        "zero-1d": (Grid(1, 64), CountingData(ConstantField([0.0]), None, smooth_1d(Grid(1, 64)),
+                                              1.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(stepper_cases()))
+def test_in_place_stepper_is_bit_identical(case):
+    grid, data = stepper_cases()[case]
+    frames, steps, mass_defect = reference_eulerian(data, grid, cfl=0.45, n_frames=9)
+    data.calls = 0
+    traj = eulerian_solve(data, grid, cfl=0.45, n_frames=9)
+    assert np.array_equal(traj.frames, frames)
+    assert traj.meta["mass_defect"] == mass_defect
+    assert traj.meta["steps"] == steps > 0
+    # the benchmark tracer counts one upwind step per source_at call
+    assert data.calls == steps
+
+
+def test_stepper_meta_reports_steps_and_dt_max():
+    g = Grid(1, 64)
+    data = CauchyData(ConstantField([2.0]), None, smooth_1d(g), 1.0)
+    traj = eulerian_solve(data, g, cfl=0.5, n_frames=5)
+    assert traj.meta["dt_max"] == 0.5 * g.h / 2.0
+    assert traj.meta["steps"] == 256  # 64 steps of dt_max per stored interval
