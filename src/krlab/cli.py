@@ -17,9 +17,9 @@ nearest powers of two.
 
 Outputs per run: ``record.json``, one ``<table>.csv`` per sweep table, and
 ``verdict.txt`` (one inequality per line; byte-stable for a fixed config and
-seed).  Exit status 0 iff every build-breaking check passed, 1 if one failed,
-2 for a config or command-line error.  The CSV columns are documented in
-docs/csv_schema.md.
+seed).  Exit status 0 iff every check passed, 1 if one failed, 2 for a
+config or command-line error.  The CSV columns and the verdict fields are
+documented in docs/csv_schema.md.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ inequality.
 
 Constants that the theory leaves existential (C, C_1, C_2, ...) are never
 assumed here: each check fits the smallest admissible constant from the data
-and the verdicts only concern sweep-uniformity of those fits.  Exact discrete
-inequalities (the rate-of-change chain, the truncated-distance combination
-bound) are asserted to float tolerance; they are build-breaking, not
-statistical.
+and the verdicts only concern sweep-uniformity of those fits.  Reports return
+numbers, and a verdict compares one of them with its tolerance.
+Exact discrete inequalities (the rate-of-change chain, the truncated-distance
+combination bound) are held to float tolerance, not to a statistical one.
 """
 
 from __future__ import annotations
@@ -259,12 +259,15 @@ def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
 # ---------------------------------------------------------------------------
 # the three-link rate bound chain
 
+CHAIN_SLACK_TOL = 1e-9  # the chain is exact math: its slack is float rounding only
+
+
 @dataclass
 class RateBoundsReport:
     delta: float
     lhs_pairing: float        # |int u . grad(phi) eta|
     difference_quotient: float  # iint |u(x)-u(y)|/(delta+|x-y|) dpi
-    chain_slack: float        # lhs - quotient; exact math, <= ~1e-9
+    chain_slack: float        # lhs - quotient; <= CHAIN_SLACK_TOL
     over_distance: float      # iint |u(x)-u(y)|/|x-y| dpi (p > 1 route)
     c_l3: float | None        # fitted constant of the Sobolev route
     c_l5: float | None        # fitted constant of the W^{1,1} route
@@ -331,7 +334,7 @@ class Prop1Report:
     c1_joint: float            # minimal constants with the r/delta term
     c2_joint: float
     ratio: float               # max/min of sup_d across the sweep
-    short_time_ok: bool        # |D(t1)-D(t0)| <= 2 x extrapolated |D(t2)-D(t0)|
+    short_time_excess: float   # worst |D(t1)-D(t0)| - 2 x extrapolated; -inf if no rise
     eta: EtaTrajectory
     plans: dict[float, list[TransportPlan | None]]  # frame_plans(eta, delta) by delta
 
@@ -346,7 +349,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     eta = build_eta(instance, traj1, traj2)
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     sup_d = np.zeros(len(deltas))
-    short_ok = True
+    short_excess = -math.inf
     plans = {}
     for i, d in enumerate(deltas):
         plans[float(d)] = frame_plans(eta, d, radius)
@@ -359,7 +362,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
             if rise2 > 0:
                 t0, t1, t2 = eta.times[0], eta.times[1], eta.times[2]
                 extrapolated = rise2 * ((t1 - t0) / (t2 - t0))
-                short_ok = short_ok and (rise1 <= 2.0 * extrapolated + 1e-12)
+                short_excess = max(short_excess, rise1 - 2.0 * extrapolated)
     r = instance.perturbation_size(traj1.grid)
     slope, intercept, r2 = linear_fit(np.log(1.0 / deltas), sup_d)
     psi = np.ones_like(deltas)
@@ -386,7 +389,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
     ratio = float(sup_d.max() / sup_d.min()) if sup_d.min() > 0 else math.inf
     return Prop1Report(deltas, sup_d, r, slope, intercept, r2, c1_joint, c2_joint,
-                       ratio, short_ok, eta, plans)
+                       ratio, short_excess, eta, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +414,7 @@ class UniquenessReport:
     deltas: np.ndarray
     bounds_dr: np.ndarray     # bound on D_R(eta) per delta, eps = 1/sqrt|log delta|
     bounds_w: np.ndarray      # implied bound on ||eta||_{W^-1,1} (R = 1)
-    monotone: bool
+    worst_rise: float         # max (b[i+1] - b[i]) / b[i]; -inf for one delta
     reduction: float          # bound(first) / bound(last)
 
 
@@ -427,9 +430,10 @@ def uniqueness_drive(d_by_delta: dict[float, float], eta_l1: float,
     bounds = np.asarray(bounds)
     # D_1 and the W^{-1,1} norm sandwich within a factor 2 (R = 1)
     bounds_w = 2.0 * bounds
-    monotone = bool(np.all(np.diff(bounds) <= 1e-12 * np.maximum(bounds[:-1], 1e-300)))
+    worst_rise = float(np.max(np.diff(bounds) / np.maximum(bounds[:-1], 1e-300),
+                              initial=-math.inf))
     reduction = float(bounds[0] / bounds[-1]) if bounds[-1] > 0 else math.inf
-    return UniquenessReport(deltas, bounds, bounds_w, monotone, reduction)
+    return UniquenessReport(deltas, bounds, bounds_w, worst_rise, reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +448,7 @@ class StabilityRateReport:
     c_growth: float             # max r_star / r; <= 1 under the 1/|log r| rate
     schedule_terms: np.ndarray  # (len(rs), 3): sqrt(r), eps, 1/log(1/r+1)
     dominated: np.ndarray       # measured norm <= sum of schedule terms
+    min_slack: float            # min over r of the schedule total - measured norm
 
 
 def stability_rate(rs, sup_w) -> StabilityRateReport:
@@ -469,4 +474,5 @@ def stability_rate(rs, sup_w) -> StabilityRateReport:
         eps = 1.0 / abs(math.log(math.sqrt(r)))
         terms[i] = (r * math.exp(1.0 / eps), eps, 1.0 / math.log(1.0 / r + 1.0))
     dominated = sup_w <= terms.sum(axis=1) + 1e-12
-    return StabilityRateReport(rs, sup_w, fitted, r_star, c_growth, terms, dominated)
+    return StabilityRateReport(rs, sup_w, fitted, r_star, c_growth, terms, dominated,
+                               float((terms.sum(axis=1) - sup_w).min()))

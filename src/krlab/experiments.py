@@ -16,8 +16,9 @@ import time
 import numpy as np
 
 from .cost import CostKind, CostSpec, cost_eval, cost_sup
-from .estimates import (StabilityInstance, build_eta, check_prop1, check_rate_bounds,
-                        lemma4_combine, linear_fit, stability_rate, uniqueness_drive)
+from .estimates import (CHAIN_SLACK_TOL, StabilityInstance, build_eta, check_prop1,
+                        check_rate_bounds, lemma4_combine, linear_fit, stability_rate,
+                        uniqueness_drive)
 from .fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                      SmoothShear2D, default_modulus, modulus_gradient_integral)
 from .measures import Grid, SignedDensity, density_from_function, lq_norm, mean_zero_projection
@@ -76,10 +77,6 @@ def merge_params(name: str, params: dict | None) -> dict:
             for i, n in enumerate(sizes):
                 check_grid_size(f"{key}[{i}] = {n!r}", n)
     return merged
-
-
-def _solves_since(before: dict) -> dict:
-    return {key: n - before[key] for key, n in SOLVER_COUNTS.items()}
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
@@ -152,11 +149,11 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         max_sat = max(max_sat, sat)
         max_phi_excess = max(max_phi_excess, phi_excess)
         max_slope_excess = max(max_slope_excess, slope_excess)
-    rec.add("duality-gap-relative", max_gap <= 1e-8, max_gap, 1e-8)
-    rec.add("plan-saturates-potential", max_sat <= 1e-8, max_sat, 1e-8)
-    rec.add("potential-sup-bound", max_phi_excess <= 1e-12, max_phi_excess, 1e-12,
+    rec.add("duality-gap-relative", max_gap, 1e-8)
+    rec.add("plan-saturates-potential", max_sat, 1e-8)
+    rec.add("potential-sup-bound", max_phi_excess, 1e-12,
             detail="||phi||_inf <= log(R/delta+1) + R/(R+delta)")
-    rec.add("potential-slope-bound", max_slope_excess <= 1e-9, max_slope_excess, 1e-9,
+    rec.add("potential-slope-bound", max_slope_excess, 1e-9,
             detail="neighbor difference quotients <= 1/delta")
 
     grid3 = Grid(1, p["triple_n"])
@@ -174,8 +171,8 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         worst_sym = max(worst_sym, abs(dab - dba))
         rec.row("triples", i=i, kind=kind.kind.value, d_ab=dab, d_bc=dbc, d_ac=dac,
                 violation=dac - dab - dbc)
-    rec.add("triangle-inequality", worst_tri <= 1e-9, worst_tri, 1e-9)
-    rec.add("metric-symmetry", worst_sym <= 1e-10, worst_sym, 1e-10)
+    rec.add("triangle-inequality", worst_tri, 1e-9)
+    rec.add("metric-symmetry", worst_sym, 1e-10)
 
     gridw = Grid(1, p["sandwich_n"])
     lo_ok, hi_worst = math.inf, -math.inf
@@ -186,8 +183,8 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         lo_ok = min(lo_ok, w - d1)
         hi_worst = max(hi_worst, w - 2.0 * d1)
         rec.row("sandwich", i=i, d1=d1, w_neg11=w)
-    rec.add("d1-lower-bounds-w", lo_ok >= -1e-9, lo_ok, -1e-9, comparator=">=")
-    rec.add("w-below-twice-d1", hi_worst <= 1e-9, hi_worst, 1e-9)
+    rec.add("d1-lower-bounds-w", lo_ok, -1e-9, comparator=">=")
+    rec.add("w-below-twice-d1", hi_worst, 1e-9)
     return rec
 
 
@@ -225,16 +222,15 @@ def run_e1_example(p: dict) -> ExperimentRecord:
         worst_chain = max(worst_chain, chain_slack)
         dvals.append(value)
         if delta in p["report_deltas"]:
-            rec.add(f"e1-closed-form-delta={delta:g}", abs(rel) <= p["rel_tol"],
-                    abs(rel), p["rel_tol"],
+            rec.add(f"e1-closed-form-delta={delta:g}", abs(rel), p["rel_tol"],
                     detail=f"measured {integral:.4f} vs 2log(1/(2delta)+1) = {closed:.4f}")
     slope, intercept, r2 = linear_fit(np.log(1.0 / np.asarray(deltas)), dvals)
     rec.meta["bv_slope"] = slope
     rec.meta["bv_r2"] = r2
-    rec.add("bv-log-growth-slope", slope >= 0.3, slope, 0.3, comparator=">=",
+    rec.add("bv-log-growth-slope", slope, 0.3, comparator=">=",
             detail="D_{delta,R}(step) regressed against log(1/delta)")
-    rec.add("bv-log-growth-r2", r2 >= 0.95, r2, 0.95, comparator=">=")
-    rec.add("rate-chain-slack", worst_chain <= 1e-9, worst_chain, 1e-9,
+    rec.add("bv-log-growth-r2", r2, 0.95, comparator=">=")
+    rec.add("rate-chain-slack", worst_chain, CHAIN_SLACK_TOL,
             detail="|int u.grad(phi) eta| <= iint |u(x)-u(y)|/(delta+|x-y|) dpi")
     return rec
 
@@ -279,11 +275,10 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
         l1s.append(l1)
         wnorms.append(w)
     spread = max(l1s) - min(l1s)
-    rec.add("l1-scaling-agreement", spread <= p["l1_agree_tol"], spread, p["l1_agree_tol"],
+    rec.add("l1-scaling-agreement", spread, p["l1_agree_tol"],
             detail=f"||rho_k(T)-1||_L1 across k={p['ks']}")
     decay = wnorms[0] / wnorms[-1] if wnorms[-1] > 0 else math.inf
-    rec.add("w-neg11-decay-factor", decay >= p["w_decay_factor"], decay,
-            p["w_decay_factor"], comparator=">=",
+    rec.add("w-neg11-decay-factor", decay, p["w_decay_factor"], comparator=">=",
             detail=f"k={p['ks'][0]} vs k={p['ks'][-1]}")
     rec.meta["l1_values"] = l1s
     rec.meta["w_values"] = wnorms
@@ -336,11 +331,10 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
                     eta_l1_sup=max(lq_norm(eta.frame(k), 1) for k in range(eta.n_frames)),
                     div_l1_linf=float(p["horizon"]) * float(np.abs(
                         field.divergence(0.0, grid.axis_centers()[1:])).max()))
-    rec.add("sobolev-twin-log-slope", report.log_slope <= p["sobolev_slope_max"],
-            report.log_slope, p["sobolev_slope_max"],
+    rec.add("sobolev-twin-log-slope", report.log_slope, p["sobolev_slope_max"],
             detail="|log delta| coefficient of sup_t D for the W^{1,2} twin")
-    rec.add("short-time-vanishing", report.short_time_ok, float(report.short_time_ok),
-            1.0, comparator=">=", detail="D(t1) <= 2 x extrapolated D(t2)")
+    rec.add("short-time-vanishing", report.short_time_excess, 1e-12,
+            detail="D(t1) <= 2 x extrapolated D(t2)")
 
     # exact chain + Sobolev-route constants on selected frames, on the plans
     # that check_prop1 solved for them
@@ -359,11 +353,11 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
             rec.row("chain", frame=k, delta=d, lhs=rb.lhs_pairing,
                     quotient=rb.difference_quotient, slack=rb.chain_slack, c_l3=rb.c_l3)
-    rec.add("rate-chain-slack", worst_chain <= 1e-9, worst_chain, 1e-9)
+    rec.add("rate-chain-slack", worst_chain, CHAIN_SLACK_TOL)
     c3_sweep = [max(v) for v in c3_by_delta.values()]
     if c3_sweep:
         c3_ratio = max(c3_sweep) / min(c3_sweep)
-        rec.add("sobolev-route-uniformity", c3_ratio <= 2.0, c3_ratio, 2.0,
+        rec.add("sobolev-route-uniformity", c3_ratio, 2.0,
                 detail="max/min fitted L^2-route constant across the delta sweep")
 
     # W^{1,1}-route constants for a p = 1 cusp on a frozen frame
@@ -381,7 +375,7 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
     if c5_sweep:
         c5_ratio = max(c5_sweep) / min(c5_sweep)
-        rec.add("w11-route-uniformity", c5_ratio <= 3.0, c5_ratio, 3.0,
+        rec.add("w11-route-uniformity", c5_ratio, 3.0,
                 detail="max/min fitted W^{1,1}-route constant across the delta sweep")
 
     # negative control: the static BV construction
@@ -395,9 +389,9 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(sorted(p["deltas"], reverse=True))), dvals)
     rec.meta["e1_slope"] = slope
     rec.meta["e1_r2"] = r2
-    rec.add("bv-control-slope", slope >= 0.3, slope, 0.3, comparator=">=",
+    rec.add("bv-control-slope", slope, 0.3, comparator=">=",
             detail="static step: D grows affinely in log(1/delta)")
-    rec.add("bv-control-r2", r2 >= 0.95, r2, 0.95, comparator=">=")
+    rec.add("bv-control-r2", r2, 0.95, comparator=">=")
     return rec
 
 
@@ -433,7 +427,7 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
         worst = min(worst, slack)
         rec.row("trials", i=i, delta=delta, eps=eps, d_log=d_log, d_trunc=d_trunc,
                 eta_l1=eta_l1, bound=bound, slack=slack)
-    rec.add("truncated-distance-bound", worst >= -1e-9, worst, -1e-9, comparator=">=",
+    rec.add("truncated-distance-bound", worst, -1e-9, comparator=">=",
             detail="D_R <= delta e^{D/eps} ||eta||_1 + eps R + R D / log(R/delta+1)")
     return rec
 
@@ -477,10 +471,10 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
         rec.row("twin_drive", delta=float(d), d_value=d_by_delta[float(d)],
                 bound_dr=float(b), bound_w=float(bw))
     rec.meta["eta_l1"] = eta_l1
-    rec.add("uniqueness-bound-monotone", drive.monotone, float(drive.monotone), 1.0,
-            comparator=">=", detail="lemma-4 combination decreases along delta -> 0")
-    rec.add("uniqueness-bound-reduction", drive.reduction >= p["min_reduction"],
-            drive.reduction, p["min_reduction"], comparator=">=")
+    rec.add("uniqueness-bound-monotone", drive.worst_rise, 1e-12,
+            detail="lemma-4 combination decreases along delta -> 0")
+    rec.add("uniqueness-bound-reduction", drive.reduction, p["min_reduction"],
+            comparator=">=")
 
     # negative control: BV-scale eta defeats the combination
     cgrid = Grid(1, p["control_n"])
@@ -493,8 +487,7 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     for d, b in zip(ctrl.deltas, ctrl.bounds_dr):
         rec.row("control_drive", delta=float(d), d_value=d_ctrl[float(d)], bound_dr=float(b))
     growth = float(ctrl.bounds_dr[-1] / ctrl.bounds_dr[0]) if ctrl.bounds_dr[0] > 0 else math.inf
-    rec.add("bv-control-bound-grows", (not ctrl.monotone) and growth >= 10.0,
-            growth, 10.0, comparator=">=",
+    rec.add("bv-control-bound-grows", growth, 10.0, comparator=">=",
             detail="negative control: bound must NOT decrease for the step")
     return rec
 
@@ -560,16 +553,14 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         rec.row("schedule", r=r, sqrt_r=t[0], eps_term=t[1], log_term=t[2],
                 total=float(t.sum()), measured=sup_w[i], dominated=bool(report.dominated[i]),
                 r_star=float(report.r_star[i]))
-    rec.add("stability-c-growth", report.c_growth <= p["c_growth_max"], report.c_growth,
-            p["c_growth_max"],
+    rec.add("stability-c-growth", report.c_growth, p["c_growth_max"],
             detail="max r*/r, r* = exp(-C0/sup_t ||eta||_W), C0 = sup_t ||eta||_W x |log r| "
                    "at the largest r")
-    rec.add("schedule-dominates-norm", bool(report.dominated.all()),
-            float(report.dominated.all()), 1.0, comparator=">=",
+    rec.add("schedule-dominates-norm", report.min_slack, -1e-12, comparator=">=",
             detail="sqrt(r) + eps + 1/log(1/r+1) dominates the measured norm")
     if min(c2s) > 0:
         c2_ratio = max(c2s) / min(c2s)
-        rec.add("c2-stability-across-r", c2_ratio <= 3.0, c2_ratio, 3.0,
+        rec.add("c2-stability-across-r", c2_ratio, 3.0,
                 detail="joint-fit C2 stable across the r sweep")
     return rec
 
@@ -606,12 +597,12 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         errs.append(err)
         rec.row("translation", n=n, l1_error=err,
                 mass_defect=abs(traj.meta["mass_defect"]))
-    mono = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    rec.add("translation-error-monotone", mono, float(mono), 1.0, comparator=">=")
+    worst_ratio = max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
+    rec.add("translation-error-monotone", worst_ratio, 1.0, comparator="<")
     h23 = errs[0] / (1.0 / p["translation_ns"][0]) ** (2.0 / 3.0)
     worst_h23 = max(e / (1.0 / n) ** (2.0 / 3.0) for e, n in zip(errs, p["translation_ns"]))
-    rec.add("translation-h23-envelope", worst_h23 <= h23 * (1 + 1e-12), worst_h23,
-            h23 * (1 + 1e-12), detail="L1 error <= C h^{2/3} with C fixed by the coarsest run")
+    rec.add("translation-h23-envelope", worst_h23, h23 * (1 + 1e-12),
+            detail="L1 error <= C h^{2/3} with C fixed by the coarsest run")
 
     # 2-d Lagrangian/Eulerian agreement under refinement
     field = SmoothShear2D()
@@ -633,12 +624,11 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         min_rho = min(min_rho, float(eul.frames[-1].min()))
         rec.row("agreement2d", n=n, l1_gap=diff)
     ratios = [agree[i + 1] / agree[i] for i in range(len(agree) - 1)]
-    rec.add("lagrangian-eulerian-ratio", max(ratios) <= p["error_ratio_max"],
-            max(ratios), p["error_ratio_max"],
+    rec.add("lagrangian-eulerian-ratio", max(ratios), p["error_ratio_max"],
             detail="successive L1 gaps on smooth 2-d data")
-    rec.add("eulerian-mass-balance", worst_mass <= p["mass_tol_scale"], worst_mass,
-            p["mass_tol_scale"], detail="|mass change - integrated source| / (1+||rho0||_1)")
-    rec.add("upwind-positivity", min_rho >= -1e-14, min_rho, -1e-14, comparator=">=")
+    rec.add("eulerian-mass-balance", worst_mass, p["mass_tol_scale"],
+            detail="|mass change - integrated source| / (1+||rho0||_1)")
+    rec.add("upwind-positivity", min_rho, -1e-14, comparator=">=")
 
     # a-priori L^q bound on the oscillatory and shear instances
     worst_slack = -math.inf
@@ -647,7 +637,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     datak = CauchyData(fieldk, None, density_from_function(gridk, lambda x: np.ones_like(x)), 1.0)
     trajk = eulerian_solve(datak, gridk, cfl=p["cfl"], n_frames=9)
     for q in (1.0, 2.0):
-        rep = apriori_lq_check(trajk, datak, q, tol=p["apriori_slack"])
+        rep = apriori_lq_check(trajk, datak, q)
         rec.row("apriori", instance="oscillatory", q=q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
         worst_slack = max(worst_slack, rep.slack)
@@ -658,12 +648,12 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     trajs = eulerian_solve(datas, grids, cfl=p["cfl"], n_frames=5)
     rec.meta["upwind_steps"] = upwind_steps + trajk.meta["steps"] + trajs.meta["steps"]
     for q in (1.0, 2.0):
-        rep = apriori_lq_check(trajs, datas, q, tol=p["apriori_slack"])
+        rep = apriori_lq_check(trajs, datas, q)
         rec.row("apriori", instance="shear2d", q=q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
         worst_slack = max(worst_slack, rep.slack)
-    rec.add("apriori-lq-bound", worst_slack <= p["apriori_slack"], worst_slack,
-            p["apriori_slack"], detail="growth bound with q in {1,2}")
+    rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],
+            detail="growth bound with q in {1,2}")
     return rec
 
 
@@ -685,5 +675,5 @@ def run_experiment(name: str, params: dict | None = None) -> ExperimentRecord:
     before = dict(SOLVER_COUNTS)
     rec = EXPERIMENTS[name][0](p)
     rec.meta["runtime_s"] = round(time.time() - t0, 3)
-    rec.meta["transport"] = _solves_since(before)
+    rec.meta["transport"] = {key: n - before[key] for key, n in SOLVER_COUNTS.items()}
     return rec

@@ -352,12 +352,10 @@ class AprioriReport:
     lhs: float
     rhs: float
     slack: float      # lhs/rhs - 1; negative means the bound holds with margin
-    holds: bool
     div_l1_linf: float
 
 
-def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float,
-                     tol: float = 0.05) -> AprioriReport:
+def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float) -> AprioriReport:
     """Both sides of the growth bound
     ||rho||_{L^inf(L^q)} <= exp^{1-1/q}(||div u||_{L^1(L^inf)}) (||rho0||_q + ||f||_{L^1(L^q)})."""
     grid = traj.grid
@@ -377,4 +375,4 @@ def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float,
     rho0 = lq_norm(SignedDensity(grid, traj.frames[0]), q)
     rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
     slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return AprioriReport(q, lhs, float(rhs), float(slack), bool(slack <= tol), div_l1)
+    return AprioriReport(q, lhs, float(rhs), float(slack), div_l1)

@@ -1,18 +1,21 @@
 """Experiment records: verdicts, sweep tables, and their serializations.
 
-A verdict names one inequality, states the measured margin against its
-tolerance, and says PASS or FAIL.  Records serialize to ``record.json`` plus
-one CSV per sweep table; the verdict summary is a stable plain-text table
-(one inequality per line) whose bytes depend only on the inputs and the
-seed.
+A verdict names one inequality, states the measured number against its
+tolerance, and says PASS iff ``measured comparator threshold``.  Records
+serialize to ``record.json`` plus one CSV per sweep table; the verdict
+summary is a stable plain-text table (one inequality per line) whose bytes
+depend only on the inputs and the seed.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+
+COMPARATORS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
 @dataclass
@@ -22,7 +25,6 @@ class Verdict:
     measured: float
     threshold: float
     comparator: str = "<="       # how measured relates to threshold on PASS
-    breaking: bool = True        # build-breaking checks drive the exit status
     detail: str = ""
 
     def line(self) -> str:
@@ -40,10 +42,14 @@ class ExperimentRecord:
     tables: dict[str, list[dict]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def add(self, name: str, passed: bool, measured: float, threshold: float,
-            comparator: str = "<=", breaking: bool = True, detail: str = "") -> Verdict:
-        v = Verdict(name, bool(passed), float(measured), float(threshold),
-                    comparator, breaking, detail)
+    def add(self, name: str, measured: float, threshold: float,
+            comparator: str = "<=", detail: str = "") -> Verdict:
+        """PASS iff ``measured comparator threshold``; a NaN measured FAILs."""
+        if comparator not in COMPARATORS:
+            raise ValueError(f"comparator {comparator!r}; valid: {', '.join(COMPARATORS)}")
+        measured, threshold = float(measured), float(threshold)
+        v = Verdict(name, COMPARATORS[comparator](measured, threshold), measured, threshold,
+                    comparator, detail)
         self.verdicts.append(v)
         return v
 
@@ -52,7 +58,7 @@ class ExperimentRecord:
 
     @property
     def ok(self) -> bool:
-        return all(v.passed for v in self.verdicts if v.breaking)
+        return all(v.passed for v in self.verdicts)
 
     def verdict_text(self) -> str:
         lines = [f"experiment: {self.experiment}"]

@@ -212,13 +212,13 @@ def test_apriori_trivial_cases():
     data = CauchyData(ConstantField([1.0]), None, rho0, 1.0)
     traj = eulerian_solve(data, g, cfl=0.5, n_frames=5)
     rep = apriori_lq_check(traj, data, 1.0)
-    assert rep.holds and rep.lhs <= rep.rhs + 1e-12
+    assert rep.slack <= 0.05 and rep.lhs <= rep.rhs + 1e-12
     # u = 0, f = 1, T = 1, q = 1: the bound ||rho0||_1 + 1 is attained
     data2 = CauchyData(ConstantField([0.0]), np.ones(128), rho0, 1.0)
     traj2 = eulerian_solve(data2, g, cfl=0.5, n_frames=5)
     rep2 = apriori_lq_check(traj2, data2, 1.0)
     assert rep2.lhs == pytest.approx(rep2.rhs, rel=1e-12)
-    assert rep2.holds
+    assert rep2.slack <= 0.05
 
 
 def test_apriori_oscillatory_q2():
@@ -227,7 +227,7 @@ def test_apriori_oscillatory_q2():
     data = CauchyData(field, None, density_from_function(g, lambda x: np.ones_like(x)), 1.0)
     traj = eulerian_solve(data, g, cfl=0.5, n_frames=9)
     rep = apriori_lq_check(traj, data, 2.0)
-    assert rep.holds and rep.slack <= 0.05
+    assert rep.slack <= 0.05
 
 
 @pytest.mark.parametrize("solver", [lagrangian_solve, eulerian_solve])
