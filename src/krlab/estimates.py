@@ -439,6 +439,9 @@ def uniqueness_drive(d_by_delta: dict[float, float], eta_l1: float,
 # ---------------------------------------------------------------------------
 # stability rate in the W^{-1,1} norm
 
+SCHEDULE_SLACK_TOL = 1e-12  # the schedule dominates a norm up to float rounding
+
+
 @dataclass
 class StabilityRateReport:
     rs: np.ndarray
@@ -447,7 +450,7 @@ class StabilityRateReport:
     r_star: np.ndarray          # exp(-C_0 / sup_w): the r the calibrated rate needs
     c_growth: float             # max r_star / r; <= 1 under the 1/|log r| rate
     schedule_terms: np.ndarray  # (len(rs), 3): sqrt(r), eps, 1/log(1/r+1)
-    dominated: np.ndarray       # measured norm <= sum of schedule terms
+    dominated: np.ndarray       # measured norm <= sum of schedule terms + SCHEDULE_SLACK_TOL
     min_slack: float            # min over r of the schedule total - measured norm
 
 
@@ -473,6 +476,6 @@ def stability_rate(rs, sup_w) -> StabilityRateReport:
     for i, r in enumerate(rs):
         eps = 1.0 / abs(math.log(math.sqrt(r)))
         terms[i] = (r * math.exp(1.0 / eps), eps, 1.0 / math.log(1.0 / r + 1.0))
-    dominated = sup_w <= terms.sum(axis=1) + 1e-12
+    dominated = sup_w <= terms.sum(axis=1) + SCHEDULE_SLACK_TOL
     return StabilityRateReport(rs, sup_w, fitted, r_star, c_growth, terms, dominated,
                                float((terms.sum(axis=1) - sup_w).min()))

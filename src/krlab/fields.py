@@ -18,11 +18,24 @@ Field families:
 All fields are autonomous; they take positions of shape (..., dim) and
 return velocities of the same shape.  Flows act on unwrapped (real-line)
 coordinates and commute with period shifts.
+
+Point forms.  ``scipy.integrate.quad`` calls its integrand once per node with
+one Python float, and wrapping that float in an array to run 15-40 small
+numpy operations costs far more than the arithmetic.  So the fields that
+feed a ``quad`` integral also have a point form that takes and returns one
+float: ``PowerCuspField.derivative_at`` and ``OscillatoryField.jacobian_at``.
+A point form must stay bit-identical to its array form: the same IEEE
+operations in the same order, with exp, tan and power taken from the numpy
+ufuncs (``math.exp`` and the scalar ``**`` round differently), every square
+written ``t * t`` (what numpy does for ``** 2``) and Python's ``round``
+(half to even, like ``np.round``).  The array forms stay for grid
+evaluations; ``tests/test_point_forms.py`` holds the two to ``==``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,6 +67,15 @@ def _bump_fprime(t):
     return out
 
 
+def _bump_at(t: float) -> tuple[float, float]:
+    """(_bump_f(t), _bump_fprime(t)) at one float, bit for bit."""
+    if not t > 0:
+        return 0.0, 0.0
+    f = float(np.exp(-1.0 / t))
+    tt = t * t
+    return f, f / tt if tt else math.nan  # t*t underflows only where f is 0: 0/0
+
+
 def smoothstep_down(s, s0: float, s1: float):
     """C-infty function equal to 1 for s <= s0 and 0 for s >= s1."""
     t = (np.asarray(s, dtype=float) - s0) / (s1 - s0)
@@ -67,6 +89,15 @@ def smoothstep_down_prime(s, s0: float, s1: float):
     f1, f2 = _bump_f(1.0 - t), _bump_f(t)
     d1, d2 = -_bump_fprime(1.0 - t), _bump_fprime(t)
     return (d1 * f2 - f1 * d2) / (f1 + f2) ** 2 / (s1 - s0)
+
+
+def _smoothstep_down_at(s: float, s0: float, s1: float) -> tuple[float, float]:
+    """(smoothstep_down, smoothstep_down_prime) at one float, bit for bit."""
+    t = (s - s0) / (s1 - s0)
+    f1, d1 = _bump_at(1.0 - t)
+    f2, d2 = _bump_at(t)
+    total = f1 + f2
+    return f1 / total, (-d1 * f2 - f1 * d2) / (total * total) / (s1 - s0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +130,13 @@ class VelocityField:
 
     def grad_magnitude(self, t: float, pos: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def derivative_at(self, x: float) -> float:
+        """Point form of u' for a 1-d field (see the module docstring)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no point form: define derivative_at(x), which "
+            "returns u'(x) for one float x bit-identical to the array derivative, "
+            "to integrate its gradient with quad")
 
     def singular_points(self) -> list[float]:
         return []
@@ -187,6 +225,19 @@ class OscillatoryField(VelocityField):
         _, jac = _flow_unit_circle(t, self.k * x)
         return jac
 
+    def jacobian_at(self, t: float, x: float) -> float:
+        """exact_flow_jacobian at one float x, bit for bit: the Jacobian half
+        of _flow_unit_circle."""
+        y = self.k * x
+        m = math.floor(y / math.pi)
+        z = y - m * math.pi
+        tau = t if m % 2 == 0 else -t
+        lower = z <= math.pi / 2
+        s = float(np.tan((z if lower else math.pi - z) / 2.0))
+        e = float(np.exp(tau if lower else -tau))
+        se = s * e
+        return e * (1.0 + s * s) / (1.0 + se * se)
+
 
 class PowerCuspField(VelocityField):
     """Sign-symmetric |x - x0|^alpha cusp with a C-infty far cutoff.
@@ -228,6 +279,14 @@ class PowerCuspField(VelocityField):
             core = self.alpha * a ** (self.alpha - 1.0)
         return self.amp * (core * w + a**self.alpha * wp)
 
+    def derivative_at(self, x: float) -> float:
+        """derivative at one float x, bit for bit."""
+        d = x - self.x0
+        a = abs(d - self.length * round(d / self.length))
+        w, wp = _smoothstep_down_at(a, self.cut0, self.cut1)
+        core = math.inf if a == 0.0 else self.alpha * float(np.power(a, self.alpha - 1.0))
+        return self.amp * (core * w + float(np.power(a, self.alpha)) * wp)
+
     def divergence(self, t, pos):
         p = np.asarray(pos, dtype=float)
         return self.derivative(p[..., 0] if p.ndim > 1 else p)
@@ -243,7 +302,7 @@ class PowerCuspField(VelocityField):
         if p >= self.p_max:
             return math.inf
         if p not in self._grad_norms:
-            val, _ = integrate.quad(lambda x: float(np.abs(self.derivative(x))) ** p,
+            val, _ = integrate.quad(lambda x: abs(self.derivative_at(x)) ** p,
                                     0.0, 1.0, points=[self.x0], limit=400)
             self._grad_norms[p] = val ** (1.0 / p)
         return self._grad_norms[p]
@@ -376,6 +435,16 @@ def default_modulus() -> IntegrabilityModulus:
     return IntegrabilityModulus("xi*(1+log+xi)", e)
 
 
+_PSI_LOG_GRID = np.linspace(math.log(1e-12), math.log(1e10), 3001)  # log M scanned by psi_one
+
+
+def _psi_one_scan(modulus: IntegrabilityModulus, L: float) -> np.ndarray:
+    """M + M/e(M) * L at each M = exp(_PSI_LOG_GRID), with e applied once to
+    the whole grid: bit for bit the objective psi_one minimizes."""
+    ms = np.array([math.exp(g) for g in _PSI_LOG_GRID])
+    return ms + ms / np.asarray(modulus.fn(ms), dtype=float) * L
+
+
 def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
     """inf over M > 0 of  M + M/e(M) * (|log delta| + 1).
 
@@ -390,8 +459,8 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
         m = math.exp(logm)
         return m + m / float(modulus.fn(m)) * L
 
-    grid = np.linspace(math.log(1e-12), math.log(1e10), 3001)
-    vals = np.array([obj(g) for g in grid])
+    grid = _PSI_LOG_GRID
+    vals = _psi_one_scan(modulus, L)
     i = int(np.argmin(vals))
     best = vals[i]
     if 0 < i < len(grid) - 1:
@@ -404,27 +473,27 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
 def modulus_gradient_integral(field: VelocityField, modulus: IntegrabilityModulus) -> float:
     """|| e(|grad u|) ||_{L^1} over one period of a 1-d field.
 
-    Integrable gradient blow-ups at the field's singular points are handled
-    by dyadic subdivision towards the singularity.  Evaluation works in
-    absolute coordinates, so the resolved neighborhood of a singular point
-    floors at its float ulp; for the steepest admissible cusp this leaves a
-    ~1e-3 relative tail, far below the fitted-constant resolution these
-    integrals feed.
+    The integrand is the field's point form ``derivative_at``.  Integrable
+    gradient blow-ups at the field's singular points are handled by dyadic
+    subdivision towards the singularity.  Evaluation works in absolute
+    coordinates, so the resolved neighborhood of a singular point floors at
+    its float ulp; for the steepest admissible cusp this leaves a ~1e-3
+    relative tail, far below the fitted-constant resolution these integrals
+    feed.
     """
     if field.dim != 1:
         raise ValueError("implemented for 1-d fields")
 
     def f(x):
-        return float(modulus.fn(float(field.grad_magnitude(0.0, x))))
+        return float(modulus.fn(abs(field.derivative_at(x))))
 
     sing = sorted(s for s in field.singular_points() if 0.0 < s < field.length)
     edges = [0.0] + sing + [field.length]
     total = 0.0
-    import warnings as _warnings
-    with _warnings.catch_warnings():
+    with warnings.catch_warnings():
         # e(xi) = xi(1+log+ xi) has a kink at xi = 1; quad resolves it far
         # beyond the fitted-constant accuracy but flags the slow convergence
-        _warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
         for a, b in zip(edges[:-1], edges[1:]):
             # dyadic refinement towards both endpoints (possible singularities)
             pts = [a + (b - a) * 2.0**-j for j in range(60, 0, -1)]

@@ -5,9 +5,10 @@ import pytest
 
 import krlab.estimates
 from krlab.cost import bounded_log, truncated_linear
-from krlab.estimates import (StabilityInstance, build_eta, check_derivative_identity,
-                             check_prop1, check_rate_bounds, frame_plans, lemma4_combine,
-                             linear_fit, stability_rate, track_kr, uniqueness_drive)
+from krlab.estimates import (SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
+                             check_derivative_identity, check_prop1, check_rate_bounds,
+                             frame_plans, lemma4_combine, linear_fit, stability_rate, track_kr,
+                             uniqueness_drive)
 from krlab.fields import ConstantField, OscillatoryField, default_modulus
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
@@ -175,6 +176,17 @@ def test_stability_rate_synthetic():
     # slower-than-1/log decay must register as growth
     bad = stability_rate(rs, [0.05, 0.04, 0.035])
     assert bad.c_growth > 3.0
+
+
+def test_dominated_is_the_slack_against_the_schedule_tolerance():
+    rs = [1e-2, 1e-3, 1e-4]
+    total = stability_rate(rs, [0.0, 0.0, 0.0]).schedule_terms.sum(axis=1)
+    report = stability_rate(rs, [total[0], total[1] + 0.5 * SCHEDULE_SLACK_TOL,
+                                 total[2] + 2.0 * SCHEDULE_SLACK_TOL])
+    slack = report.schedule_terms.sum(axis=1) - report.sup_w
+    assert report.dominated.tolist() == (slack >= -SCHEDULE_SLACK_TOL).tolist()
+    assert report.dominated.tolist() == [True, True, False]
+    assert report.min_slack == slack.min()
 
 
 def test_linear_fit_exact_line():

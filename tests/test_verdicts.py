@@ -127,6 +127,19 @@ def test_reversed_translation_grids_measure_the_error_ratio():
     assert v.measured == pytest.approx(1.848556, rel=1e-6)
 
 
+def test_h23_constant_comes_from_the_coarsest_grid():
+    """The h^{2/3} envelope fixes C on the smallest n wherever it sits in
+    the list; with the finer grid first only the monotone verdict FAILs."""
+    base = {"agreement_ns": [16, 32], "apriori_n": 32}
+    recs = [run_experiment("pde-convergence", {**base, "translation_ns": ns})
+            for ns in ([32, 64], [64, 32])]
+    up, down = [next(v for v in r.verdicts if v.name == "translation-h23-envelope")
+                for r in recs]
+    assert (up.measured, up.threshold) == (down.measured, down.threshold)
+    assert up.passed and down.passed
+    assert [v.name for v in recs[1].verdicts if not v.passed] == ["translation-error-monotone"]
+
+
 def test_schedule_slack_is_the_worst_r():
     rs = [1e-2, 1e-3, 1e-4]
     total = stability_rate(rs, [0.0, 0.0, 0.0]).schedule_terms.sum(axis=1)
