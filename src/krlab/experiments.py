@@ -51,14 +51,36 @@ def check_grid_size(label: str, n) -> None:
                          f"use {lower} or {2 * lower}")
 
 
+def _check_number(label: str, x) -> None:
+    """Raise ValueError naming ``label`` unless ``x`` is an int or a float
+    (not a bool).  A string that parses as a float gets the YAML spelling
+    that reads as one."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return
+    hint = ""
+    if isinstance(x, str):
+        try:
+            float(x)
+        except ValueError:
+            pass
+        else:
+            mant, e, exp = x.strip().lower().partition("e")
+            if mant.lstrip("+-").isdigit():
+                mant += ".0"
+            hint = (f"; write it as {mant}{e}{exp}: YAML reads 1e-3, without a dot, "
+                    "as a string and 1.0e-3 as a float")
+    raise ValueError(f"{label} = {x!r}: expected a number{hint}")
+
+
 def merge_params(name: str, params: dict | None) -> dict:
     """The defaults of experiment ``name`` with ``params`` laid over them.
 
     Raises ValueError naming the valid experiments for an unknown name, the
-    valid keys for an unknown parameter, and the nearest powers of two for a
-    grid size that is not one.
+    valid keys for an unknown parameter, the key of a value that is not of
+    its default's kind (a number, or a list of numbers), and the nearest
+    powers of two for a grid size that is not one.
     """
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid names: "
                          + ", ".join(sorted(EXPERIMENTS)))
     defaults = EXPERIMENTS[name][1]
@@ -66,6 +88,14 @@ def merge_params(name: str, params: dict | None) -> dict:
     if unknown:
         raise ValueError(f"unknown parameter keys {unknown} for {name!r}; "
                          f"valid keys: {', '.join(sorted(defaults))}")
+    for key, value in (params or {}).items():
+        if not isinstance(defaults[key], list):
+            _check_number(key, value)
+        elif not isinstance(value, list):
+            raise ValueError(f"{key} = {value!r}: expected a list of numbers")
+        else:
+            for i, x in enumerate(value):
+                _check_number(f"{key}[{i}]", x)
     merged = {**defaults, **(params or {})}
     for key in GRID_SIZE_KEYS:
         if key in merged:
@@ -73,7 +103,7 @@ def merge_params(name: str, params: dict | None) -> dict:
     for key in GRID_SIZE_LIST_KEYS:
         if key in merged:
             sizes = merged[key]
-            if not isinstance(sizes, list) or not sizes:
+            if not sizes:
                 raise ValueError(f"{key} = {sizes!r}: expected a non-empty list of grid sizes")
             for i, n in enumerate(sizes):
                 check_grid_size(f"{key}[{i}] = {n!r}", n)

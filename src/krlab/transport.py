@@ -11,13 +11,13 @@ as an exact linear program.  Two backends, both certified by LP optimality:
   simplex, which also returns the node duals used to build Kantorovich-
   Rubinstein potentials.
 
-An LP plan keeps the target duals of the LP that produced it.  The potential
-comes from the duals of the plan's own LP: ``solve_dual(eta, cost, plan)``
-extends them to the whole grid by the metric envelope
-``phi(z) = min_j (c(dist(z, y_j)) - v_j)``, which is c-Lipschitz by
-construction and attains the dual optimum, hence saturates the constraint on
-the support of every optimal plan.  Only without such a plan does
-``solve_dual`` solve the LP itself.
+The potential is built from the plan and never from a second solve.  An LP
+plan keeps the target duals of the LP that produced it; an assignment plan
+gets its column duals in ``solve_dual`` as shortest-path distances in its
+residual graph.  ``solve_dual(eta, cost, plan)`` extends the target duals to
+the whole grid by the metric envelope ``phi(z) = min_j (c(dist(z, y_j)) -
+v_j)``, which is c-Lipschitz by construction and attains the dual optimum,
+hence saturates the constraint on the support of every optimal plan.
 
 Callers solve an instance once and pass the plan to every check that reads
 it; ``check_plan`` rejects a plan that was solved for another density or
@@ -37,6 +37,10 @@ from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
                        periodic_distance_matrix, periodic_wrap)
 
 MASS_TOL = 1e-10
+# the assignment duals stop once no dual drops by more than this fraction of
+# the largest cost: arc lengths are differences of costs, so the cycles of an
+# optimal plan can read a few ulps of that scale below zero and never settle
+DUAL_DROP_TOL = 1e-12
 _HIGHS_OPTS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
@@ -125,7 +129,7 @@ def _uniform(masses: np.ndarray) -> bool:
 
 
 def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Exact transportation LP; returns (entries, duals u, v).
+    """Exact transportation LP; returns (entries, target duals v).
 
     Marginals are normalized to unit total for the solver (pure scaling:
     plan masses scale back, duals are per-unit prices and are unchanged).
@@ -154,8 +158,7 @@ def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     x = res.x * scale
     keep = np.nonzero(x > 1e-15 * max(a.max(), b.max()))[0]
     si, di = np.divmod(keep, n)
-    lam = res.eqlin.marginals
-    return (si, di, x[keep]), lam[:m], lam[m:]
+    return (si, di, x[keep]), res.eqlin.marginals[m:]
 
 
 def _prune_atoms(pos, masses, cells):
@@ -168,13 +171,17 @@ def _prune_atoms(pos, masses, cells):
     return pos[keep], masses[keep], cells[keep]
 
 
-def _prepare_instance(eta: SignedDensity):
+def _require_mean_zero(eta: SignedDensity) -> None:
     total = mass(eta)
     l1 = lq_norm(eta, 1)
     if l1 > 0 and abs(total) > MASS_TOL * l1:
         raise ValueError(
             f"density is not mean-zero (mass {total:.3e} vs L1 {l1:.3e}); "
             "apply mean_zero_projection first")
+
+
+def _prepare_instance(eta: SignedDensity):
+    _require_mean_zero(eta)
     pos_part, neg_part = jordan_decompose(eta)
     pos_p, mass_p, cells_p = _prune_atoms(*_atoms(pos_part))
     pos_n, mass_n, cells_n = _prune_atoms(*_atoms(neg_part))
@@ -198,7 +205,7 @@ def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, flo
         pm = np.full(len(si), mass_p.mean())
         SOLVER_COUNTS["assignment"] += 1
     else:
-        (si, dj, pm), _, v = _solve_transport_lp(mass_p, mass_n, C)
+        (si, dj, pm), v = _solve_transport_lp(mass_p, mass_n, C)
     value = float((C[si, dj] * pm).sum())
     plan = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
                          si, dj, pm, value, v)
@@ -223,24 +230,51 @@ def check_plan(plan: TransportPlan, eta: SignedDensity, cost: CostSpec) -> None:
                          "it was solved for another density")
 
 
+def _assignment_duals(C: np.ndarray, si: np.ndarray, dj: np.ndarray) -> np.ndarray:
+    """Column duals of the assignment ``si -> dj`` on the cost matrix ``C``.
+
+    They are the shortest-path distances from a zero source over the arcs
+    j -> j' of length C[s(j), j'] - C[s(j), j], s(j) the row assigned to j
+    (the residual-graph optimality condition of the assignment LP), found by
+    Jacobi Bellman-Ford.  A plan that is not optimal has a negative cycle,
+    and the distances do not settle within n rounds.
+    """
+    n = len(dj)
+    rows = np.empty(n, dtype=int)
+    rows[dj] = si
+    arcs = C[rows]
+    arcs -= arcs[np.arange(n), np.arange(n)][:, None]
+    tol = DUAL_DROP_TOL * np.abs(C).max()
+    v = np.zeros(n)
+    for _ in range(n):
+        nxt = (v[:, None] + arcs).min(axis=0)
+        drop = (v - nxt).max()
+        v = nxt
+        if drop <= tol:
+            return v
+    raise ValueError(f"the assignment plan is not optimal: its duals still drop by "
+                     f"{drop:.3e} after {n} Bellman-Ford rounds (a negative cycle)")
+
+
 def solve_dual(eta: SignedDensity, cost: CostSpec,
                plan: TransportPlan | None = None) -> tuple[Potential, float]:
     """Optimal potential on the full grid and the dual value (= primal value).
 
-    The potential is built from the target duals of ``plan``'s own LP when
-    it has them (``check_plan`` must accept it); without such a plan, e.g.
-    for an assignment plan, the LP is solved here.
+    The potential is the metric envelope of ``plan``'s target duals
+    (``check_plan`` must accept the plan): the duals of its LP, or for an
+    assignment plan the shortest-path duals of its residual graph.  Without
+    a plan, ``solve_primal`` makes one.  No LP is solved here.
     """
-    if plan is not None:
-        check_plan(plan, eta, cost)
-    if plan is not None and plan.dst_dual is not None:
-        pos_n, v = plan.dst_pos, plan.dst_dual
+    if plan is None:
+        plan, _ = solve_primal(eta, cost)
     else:
-        pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
-        if len(mass_p) == 0 or len(mass_n) == 0:
-            return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
-        C = cost_matrix(cost, pos_p, pos_n, eta.grid.length)
-        _, _, v = _solve_transport_lp(mass_p, mass_n, C)
+        check_plan(plan, eta, cost)
+    if plan.n_entries == 0:
+        return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
+    pos_n, v = plan.dst_pos, plan.dst_dual
+    if v is None:
+        C = cost_matrix(cost, plan.src_pos, pos_n, eta.grid.length)
+        v = _assignment_duals(C, plan.src_idx, plan.dst_idx)
     # metric envelope from the target duals; c-Lipschitz and optimal
     all_centers = eta.grid.centers()
     phi = np.full(eta.grid.ncells, np.inf)
@@ -281,9 +315,7 @@ def w_neg11_norm(eta: SignedDensity) -> float:
     v = eta.values.ravel()
     if np.abs(v).max(initial=0.0) == 0.0:
         return 0.0
-    l1 = lq_norm(eta, 1)
-    if abs(mass(eta)) > MASS_TOL * max(l1, 1e-300):
-        raise ValueError("w_neg11_norm needs a mean-zero density")
+    _require_mean_zero(eta)
     N = g.ncells
     idx = np.arange(N)
     if g.dim == 1:

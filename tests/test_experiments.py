@@ -151,6 +151,22 @@ def test_param_grid_size_that_is_not_a_power_of_two_is_refused(tmp_path, capsys,
     assert not (tmp_path / experiment).exists()
 
 
+def test_experiment_that_is_not_a_name_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment=["e1-example"])
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert "unknown experiment ['e1-example']; valid names: e1-example," in capsys.readouterr().err
+
+
+def test_float_without_a_dot_is_refused_with_its_yaml_spelling(tmp_path, capsys):
+    # YAML 1.1 reads 1e-3 as the string '1e-3'
+    path = tmp_path / "config.yaml"
+    path.write_text("experiment: lemma4-suite\nparams:\n  delta_range: [1e-3, 0.3]\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "delta_range[0] = '1e-3': expected a number; write it as 1.0e-3" in err
+    assert not (tmp_path / "lemma4-suite").exists()
+
+
 def test_upwind_steps_of_the_pde_benchmark_config():
     # the benchmark tracer counts 1596 upwind steps on this config
     config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "pde-convergence.yaml"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -85,7 +86,7 @@ def test_dual_rejects_a_plan_of_another_instance(rng):
         solve_dual(other, bounded_log(0.1, 0.5), plan)
 
 
-def test_assignment_plan_has_no_duals_and_dual_solves_its_lp():
+def test_assignment_potential_solves_no_lp():
     eta = step(16)
     spec = bounded_log(0.1, 0.5)
     counts = dict(SOLVER_COUNTS)
@@ -93,8 +94,42 @@ def test_assignment_plan_has_no_duals_and_dual_solves_its_lp():
     assert plan.dst_dual is None
     assert SOLVER_COUNTS["assignment"] == counts["assignment"] + 1
     pot, dual = solve_dual(eta, spec, plan)
-    assert SOLVER_COUNTS["lp"] == counts["lp"] + 1
+    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 1}
     assert dual == pytest.approx(primal, rel=1e-10)
+    # without a plan, solve_primal's one assignment is the only solve
+    alone, _ = solve_dual(eta, spec)
+    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 2}
+    assert np.array_equal(alone.values, pot.values)
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+@pytest.mark.parametrize("delta", [0.1, 0.01, 1e-3, 1e-4])
+def test_assignment_potential_is_certified(n, delta):
+    # transport-selftest's thresholds: relative gap, sup bound, slope bound.
+    # The step's plan is its own inverse; the scattered signs' plan is not.
+    signs = np.where(np.random.default_rng(n).permutation(n) < n // 2, 1.0, -1.0)
+    spec = bounded_log(delta, 0.5)
+    for eta in (step(n), SignedDensity(Grid(1, n), signs)):
+        plan, primal = solve_primal(eta, spec)
+        assert plan.dst_dual is None
+        pot, dual = solve_dual(eta, spec, plan)
+        phi = pot.values.ravel()
+        assert duality_gap(plan, pot) / (1.0 + abs(primal)) <= 1e-8
+        assert abs(dual - primal) <= 1e-8 * (1.0 + abs(primal))
+        assert np.abs(phi).max() <= cost_sup(spec) + 1e-12
+        slopes = np.abs(np.diff(np.r_[phi, phi[0]])) / eta.grid.h
+        assert slopes.max() <= 1.0 / delta + 1e-9
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (5, 20), (0, 31)])
+def test_assignment_plan_with_two_targets_swapped_is_not_optimal(a, b):
+    eta = step(64)
+    spec = bounded_log(0.01, 0.5)
+    plan, _ = solve_primal(eta, spec)
+    dst = plan.dst_idx.copy()
+    dst[[a, b]] = dst[[b, a]]
+    with pytest.raises(ValueError, match="assignment plan is not optimal"):
+        solve_dual(eta, spec, dataclasses.replace(plan, dst_idx=dst))
 
 
 def test_two_atom_truncated():
@@ -215,9 +250,9 @@ def test_plan_feasibility_and_sparsity(rng):
 def test_unbalanced_rejected(rng):
     g = Grid(1, 32)
     eta = SignedDensity(g, rng.standard_normal(32) + 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="apply mean_zero_projection first"):
         solve_primal(eta, bounded_log(0.1, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="apply mean_zero_projection first"):
         w_neg11_norm(eta)
 
 

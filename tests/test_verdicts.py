@@ -9,10 +9,12 @@ import yaml
 
 from krlab import experiments
 from krlab.cli import main
+from krlab.cost import cost_sup
 from krlab.estimates import stability_rate
 from krlab.experiments import run_experiment
 from krlab.pde import SolutionTrajectory
 from krlab.records import ExperimentRecord
+from krlab.transport import Potential
 
 
 @pytest.mark.parametrize("comparator, below, at, above", [
@@ -90,8 +92,36 @@ def jump_at_t1(monkeypatch):
     monkeypatch.setattr(experiments, "_twin_cusp_instance", twin)
 
 
+def half_potential(monkeypatch):
+    """Every potential halved: still c-Lipschitz, so feasible,
+    but its pairing is half the primal value.  (Twice the potential is
+    infeasible, and duality_gap raises on it.)"""
+    real = experiments.solve_dual
+
+    def halved(eta, spec, plan):
+        pot, dual = real(eta, spec, plan)
+        return Potential(pot.grid, pot.cost, 0.5 * pot.values), 0.5 * dual
+    monkeypatch.setattr(experiments, "solve_dual", halved)
+
+
+def shifted_potential(monkeypatch):
+    """Every potential shifted up by cost_sup: eta is mean-zero, so the gap,
+    the saturation and the slopes stay, and only the sup bound breaks."""
+    real = experiments.solve_dual
+
+    def shifted(eta, spec, plan):
+        pot, dual = real(eta, spec, plan)
+        return Potential(pot.grid, pot.cost, pot.values + cost_sup(spec)), dual
+    monkeypatch.setattr(experiments, "solve_dual", shifted)
+
+
+SELFTEST_SMALL = {"sizes": [32], "n_instances": 3, "n_triples": 2, "triple_n": 16,
+                  "n_sandwich": 2, "sandwich_n": 16}
+
 NEGATIVE_CONTROLS = [
     # verdict, experiment, params, patch
+    ("duality-gap-relative", "transport-selftest", SELFTEST_SMALL, half_potential),
+    ("potential-sup-bound", "transport-selftest", SELFTEST_SMALL, shifted_potential),
     ("uniqueness-bound-monotone", "uniqueness-drive", {"n": 32, "control_n": 32}, rising_series),
     # a step series over one decade too few: its bound rises 1.56-fold, not tenfold
     ("bv-control-bound-grows", "uniqueness-drive",
@@ -117,6 +147,12 @@ def test_negative_control_fails_its_verdict(monkeypatch, verdict, experiment, pa
     (v,) = [v for v in rec.verdicts if v.name == verdict]
     assert not v.passed, v.line()
     assert not rec.ok
+
+
+def test_shifted_potential_fails_only_the_sup_bound(monkeypatch):
+    shifted_potential(monkeypatch)
+    rec = run_experiment("transport-selftest", SELFTEST_SMALL)
+    assert [v.name for v in rec.verdicts if not v.passed] == ["potential-sup-bound"]
 
 
 def test_reversed_translation_grids_measure_the_error_ratio():
