@@ -51,12 +51,14 @@ def check_grid_size(label: str, n) -> None:
                          f"use {lower} or {2 * lower}")
 
 
-def _check_number(label: str, x) -> None:
-    """Raise ValueError naming ``label`` unless ``x`` is an int or a float
-    (not a bool).  A string that parses as a float gets the YAML spelling
-    that reads as one."""
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
+def _check_number(label: str, x, integer: bool) -> None:
+    """Raise ValueError naming ``label`` unless ``x`` is an int, or with
+    ``integer`` false a float (never a bool).  A string that parses as a
+    float gets the YAML spelling that reads as one."""
+    if isinstance(x, int if integer else (int, float)) and not isinstance(x, bool):
         return
+    if integer:
+        raise ValueError(f"{label} = {x!r}: expected an integer")
     hint = ""
     if isinstance(x, str):
         try:
@@ -77,8 +79,9 @@ def merge_params(name: str, params: dict | None) -> dict:
 
     Raises ValueError naming the valid experiments for an unknown name, the
     valid keys for an unknown parameter, the key of a value that is not of
-    its default's kind (a number, or a list of numbers), and the nearest
-    powers of two for a grid size that is not one.
+    its default's kind (an integer where the default is one, else a number,
+    or a non-empty list of them; a ``*_range`` holds two increasing
+    numbers), and the nearest powers of two for a grid size that is not one.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid names: "
@@ -89,23 +92,23 @@ def merge_params(name: str, params: dict | None) -> dict:
         raise ValueError(f"unknown parameter keys {unknown} for {name!r}; "
                          f"valid keys: {', '.join(sorted(defaults))}")
     for key, value in (params or {}).items():
-        if not isinstance(defaults[key], list):
-            _check_number(key, value)
-        elif not isinstance(value, list):
-            raise ValueError(f"{key} = {value!r}: expected a list of numbers")
-        else:
-            for i, x in enumerate(value):
-                _check_number(f"{key}[{i}]", x)
+        default = defaults[key]
+        if not isinstance(default, list):
+            _check_number(key, value, isinstance(default, int))
+            continue
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} = {value!r}: expected a non-empty list of numbers")
+        for i, x in enumerate(value):
+            _check_number(f"{key}[{i}]", x, isinstance(default[0], int))
+        if key.endswith("_range") and not (len(value) == 2 and value[0] < value[1]):
+            raise ValueError(f"{key} = {value!r}: expected two increasing numbers [low, high]")
     merged = {**defaults, **(params or {})}
     for key in GRID_SIZE_KEYS:
         if key in merged:
             check_grid_size(f"{key} = {merged[key]!r}", merged[key])
     for key in GRID_SIZE_LIST_KEYS:
         if key in merged:
-            sizes = merged[key]
-            if not sizes:
-                raise ValueError(f"{key} = {sizes!r}: expected a non-empty list of grid sizes")
-            for i, n in enumerate(sizes):
+            for i, n in enumerate(merged[key]):
                 check_grid_size(f"{key}[{i}] = {n!r}", n)
     return merged
 

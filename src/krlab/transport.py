@@ -22,15 +22,31 @@ hence saturates the constraint on the support of every optimal plan.
 Callers solve an instance once and pass the plan to every check that reads
 it; ``check_plan`` rejects a plan that was solved for another density or
 cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
+
+Every HiGHS solve, transportation and W^{-1,1} LP alike, goes through
+``linprog`` below.  It drives scipy's own HiGHS bindings
+(``scipy.optimize._highspy._core``) with exactly the options that
+``scipy.optimize.linprog(method="highs")`` sets, and its ``x``, row duals,
+``fun``, ``nit`` and ``status`` are linprog's bit for bit.  It skips what
+linprog does around the solver: input cleaning, option validation, sparse
+format conversion and a Python loop over the basis of every column.  On the
+few-hundred-variable LPs of transport-selftest that glue took longer than
+HiGHS.  linprog's feasibility check of the solution is kept
+(``lp_feasible``).  The function keeps the name ``linprog``, with the cost
+vector first, because the benchmark's tracer wraps ``transport.linprog`` as
+its ``transport.lp`` span and reads ``len(c)``, ``nit`` and ``status``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy import _core as highs
 
 from .cost import CostSpec, cost_derivative, cost_eval
 from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
@@ -41,16 +57,42 @@ MASS_TOL = 1e-10
 # the largest cost: arc lengths are differences of costs, so the cycles of an
 # optimal plan can read a few ulps of that scale below zero and never settle
 DUAL_DROP_TOL = 1e-12
-_HIGHS_OPTS = {
-    "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+# the options scipy.optimize.linprog(method="highs") sets on every solve:
+# presolve on, no output, the dual simplex
+_LINPROG_OPTS = {
+    "presolve": "on",
+    "highs_debug_level": highs.HighsDebugLevel.kHighsDebugLevelNone,
+    "log_to_console": False,
+    "output_flag": False,
+    "simplex_strategy": highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
 }
 
+
+def _highs_options(**opts) -> highs.HighsOptions:
+    """linprog's HiGHS options with ``opts`` laid over them.  HiGHS copies
+    the options it is passed, so one object serves every solve."""
+    out = highs.HighsOptions()
+    for key, val in {**_LINPROG_OPTS, **opts}.items():
+        setattr(out, key, val)
+    return out
+
+
+_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_HIGHS_OPTS = _highs_options(**_TIGHT)
+# with presolve, HiGHS can call a feasible transportation LP infeasible (three
+# prop1-sweep frames of the lp-large benchmark); fall back deterministically
+# to no presolve, then to HiGHS's own tolerances
+_LP_LADDER = (_HIGHS_OPTS, _highs_options(**_TIGHT, presolve="off"), _highs_options())
+# linprog's own check of a solution HiGHS calls optimal (scipy's _check_result
+# at its default tol 1e-9): bounds and rows may be off by sqrt(1e-9) * 10.
+# HiGHS works to 1e-7 at its loosest, so a larger defect is a wrong answer
+LP_CHECK_TOL = math.sqrt(1e-9) * 10
+
 # running totals of the exact solves made by this process: transportation LPs
-# (one per instance), the extra HiGHS attempts after presolve failed, and the
+# (one per instance), their variables (m * n each), the simplex iterations of
+# all their HiGHS attempts, the extra attempts after presolve failed, and the
 # uniform-mass instances solved as assignments
-SOLVER_COUNTS = {"lp": 0, "lp_presolve_retries": 0, "assignment": 0}
+SOLVER_COUNTS = {"lp": 0, "lp_vars": 0, "lp_nit": 0, "lp_presolve_retries": 0, "assignment": 0}
 
 
 @dataclass
@@ -128,6 +170,73 @@ def _uniform(masses: np.ndarray) -> bool:
     return bool(masses.size and np.ptp(masses) <= 1e-12 * masses.max())
 
 
+class LPResult(NamedTuple):
+    """What krlab reads of a HiGHS solve; ``x`` and ``row_dual`` are None
+    unless ``status`` is 0."""
+
+    x: np.ndarray | None
+    row_dual: np.ndarray | None
+    fun: float
+    nit: int
+    status: int
+    message: str
+
+
+def lp_feasible(x: np.ndarray, fun: float, row_value: np.ndarray, lhs: np.ndarray,
+                rhs: np.ndarray, lb: float, ub: float) -> bool:
+    """linprog's feasibility check of a solution: no NaN, and the bounds
+    ``lb <= x <= ub`` and rows ``lhs <= row_value <= rhs`` hold to within
+    ``LP_CHECK_TOL``.  A NaN propagates through min and max and fails its
+    comparison."""
+    tol = LP_CHECK_TOL
+    return bool(not math.isnan(fun) and x.min() >= lb - tol and x.max() <= ub + tol
+                and (rhs - row_value).min() >= -tol and (row_value - lhs).min() >= -tol)
+
+
+def linprog(c: np.ndarray, A: tuple, lhs: np.ndarray, rhs: np.ndarray, lb: float, ub: float,
+            options: highs.HighsOptions) -> LPResult:
+    """Minimize ``c @ x`` subject to ``lhs <= A @ x <= rhs`` and
+    ``lb <= x <= ub`` as ``scipy.optimize.linprog(method="highs")`` does,
+    bit for bit (see the module docstring, also for the name).  ``A`` is
+    (indptr, indices, data) in CSC form with sorted row indices, and
+    ``options`` comes from ``_highs_options``.  A solution that HiGHS calls
+    optimal must also pass ``lp_feasible``, or the status is 4.
+    """
+    numcol, numrow = len(c), len(rhs)
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = numcol
+    lp.num_row_ = lp.a_matrix_.num_row_ = numrow
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    # only col_cost_ reads a numpy array as a buffer; the other vectors take
+    # a list faster than an array, which they convert element by element
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (v.tolist() for v in A)
+    lp.col_cost_ = c
+    lp.col_lower_ = [lb] * numcol
+    lp.col_upper_ = [ub] * numcol
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    model_status = solver.getModelStatus()
+    info = solver.getInfo()
+    if model_status != highs.HighsModelStatus.kOptimal:
+        # linprog's codes: 2 infeasible, 4 any other failure (1 for a limit
+        # and 3 for unbounded cannot occur: no limit is set, every LP is bounded)
+        status = 2 if model_status == highs.HighsModelStatus.kInfeasible else 4
+        return LPResult(None, None, math.nan, info.simplex_iteration_count, status,
+                        f"HiGHS model status {solver.modelStatusToString(model_status)}")
+    sol = solver.getSolution()
+    x = np.array(sol.col_value)
+    fun = info.objective_function_value
+    if not lp_feasible(x, fun, np.array(sol.row_value), lhs, rhs, lb, ub):
+        return LPResult(None, None, fun, info.simplex_iteration_count, 4,
+                        f"HiGHS called a solution optimal that violates a bound or row "
+                        f"by more than {LP_CHECK_TOL:.2e}")
+    return LPResult(x, np.array(sol.row_dual), fun, info.simplex_iteration_count, 0, "optimal")
+
+
 def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Exact transportation LP; returns (entries, target duals v).
 
@@ -136,29 +245,28 @@ def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """
     m, n = C.shape
     mn = m * n
-    cols = np.arange(mn)
-    rows = np.concatenate([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)])
-    A = sparse.csr_matrix(
-        (np.ones(2 * mn), (rows, np.concatenate([cols, cols]))), shape=(m + n, mn)
-    )
+    # column i*n + j carries source i (row i) to target j (row m + j)
+    rows = np.empty((m, n, 2), dtype=np.int32)
+    rows[:, :, 0] = np.arange(m, dtype=np.int32)[:, None]
+    rows[:, :, 1] = np.arange(m, m + n, dtype=np.int32)
+    A = (np.arange(0, 2 * mn + 1, 2, dtype=np.int32), rows.ravel(), np.ones(2 * mn))
     scale = a.sum()
     rhs = np.concatenate([a, b]) / scale
-    # presolve misreads rows whose mass is below the feasibility tolerance as
-    # inconsistent; fall back deterministically before giving up
-    res = None
-    for retries, opts in enumerate((_HIGHS_OPTS, {**_HIGHS_OPTS, "presolve": False}, {})):
-        res = linprog(C.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None),
-                      method="highs", options=opts)
+    c = C.ravel()
+    for retries, opts in enumerate(_LP_LADDER):
+        res = linprog(c, A, rhs, rhs, 0.0, np.inf, opts)
+        SOLVER_COUNTS["lp_nit"] += res.nit
         if res.status == 0:
             break
     SOLVER_COUNTS["lp"] += 1
+    SOLVER_COUNTS["lp_vars"] += mn
     SOLVER_COUNTS["lp_presolve_retries"] += retries
     if res.status != 0:
         raise RuntimeError(f"transport LP failed: {res.message}")
     x = res.x * scale
     keep = np.nonzero(x > 1e-15 * max(a.max(), b.max()))[0]
     si, di = np.divmod(keep, n)
-    return (si, di, x[keep]), res.eqlin.marginals[m:]
+    return (si, di, x[keep]), res.row_dual[m:]
 
 
 def _prune_atoms(pos, masses, cells):
@@ -333,10 +441,9 @@ def w_neg11_norm(eta: SignedDensity) -> float:
     rows = np.concatenate(rows + [x + r for x in rows])
     cols = np.concatenate(cols * 2)
     vals = np.concatenate(vals + [-x for x in vals])
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * r, N))
-    ub = np.full(2 * r, g.h)
-    res = linprog(-v * g.cell_volume, A_ub=A, b_ub=ub, bounds=(-1.0, 1.0),
-                  method="highs", options=_HIGHS_OPTS)
+    A = sparse.csc_array((vals, (rows, cols)), shape=(2 * r, N))
+    res = linprog(-v * g.cell_volume, (A.indptr, A.indices, A.data), np.full(2 * r, -np.inf),
+                  np.full(2 * r, g.h), -1.0, 1.0, _HIGHS_OPTS)
     if res.status != 0:
         raise RuntimeError(f"W^-1,1 LP failed: {res.message}")
     return float(-res.fun)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from krlab import transport
 from krlab.cli import main
 from krlab.experiments import run_experiment
 
@@ -15,7 +16,15 @@ SHRUNK_PROP1 = {"n": 64, "n_frames": 5, "deltas": [0.1, 0.01], "chain_frames": [
                 "e1_control_n": 64}
 
 
-def test_prop1_sweep_cli_smoke(tmp_path):
+def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
+    shapes = []
+    solve_lp = transport._solve_transport_lp
+
+    def spy(a, b, C):
+        shapes.append(C.shape)
+        return solve_lp(a, b, C)
+
+    monkeypatch.setattr(transport, "_solve_transport_lp", spy)
     cfg = tmp_path / "prop1.yaml"
     cfg.write_text(yaml.safe_dump({"experiment": "prop1-sweep", "params": SHRUNK_PROP1}))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
@@ -36,10 +45,13 @@ def test_prop1_sweep_cli_smoke(tmp_path):
         assert all(f"`{col}`" in section for col in header), (table, header)
     # one LP per distinct nonzero (frame, delta): the rate-bound checks reuse
     # the plans that check_prop1 solved, so a second solve fails here
-    transport = json.loads((out / "record.json").read_text())["meta"]["transport"]
-    assert set(transport) == {"lp", "lp_presolve_retries", "assignment"}
-    assert transport["lp"] == 8
-    assert transport["assignment"] == 2  # the uniform-mass BV control, one per delta
+    counts = json.loads((out / "record.json").read_text())["meta"]["transport"]
+    assert set(counts) == {"lp", "lp_vars", "lp_nit", "lp_presolve_retries", "assignment"}
+    assert counts["lp"] == 8 == len(shapes)
+    assert counts["assignment"] == 2  # the uniform-mass BV control, one per delta
+    # LP sizes: m * n variables per plan, and the simplex iterations
+    assert counts["lp_vars"] == sum(m * n for m, n in shapes) > 0
+    assert counts["lp_nit"] > 0
 
 
 # every experiment shrunk to well under a second: the parameters of the
@@ -155,6 +167,23 @@ def test_experiment_that_is_not_a_name_is_refused(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment=["e1-example"])
     assert main(["run", cfg, "--out", str(tmp_path)]) == 2
     assert "unknown experiment ['e1-example']; valid names: e1-example," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("lemma4-suite", {"trials": 2.5}, "trials = 2.5: expected an integer"),
+    ("oscillatory-example", {"ks": [1, 4.0]}, "ks[1] = 4.0: expected an integer"),
+    ("lemma4-suite", {"delta_range": [0.3]},
+     "delta_range = [0.3]: expected two increasing numbers [low, high]"),
+    ("lemma4-suite", {"eps_range": [0.5, 0.05]},
+     "eps_range = [0.5, 0.05]: expected two increasing numbers [low, high]"),
+    ("e1-example", {"deltas": []}, "deltas = []: expected a non-empty list of numbers"),
+])
+def test_param_of_the_wrong_kind_or_length_is_refused(tmp_path, capsys, experiment, params,
+                                                      message):
+    cfg = write_config(tmp_path, experiment=experiment, params=params)
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
 
 
 def test_float_without_a_dot_is_refused_with_its_yaml_spelling(tmp_path, capsys):

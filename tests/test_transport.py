@@ -4,13 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.optimize._linprog_util import _check_result
 
+from krlab import transport
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
+from krlab.estimates import build_eta
+from krlab.experiments import PROP1_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix)
-from krlab.transport import (SOLVER_COUNTS, duality_gap, kr_distance,
-                             potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm)
+from krlab.transport import (SOLVER_COUNTS, _solve_transport_lp, cost_matrix, duality_gap,
+                             kr_distance, potential_gradient_on_support, solve_dual, solve_primal,
+                             w_neg11_norm)
+
+real_linprog = transport.linprog
 
 
 def step(n):
@@ -365,3 +372,154 @@ def test_w_neg11_2d(rng):
     # bounds the pairing achieved by any true Lipschitz test function
     d1 = kr_distance(eta, truncated_linear(1.0))
     assert w >= d1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS call against scipy.optimize.linprog(method="highs"): every
+# field krlab reads must agree bit for bit, so a scipy whose private HiGHS
+# bindings (scipy.optimize._highspy._core) change shape fails here
+
+TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# the retry ladder as linprog options: presolve, no presolve, HiGHS defaults
+LINPROG_LADDER = [{"presolve": True, **TIGHT}, {"presolve": False, **TIGHT}, {}]
+
+
+def capture_lps(monkeypatch):
+    """Record (args, result) of every transport.linprog call."""
+    calls = []
+
+    def spy(*args):
+        res = real_linprog(*args)
+        calls.append((args, res))
+        return res
+
+    monkeypatch.setattr(transport, "linprog", spy)
+    return calls
+
+
+def assert_same_solve(mine, ref, ref_row_dual):
+    assert mine.status == ref.status and mine.nit == ref.nit
+    if ref.status == 0:
+        assert mine.fun == ref.fun
+        assert np.array_equal(mine.x, ref.x)
+        assert np.array_equal(mine.row_dual, ref_row_dual)
+
+
+def transport_a_eq(m, n):
+    """The transportation constraint matrix, built as a COO -> CSR."""
+    cols = np.arange(m * n)
+    rows = np.concatenate([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)])
+    return sparse.csr_matrix((np.ones(2 * m * n), (rows, np.concatenate([cols, cols]))),
+                             shape=(m + n, m * n))
+
+
+@pytest.mark.parametrize("m, n", [(8, 8), (24, 40), (128, 128)])
+@pytest.mark.parametrize("spec", [bounded_log(0.2, 0.5), bounded_log(1e-2, 0.5),
+                                  bounded_log(1e-4, 0.5), truncated_linear(0.5),
+                                  truncated_linear(0.2)],
+                         ids=["log-0.2", "log-1e-2", "log-1e-4", "lin-0.5", "lin-0.2"])
+def test_transport_lp_is_linprog_bit_for_bit(monkeypatch, m, n, spec):
+    rng = np.random.default_rng(m * n)
+    a, b = rng.random(m), rng.random(n)
+    b *= a.sum() / b.sum()
+    C = cost_matrix(spec, rng.random((m, 1)), rng.random((n, 1)), 1.0)
+    calls = capture_lps(monkeypatch)
+    (si, dj, pm), v = _solve_transport_lp(a, b, C)
+    (c, A, lhs, rhs, lb, ub, _), _ = calls[0]
+    assert len(calls) == 1 and np.array_equal(c, C.ravel())
+    A_eq, b_eq = transport_a_eq(m, n), np.concatenate([a, b]) / a.sum()
+    refs = []
+    for opts, linprog_opts in zip(transport._LP_LADDER, LINPROG_LADDER):
+        refs.append(optimize.linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
+                                     method="highs", options=linprog_opts))
+        assert refs[-1].status == 0
+        assert_same_solve(real_linprog(c, A, lhs, rhs, lb, ub, opts), refs[-1],
+                          refs[-1].eqlin.marginals)
+    first = refs[0]
+    assert np.array_equal(v, first.eqlin.marginals[m:])
+    assert np.array_equal(pm, (first.x * a.sum())[si * n + dj])
+
+
+def test_prop1_frame_retries_without_presolve_like_linprog(monkeypatch):
+    # frame 2 of the lp-large benchmark instance: presolve on reads it as
+    # infeasible, the attempt without presolve solves it
+    p = {**PROP1_DEFAULTS, "n": 256, "n_frames": 9, "deltas": [0.1], "e1_control_n": 512,
+         "chain_frames": [2, 6]}
+    _, _, inst, traj1, traj2 = _twin_cusp_instance(p)
+    frame = build_eta(inst, traj1, traj2).frame(2)
+    calls = capture_lps(monkeypatch)
+    retries = SOLVER_COUNTS["lp_presolve_retries"]
+    plan, _ = solve_primal(frame, bounded_log(0.1, 0.5))
+    assert SOLVER_COUNTS["lp_presolve_retries"] == retries + 1
+    assert [res.status for _, res in calls] == [2, 0]
+    m, n = len(plan.src_mass), len(plan.dst_mass)
+    A_eq = transport_a_eq(m, n)
+    for ((c, _, _, rhs, _, _, _), mine), opts in zip(calls, LINPROG_LADDER):
+        ref = optimize.linprog(c, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs",
+                               options=opts)
+        assert_same_solve(mine, ref, ref.eqlin.marginals)
+    assert np.array_equal(plan.dst_dual, calls[-1][1].row_dual[m:])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 512), (2, 16)])
+def test_w_neg11_lp_is_linprog_bit_for_bit(monkeypatch, rng, dim, n):
+    eta = random_mean_zero(Grid(dim, n), rng)
+    calls = capture_lps(monkeypatch)
+    w = w_neg11_norm(eta)
+    [((c, A, lhs, rhs, lb, ub, _), mine)] = calls
+    assert np.all(lhs == -np.inf) and (lb, ub) == (-1.0, 1.0)
+    A_ub = sparse.csr_matrix(sparse.csc_array((A[2], A[1], A[0]), shape=(len(rhs), len(c))))
+    ref = optimize.linprog(c, A_ub=A_ub, b_ub=rhs, bounds=(-1.0, 1.0), method="highs",
+                           options=LINPROG_LADDER[0])
+    assert ref.status == 0
+    assert_same_solve(mine, ref, ref.ineqlin.marginals)
+    assert w == -ref.fun
+
+
+def test_infeasible_lp_reports_highs_status(monkeypatch):
+    m, n = 6, 9
+    a, b = np.ones(m), np.full(n, 2.0)  # total masses 6 and 18
+    C = cost_matrix(truncated_linear(0.2), np.linspace(0, 1, m)[:, None],
+                    np.linspace(0, 1, n)[:, None], 1.0)
+    calls = capture_lps(monkeypatch)
+    with pytest.raises(RuntimeError, match="transport LP failed: HiGHS model status Infeasible"):
+        _solve_transport_lp(a, b, C)
+    assert len(calls) == 3
+    A_eq = transport_a_eq(m, n)
+    for ((c, _, _, rhs, _, _, _), mine), opts in zip(calls, LINPROG_LADDER):
+        ref = optimize.linprog(c, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs",
+                               options=opts)
+        assert ref.status == mine.status == 2
+        assert_same_solve(mine, ref, None)
+        assert mine.x is None and mine.row_dual is None
+
+
+def test_feasibility_check_is_linprogs():
+    # a solved 3x3 transportation LP, then its row values pushed off
+    m = n = 3
+    A_eq = transport_a_eq(m, n)
+    rhs = np.full(m + n, 1.0 / 3)
+    res = optimize.linprog(np.arange(9.0), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
+    row = A_eq @ res.x
+    tol = transport.LP_CHECK_TOL
+    assert tol == np.sqrt(1e-9) * 10
+
+    def linprog_accepts(x, fun, row_value):
+        con = rhs - row_value
+        status, _ = _check_result(x, fun, 0, np.zeros(0), con, np.array([[0, np.inf]] * 9),
+                                  1e-9, "", None)
+        return status == 0
+
+    for x, fun, row_value in [
+        (res.x, res.fun, row),
+        (res.x, res.fun, row + 0.9 * tol),
+        (res.x, res.fun, row - 2 * tol),
+        (res.x, res.fun, np.where(np.arange(m + n) == 4, row[4] + 2 * tol, row)),
+        (np.where(np.arange(9) == 2, -2 * tol, res.x), res.fun, row),
+        (np.where(np.arange(9) == 2, np.nan, res.x), res.fun, row),
+        (res.x, np.nan, row),
+    ]:
+        mine = transport.lp_feasible(x, fun, row_value, rhs, rhs, 0.0, np.inf)
+        assert mine == linprog_accepts(x, fun, row_value)
+    assert transport.lp_feasible(res.x, res.fun, row, rhs, rhs, 0.0, np.inf)
+    assert not transport.lp_feasible(res.x, res.fun, row + 2 * tol, rhs, rhs, 0.0, np.inf)
