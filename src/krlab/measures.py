@@ -64,12 +64,18 @@ def periodic_wrap(d, length: float) -> np.ndarray:
     return d - length * np.round(d / length)
 
 
+def periodic_norm(d: np.ndarray, length: float) -> np.ndarray:
+    """Periodic lengths of displacements of shape (..., d): the lengths of
+    their shortest representatives on the torus."""
+    d = periodic_wrap(d, length)
+    if d.shape[-1] == 1:
+        return np.abs(d[..., 0])
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def periodic_distance_matrix(pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
     """Pairwise periodic distances between point sets of shape (m, d), (k, d)."""
-    d = periodic_wrap(pos_a[:, None, :] - pos_b[None, :, :], length)
-    if pos_a.shape[1] == 1:
-        return np.abs(d[:, :, 0])
-    return np.sqrt((d * d).sum(axis=-1))
+    return periodic_norm(pos_a[:, None, :] - pos_b[None, :, :], length)
 
 
 @dataclass

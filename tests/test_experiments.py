@@ -46,9 +46,12 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     # one LP per distinct nonzero (frame, delta): the rate-bound checks reuse
     # the plans that check_prop1 solved, so a second solve fails here
     counts = json.loads((out / "record.json").read_text())["meta"]["transport"]
-    assert set(counts) == {"lp", "lp_vars", "lp_nit", "lp_presolve_retries", "assignment"}
+    assert set(counts) == {"lp", "lp_vars", "lp_nit", "lp_presolve_retries", "assignment",
+                           "assignment_vars"}
     assert counts["lp"] == 8 == len(shapes)
     assert counts["assignment"] == 2  # the uniform-mass BV control, one per delta
+    # the control is the step on 64 cells: 32 levels of one atom pair each
+    assert counts["assignment_vars"] == 2 * 32
     # LP sizes: m * n variables per plan, and the simplex iterations
     assert counts["lp_vars"] == sum(m * n for m, n in shapes) > 0
     assert counts["lp_nit"] > 0
@@ -94,6 +97,17 @@ def test_every_experiment_passes_shrunk(name):
     rec = run_experiment(name, SMOKE[name])
     assert [v.name for v in rec.verdicts] == VERDICTS[name]
     assert rec.ok, rec.verdict_text()
+
+
+def test_e1_example_at_its_defaults():
+    # the paper's BV step at n = 4096: four 2048-atom assignments, each split
+    # into 2048 levels of one atom pair
+    rec = run_experiment("e1-example")
+    assert [v.name for v in rec.verdicts] == [
+        "e1-closed-form-delta=0.1", "e1-closed-form-delta=0.01", "bv-log-growth-slope",
+        "bv-log-growth-r2", "rate-chain-slack"]
+    assert rec.ok, rec.verdict_text()
+    assert rec.meta["transport"]["assignment_vars"] == 4 * 2048
 
 
 # ---------------------------------------------------------------------------

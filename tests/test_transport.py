@@ -13,8 +13,9 @@ from krlab.estimates import build_eta
 from krlab.experiments import PROP1_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix)
-from krlab.transport import (SOLVER_COUNTS, _solve_transport_lp, cost_matrix, duality_gap,
-                             kr_distance, potential_gradient_on_support, solve_dual, solve_primal,
+from krlab.transport import (SOLVER_COUNTS, _prepare_instance, _solve_transport_lp,
+                             check_plan, cost_matrix, duality_gap, kr_distance,
+                             potential_gradient_on_support, solve_dual, solve_primal,
                              w_neg11_norm)
 
 real_linprog = transport.linprog
@@ -101,11 +102,14 @@ def test_assignment_potential_solves_no_lp():
     assert plan.dst_dual is None
     assert SOLVER_COUNTS["assignment"] == counts["assignment"] + 1
     pot, dual = solve_dual(eta, spec, plan)
-    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 1}
+    # 8 levels of one atom pair each
+    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 1,
+                             "assignment_vars": counts["assignment_vars"] + 8}
     assert dual == pytest.approx(primal, rel=1e-10)
     # without a plan, solve_primal's one assignment is the only solve
     alone, _ = solve_dual(eta, spec)
-    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 2}
+    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 2,
+                             "assignment_vars": counts["assignment_vars"] + 16}
     assert np.array_equal(alone.values, pot.values)
 
 
@@ -263,6 +267,24 @@ def test_unbalanced_rejected(rng):
         w_neg11_norm(eta)
 
 
+@pytest.mark.parametrize("bad, solve", [
+    (np.nan, lambda eta: kr_distance(eta, bounded_log(0.1, 0.5))),
+    (np.inf, lambda eta: kr_distance(eta, bounded_log(0.1, 0.5))),
+    (np.nan, w_neg11_norm),
+    (np.inf, w_neg11_norm),
+    (-np.inf, lambda eta: check_plan(solve_primal(step(16), bounded_log(0.1, 0.5))[0], eta,
+                                     bounded_log(0.1, 0.5))),
+], ids=["kr-nan", "kr-inf", "wneg11-nan", "wneg11-inf", "check-plan-neg-inf"])
+def test_non_finite_density_is_rejected(bad, solve):
+    # unchecked, a NaN cell drops out of the Jordan parts (kr_distance 0.496
+    # on a rebalanced 7-against-8 step), an inf cell reads 0.0, and the
+    # W^{-1,1} LP fails its feasibility check
+    v = step(16).values.copy()
+    v[[3, 11]] = bad
+    with pytest.raises(ValueError, match="NaN or inf in 2 of 16 cells"):
+        solve(SignedDensity(Grid(1, 16), v))
+
+
 def test_suboptimal_plan_has_positive_gap(rng):
     g = Grid(1, 64)
     eta = random_mean_zero(g, rng)
@@ -372,6 +394,108 @@ def test_w_neg11_2d(rng):
     # bounds the pairing achieved by any true Lipschitz test function
     d1 = kr_distance(eta, truncated_linear(1.0))
     assert w >= d1 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# uniform-mass assignments, solved level by level, against one dense
+# scipy.optimize.linear_sum_assignment over all atoms
+
+def dense_assignment(eta, spec):
+    """The dense oracle: each source's target and the value, summed in
+    source order as solve_primal sums it."""
+    pos_p, mass_p, _, pos_n, _, _ = _prepare_instance(eta)
+    C = cost_matrix(spec, pos_p, pos_n, eta.grid.length)
+    rows, cols = optimize.linear_sum_assignment(C)
+    return cols, float((C[rows, cols] * np.full(len(rows), mass_p.mean())).sum())
+
+
+def circle_signs(rng, n, pattern):
+    """Signs of a uniform-mass instance on n cells: equally many +1 and -1
+    cells, the rest empty."""
+    if pattern == "alternating":  # one level holds every atom: the worst case
+        return np.tile([1.0, -1.0], n // 2)
+    k = int(rng.integers(1, n // 2 + 1))
+    cells = np.sort(rng.choice(n, size=2 * k, replace=False))
+    if pattern == "scattered":
+        seq = rng.permutation(np.repeat([1.0, -1.0], k))
+    else:  # clustered: runs of each sign, r runs of each
+        r = int(rng.integers(1, min(k, 4) + 1))
+        cut_p = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, k), r - 1, replace=False)), k])
+        cut_n = np.diff(np.r_[0, np.sort(rng.choice(np.arange(1, k), r - 1, replace=False)), k])
+        seq = np.concatenate([np.repeat([1.0, -1.0], [a, b]) for a, b in zip(cut_p, cut_n)])
+    v = np.zeros(n)
+    v[np.roll(cells, int(rng.integers(2 * k)))] = seq
+    return v
+
+
+def random_circle_spec(rng, length):
+    if rng.random() < 0.5:
+        return bounded_log(10.0 ** rng.uniform(-4, 0), length * rng.uniform(0.05, 1.0))
+    return truncated_linear(length * rng.uniform(0.02, 1.0))
+
+
+SIGN_PATTERNS = ("scattered", "clustered", "alternating")
+
+
+@pytest.mark.parametrize("pattern", SIGN_PATTERNS)
+@pytest.mark.parametrize("length", [1.0, 2 * math.pi])
+def test_level_assignment_matches_dense_assignment(pattern, length):
+    rng = np.random.default_rng([7, SIGN_PATTERNS.index(pattern), int(length)])
+    for trial in range(24):
+        g = Grid(1, int(rng.choice([8, 32, 128])), length)
+        eta = SignedDensity(g, circle_signs(rng, g.n, pattern) / g.h)
+        spec = random_circle_spec(rng, length)
+        plan, value = solve_primal(eta, spec)
+        _, oracle = dense_assignment(eta, spec)
+        assert abs(value - oracle) <= 1e-12 * oracle, (trial, spec)
+        assert plan.dst_dual is None and plan.marginal_deviation() == 0.0
+        if trial % 4 == 0:  # a sample of level plans is certified by its duals
+            pot, _ = solve_dual(eta, spec, plan)
+            assert duality_gap(plan, pot) <= 1e-8 * value, (trial, spec)
+
+
+@pytest.mark.parametrize("n", [2048, 4096])
+def test_level_assignment_of_the_step_is_the_dense_one(n):
+    # e1-example's instance at the bv-step deltas: the same permutation and
+    # the same value, bit for bit
+    eta = step(n)
+    for delta in (1e-1, 1e-2, 1e-3, 1e-4):
+        spec = bounded_log(delta, 0.5)
+        plan, value = solve_primal(eta, spec)
+        cols, oracle = dense_assignment(eta, spec)
+        assert np.array_equal(plan.src_idx, np.arange(n // 2))
+        assert np.array_equal(plan.dst_idx, cols)
+        assert value == oracle
+
+
+@pytest.mark.parametrize("pattern, blocks", [("step", [1] * 32), ("alternating", [32])])
+def test_every_level_is_one_linear_sum_assignment(monkeypatch, pattern, blocks):
+    sizes = []
+
+    def spy(C):
+        sizes.append(C.shape)
+        return optimize.linear_sum_assignment(C)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    eta = step(64) if pattern == "step" else SignedDensity(Grid(1, 64), np.tile([1.0, -1.0], 32))
+    vars_before = SOLVER_COUNTS["assignment_vars"]
+    solve_primal(eta, bounded_log(0.01, 0.5))
+    assert sizes == [(k, k) for k in blocks]
+    assert SOLVER_COUNTS["assignment_vars"] == vars_before + sum(k * k for k in blocks)
+
+
+def test_level_assignment_in_2d_is_the_dense_one(rng):
+    g = Grid(2, 8)
+    v = np.zeros(64)
+    cells = rng.choice(64, size=40, replace=False)
+    v[cells[:20]], v[cells[20:]] = 1.0, -1.0
+    eta = SignedDensity(g, v.reshape(8, 8))
+    spec = bounded_log(0.05, 0.5)
+    vars_before = SOLVER_COUNTS["assignment_vars"]
+    plan, value = solve_primal(eta, spec)
+    cols, oracle = dense_assignment(eta, spec)
+    assert SOLVER_COUNTS["assignment_vars"] == vars_before + 20 * 20
+    assert np.array_equal(plan.dst_idx, cols) and value == oracle
 
 
 # ---------------------------------------------------------------------------
