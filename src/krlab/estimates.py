@@ -56,13 +56,13 @@ class StabilityInstance:
             raise ValueError(f"exponents must satisfy 1/p + 1/q = 1, got p={self.p} q={self.q}")
 
     def perturbation_size(self, grid: Grid) -> float:
-        """r = ||u1-u2||_{L^1(L^p)} + ||f1-f2||_{L^1(L^q)} + ||rho0_1-rho0_2||_q."""
+        """r = ||u1-u2||_{L^1(L^p)} + ||f1-f2||_{L^1(L^q)} + ||rho0_1-rho0_2||_q
+        on a 1-d grid."""
         T = self.data1.horizon
-        centers = grid.centers()
+        centers = grid.axis_centers()
         du = np.asarray(self.data1.velocity(0.0, centers)) - \
             np.asarray(self.data2.velocity(0.0, centers))
-        du_mag = np.abs(du) if du.ndim == 1 else np.sqrt((du * du).sum(axis=-1))
-        u_term = T * lq_norm(SignedDensity(grid, du_mag.reshape(grid.shape)), self.p)
+        u_term = T * lq_norm(SignedDensity(grid, np.abs(du)), self.p)
         f1 = self.data1.source_at(0.0, grid)
         f2 = self.data2.source_at(0.0, grid)
         if f1 is None and f2 is None:
@@ -141,7 +141,7 @@ def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
 
 def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
              traj2: SolutionTrajectory, k: int) -> np.ndarray:
-    """The flux j with d_t eta + div j = 0, on the grid:
+    """The flux j with d_t eta + div j = 0, on the cells of a 1-d grid:
     j = u1*eta + (u1-u2)*rho2 + u1*(mean(drho0) + int_0^t (f1-f2)).
 
     It follows from d_t rho_i + div(u_i rho_i) = f_i: the constant
@@ -150,18 +150,12 @@ def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
     """
     grid = eta.grid
     t = float(eta.times[k])
-    centers = grid.centers()
-    if grid.dim == 1:
-        u1 = np.asarray(instance.data1.velocity(t, centers[:, 0])).reshape(grid.shape)[..., None]
-        u2 = np.asarray(instance.data2.velocity(t, centers[:, 0])).reshape(grid.shape)[..., None]
-    else:
-        u1 = np.asarray(instance.data1.velocity(t, centers)).reshape(grid.shape + (2,))
-        u2 = np.asarray(instance.data2.velocity(t, centers)).reshape(grid.shape + (2,))
+    centers = grid.axis_centers()
+    u1 = np.asarray(instance.data1.velocity(t, centers))
+    u2 = np.asarray(instance.data2.velocity(t, centers))
     drho0_mean = float((instance.data1.initial.values - instance.data2.initial.values).mean())
-    offset = np.asarray(drho0_mean + _source_integral(instance, grid, t))
-    rho2 = traj2.frames[k]
-    return u1 * eta.frames[k][..., None] + (u1 - u2) * rho2[..., None] \
-        + u1 * offset[..., None]
+    offset = drho0_mean + _source_integral(instance, grid, t)
+    return u1 * eta.frames[k] + (u1 - u2) * traj2.frames[k] + u1 * offset
 
 
 def frame_plans(eta: EtaTrajectory, delta: float,
@@ -236,17 +230,14 @@ def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
         j = eta_flux(instance, eta, traj2, k)
         g = potential_gradient_on_support(plans[k], spec)
         # deposit the support gradient at both endpoint cells, mass-averaged
-        flat_j = j.reshape(-1, eta.grid.dim)
-        acc = np.zeros((eta.grid.ncells, eta.grid.dim))
+        acc = np.zeros(eta.grid.ncells)
         wts = np.zeros(eta.grid.ncells)
-        np.add.at(acc, g.src_cells, g.grad * g.mass[:, None])
-        np.add.at(acc, g.dst_cells, g.grad * g.mass[:, None])
+        np.add.at(acc, g.src_cells, g.grad * g.mass)
+        np.add.at(acc, g.dst_cells, g.grad * g.mass)
         np.add.at(wts, g.src_cells, g.mass)
         np.add.at(wts, g.dst_cells, g.mass)
         covered = wts > 0
-        ghat = np.zeros_like(acc)
-        ghat[covered] = acc[covered] / wts[covered, None]
-        rhs.append(float((flat_j[covered] * ghat[covered]).sum() * hv))
+        rhs.append(float((j[covered] * (acc[covered] / wts[covered])).sum() * hv))
     times = np.asarray(times)
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
@@ -290,17 +281,9 @@ def check_rate_bounds(eta_frame: SignedDensity, u: VelocityField, delta: float,
     if plan.n_entries == 0:
         return RateBoundsReport(delta, 0.0, 0.0, 0.0, 0.0, None, None, None)
     g = potential_gradient_on_support(plan, spec)
-    xs = plan.src_pos[g.src_idx]
-    ys = plan.dst_pos[g.dst_idx]
-    ux = np.asarray(u(0.0, xs[:, 0] if u.dim == 1 else xs))
-    uy = np.asarray(u(0.0, ys[:, 0] if u.dim == 1 else ys))
-    du = ux - uy
-    if u.dim == 1:
-        pairing = float((g.mass * du * g.grad[:, 0]).sum())
-        du_mag = np.abs(du)
-    else:
-        pairing = float((g.mass * (du * g.grad).sum(axis=1)).sum())
-        du_mag = np.sqrt((du * du).sum(axis=1))
+    du = np.asarray(u(0.0, plan.src_pos[g.src_idx])) - np.asarray(u(0.0, plan.dst_pos[g.dst_idx]))
+    pairing = float((g.mass * du * g.grad).sum())
+    du_mag = np.abs(du)
     quotient = float((g.mass * du_mag / (delta + g.dist)).sum())
     over_d = float((g.mass * du_mag / g.dist).sum())
     lhs = abs(pairing)

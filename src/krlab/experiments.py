@@ -36,6 +36,17 @@ TWO_PI = 2.0 * math.pi
 GRID_SIZE_KEYS = ("n", "n_grid", "apriori_n", "e1_control_n", "control_n", "triple_n",
                   "sandwich_n")
 GRID_SIZE_LIST_KEYS = ("sizes", "translation_ns", "agreement_ns")
+# the range of each of these parameters, or of every entry of its list, as
+# (test, text).  Out of range, a count or a horizon of 0 can pass verdicts on
+# no data, and the other values end in a traceback, some after all the work
+PARAM_RANGES = {
+    "seed": (lambda x: x >= 0, ">= 0"),
+    **dict.fromkeys(("n_instances", "n_triples", "n_sandwich", "trials", "ks", "apriori_k"),
+                    (lambda x: x >= 1, ">= 1")),
+    **dict.fromkeys(("deltas", "radius", "horizon", "horizon_2d"), (lambda x: x > 0, "> 0")),
+    **dict.fromkeys(("cfl", "rs"), (lambda x: 0 < x < 1, "in (0, 1)")),
+    "n_frames": (lambda x: 2 <= x <= 65, "in [2, 65]"),
+}
 
 
 def check_grid_size(label: str, n) -> None:
@@ -81,7 +92,8 @@ def merge_params(name: str, params: dict | None) -> dict:
     valid keys for an unknown parameter, the key of a value that is not of
     its default's kind (an integer where the default is one, else a number,
     or a non-empty list of them; a ``*_range`` holds two increasing
-    numbers), and the nearest powers of two for a grid size that is not one.
+    numbers), the key and range of a value outside ``PARAM_RANGES``, and the
+    nearest powers of two for a grid size that is not one.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid names: "
@@ -103,6 +115,11 @@ def merge_params(name: str, params: dict | None) -> dict:
         if key.endswith("_range") and not (len(value) == 2 and value[0] < value[1]):
             raise ValueError(f"{key} = {value!r}: expected two increasing numbers [low, high]")
     merged = {**defaults, **(params or {})}
+    for key, (in_range, text) in PARAM_RANGES.items():
+        value = merged.get(key, [])
+        if not all(map(in_range, value if isinstance(value, list) else [value])):
+            every = "every entry " if isinstance(value, list) else ""
+            raise ValueError(f"{key} = {value!r}: {every}must be {text}")
     for key in GRID_SIZE_KEYS:
         if key in merged:
             check_grid_size(f"{key} = {merged[key]!r}", merged[key])
@@ -114,16 +131,13 @@ def merge_params(name: str, params: dict | None) -> dict:
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
+    """A standard normal value per cell of a 1-d grid, projected to mean zero;
+    ``smooth`` keeps only the four lowest Fourier modes of the sample."""
     vals = rng.standard_normal(grid.shape)
     if smooth:
-        spec = np.fft.rfftn(vals)
-        keep = 4
-        if grid.dim == 1:
-            spec[keep:] = 0.0
-        else:
-            spec[keep:-keep or None, :] = 0.0
-            spec[:, keep:] = 0.0
-        vals = np.fft.irfftn(spec, s=grid.shape, axes=tuple(range(grid.dim)))
+        spec = np.fft.rfft(vals)
+        spec[4:] = 0.0
+        vals = np.fft.irfft(spec, grid.n)
     return mean_zero_projection(SignedDensity(grid, vals))
 
 

@@ -13,11 +13,12 @@ Field families:
   p*(1 - alpha) < 1.
 * ``SmoothShear2D`` -- a C-infty divergence-free planar shear with an exact
   flow.
-* ``ConstantField`` -- uniform translation.
+* ``ConstantField`` -- uniform translation of the unit circle.
 
-All fields are autonomous; they take positions of shape (..., dim) and
-return velocities of the same shape.  Flows act on unwrapped (real-line)
-coordinates and commute with period shifts.
+All fields are autonomous.  The 1-d fields take an array of positions on
+their circle and return velocities of the same shape; ``SmoothShear2D`` takes
+positions of shape (..., 2).  Flows act on unwrapped (real-line) coordinates
+and commute with period shifts.
 
 Point forms.  ``scipy.integrate.quad`` calls its integrand once per node with
 one Python float, and wrapping that float in an array to run 15-40 small
@@ -200,8 +201,7 @@ class OscillatoryField(VelocityField):
         return np.sin(self.k * np.asarray(pos, dtype=float)) / self.k
 
     def divergence(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.cos(self.k * (p[..., 0] if p.ndim > 1 else p))
+        return np.cos(self.k * np.asarray(pos, dtype=float))
 
     def grad_norm_lp(self, p):
         if p == math.inf:
@@ -209,20 +209,14 @@ class OscillatoryField(VelocityField):
         return (TWO_PI * _abs_cos_lp_factor(p)) ** (1.0 / p)
 
     def grad_magnitude(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.abs(np.cos(self.k * (p[..., 0] if p.ndim > 1 else p)))
+        return np.abs(np.cos(self.k * np.asarray(pos, dtype=float)))
 
     def exact_flow(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        x = p[..., 0] if p.ndim > 1 else p
-        y, _ = _flow_unit_circle(t, self.k * x)
-        out = y / self.k
-        return out[..., None] if p.ndim > 1 else out
+        y, _ = _flow_unit_circle(t, self.k * np.asarray(pos, dtype=float))
+        return y / self.k
 
     def exact_flow_jacobian(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        x = p[..., 0] if p.ndim > 1 else p
-        _, jac = _flow_unit_circle(t, self.k * x)
+        _, jac = _flow_unit_circle(t, self.k * np.asarray(pos, dtype=float))
         return jac
 
     def jacobian_at(self, t: float, x: float) -> float:
@@ -288,12 +282,10 @@ class PowerCuspField(VelocityField):
         return self.amp * (core * w + float(np.power(a, self.alpha)) * wp)
 
     def divergence(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return self.derivative(p[..., 0] if p.ndim > 1 else p)
+        return self.derivative(pos)
 
     def grad_magnitude(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.abs(self.derivative(p[..., 0] if p.ndim > 1 else p))
+        return np.abs(self.derivative(pos))
 
     def singular_points(self):
         return [self.x0]
@@ -351,38 +343,32 @@ class SmoothShear2D(VelocityField):
 
 
 class ConstantField(VelocityField):
-    def __init__(self, velocity, dim: int = 1, length: float = 1.0):
-        self.dim = dim
-        self.length = length
+    """u = c on the unit circle, given as ``[c]``."""
+
+    def __init__(self, velocity):
         self.velocity = np.atleast_1d(np.asarray(velocity, dtype=float))
-        self.name = f"constant:{','.join(f'{v:g}' for v in self.velocity)}"
+        if self.velocity.shape != (1,):
+            raise ValueError(f"a constant field on the circle has one speed, e.g. [1.0]; "
+                             f"got {velocity!r}")
+        self.name = f"constant:{self.velocity[0]:g}"
 
     def __call__(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        if self.dim == 1 and p.ndim >= 1 and (p.ndim == 0 or p.shape[-1] != 1):
-            return np.full_like(p, self.velocity[0])
-        return np.broadcast_to(self.velocity, p.shape).copy()
+        return np.full_like(np.asarray(pos, dtype=float), self.velocity[0])
 
     def divergence(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.zeros(p.shape[:-1] if p.ndim > 1 else p.shape)
+        return np.zeros_like(np.asarray(pos, dtype=float))
 
     def grad_norm_lp(self, p):
         return 0.0
 
     def grad_magnitude(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.zeros(p.shape[:-1] if p.ndim > 1 else p.shape)
+        return np.zeros_like(np.asarray(pos, dtype=float))
 
     def exact_flow(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        if self.dim == 1 and (p.ndim == 0 or p.shape[-1] != 1):
-            return p + t * self.velocity[0]
-        return p + t * self.velocity
+        return np.asarray(pos, dtype=float) + t * self.velocity[0]
 
     def exact_flow_jacobian(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.ones(p.shape[:-1] if p.ndim > 1 else p.shape)
+        return np.ones_like(np.asarray(pos, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ The computational domain is the flat torus [0, L)^d with d in {1, 2}.  A
 as a measure it is the sum of atoms of weight ``value * h^d`` at the cell
 centers.  The length L defaults to 1; the oscillatory velocity family lives
 on its native 2*pi-periodic circle, which is why L is kept general.
+
+The PDE solvers run on both dimensions; transport runs on the circle (d = 1),
+where a position is one float and a point set is a flat array.
 """
 
 from __future__ import annotations
@@ -49,14 +52,6 @@ class Grid:
     def axis_centers(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.h
 
-    def centers(self) -> np.ndarray:
-        """Cell centers as an (ncells, dim) array in C order."""
-        c = self.axis_centers()
-        if self.dim == 1:
-            return c[:, None]
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=1)
-
 
 def periodic_wrap(d, length: float) -> np.ndarray:
     """Displacements d wrapped to [-length/2, length/2] per axis: the
@@ -64,18 +59,9 @@ def periodic_wrap(d, length: float) -> np.ndarray:
     return d - length * np.round(d / length)
 
 
-def periodic_norm(d: np.ndarray, length: float) -> np.ndarray:
-    """Periodic lengths of displacements of shape (..., d): the lengths of
-    their shortest representatives on the torus."""
-    d = periodic_wrap(d, length)
-    if d.shape[-1] == 1:
-        return np.abs(d[..., 0])
-    return np.sqrt((d * d).sum(axis=-1))
-
-
 def periodic_distance_matrix(pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
-    """Pairwise periodic distances between point sets of shape (m, d), (k, d)."""
-    return periodic_norm(pos_a[:, None, :] - pos_b[None, :, :], length)
+    """Pairwise arc lengths between points on the circle, of shape (m,), (k,)."""
+    return np.abs(periodic_wrap(pos_a[:, None] - pos_b[None, :], length))
 
 
 @dataclass

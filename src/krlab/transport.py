@@ -1,8 +1,11 @@
-"""Exact discrete optimal transport for concave metric costs.
+"""Exact discrete optimal transport for concave metric costs on the circle.
 
-A mean-zero signed density is split into its Jordan parts, the parts become
-atoms at the cell centers, and the transport problem between them is solved
-as an exact linear program.  Two backends, both certified by LP optimality:
+Transport is implemented on 1-d grids, the circle [0, L), only: every entry
+point raises a ValueError on a 2-d density.  A mean-zero signed density is
+split into its Jordan parts, the parts become atoms at the cell centers (one
+float each, held in flat arrays), and the transport problem between them is
+solved as an exact linear program.  Two backends, both certified by LP
+optimality:
 
 * balanced instances whose atoms all carry the same mass reduce to an
   assignment problem (Birkhoff: the extreme plans are permutations), solved
@@ -24,8 +27,6 @@ target), a source at cell k has level H[k] and a target level H[k] - 1; a
 balanced arc joins only atoms of one level, every level holds equally many
 sources and targets, and the levels are independent assignment problems.  The
 step density of e1-example at n = 4096 has 2048 levels of one atom pair each.
-In 2-d there is no such order, and the partition is one block: the dense
-assignment.
 
 The potential is built from the plan and never from a second solve.  An LP
 plan keeps the target duals of the LP that produced it; an assignment plan
@@ -60,13 +61,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as highs
 
 from .cost import CostSpec, cost_derivative, cost_eval
 from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
-                       periodic_distance_matrix, periodic_norm, periodic_wrap)
+                       periodic_distance_matrix, periodic_wrap)
 
 MASS_TOL = 1e-10
 # the assignment duals stop once no dual drops by more than this fraction of
@@ -119,7 +119,7 @@ class TransportPlan:
 
     grid: Grid
     cost: CostSpec
-    src_pos: np.ndarray = field(repr=False)  # (m, d) atom positions
+    src_pos: np.ndarray = field(repr=False)  # (m,) atom positions on the circle
     src_mass: np.ndarray = field(repr=False)
     dst_pos: np.ndarray = field(repr=False)
     dst_mass: np.ndarray = field(repr=False)
@@ -136,13 +136,12 @@ class TransportPlan:
         return len(self.plan_mass)
 
     def displacements(self) -> np.ndarray:
-        """Periodic displacement x - y of every plan entry, shape (k, d)."""
+        """Periodic displacement x - y of every plan entry, shape (k,)."""
         return periodic_wrap(self.src_pos[self.src_idx] - self.dst_pos[self.dst_idx],
                              self.grid.length)
 
     def entry_distances(self) -> np.ndarray:
-        d = self.displacements()
-        return np.sqrt((d * d).sum(axis=1))
+        return np.abs(self.displacements())
 
     def marginal_deviation(self) -> float:
         """Worst relative defect of row/column sums against the marginals."""
@@ -166,22 +165,13 @@ class Potential:
 
 def _atoms(part: SignedDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero cells of a nonnegative density as (positions, masses, cells)."""
-    flat = part.values.ravel()
-    cells = np.nonzero(flat > 0.0)[0]
-    pos = part.grid.centers()[cells]
-    return pos, flat[cells] * part.grid.cell_volume, cells
+    cells = np.nonzero(part.values > 0.0)[0]
+    return part.grid.axis_centers()[cells], part.values[cells] * part.grid.cell_volume, cells
 
 
-def cost_matrix(spec: CostSpec, pos_a: np.ndarray, pos_b: np.ndarray, length: float,
-                block_rows: int = 4096) -> np.ndarray:
-    """Dense cost matrix c(dist(x_i, y_j)), generated in row blocks."""
-    m = len(pos_a)
-    out = np.empty((m, len(pos_b)))
-    for lo in range(0, m, block_rows):
-        hi = min(lo + block_rows, m)
-        d = periodic_distance_matrix(pos_a[lo:hi], pos_b, length)
-        out[lo:hi] = cost_eval(spec, d)
-    return out
+def cost_matrix(spec: CostSpec, pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
+    """Dense cost matrix c(dist(x_i, y_j))."""
+    return cost_eval(spec, periodic_distance_matrix(pos_a, pos_b, length))
 
 
 def _uniform(masses: np.ndarray) -> bool:
@@ -297,7 +287,11 @@ def _prune_atoms(pos, masses, cells):
     return pos[keep], masses[keep], cells[keep]
 
 
-def _require_mean_zero(eta: SignedDensity) -> None:
+def _require_valid(eta: SignedDensity) -> None:
+    """Raise ValueError unless eta is a finite mean-zero density on a 1-d grid."""
+    if eta.grid.dim != 1:
+        raise ValueError(f"transport is implemented on 1-d grids only, got a "
+                         f"{eta.grid.dim}-d grid")
     bad = eta.values.size - np.count_nonzero(np.isfinite(eta.values))
     if bad:
         raise ValueError(f"density has NaN or inf in {bad} of {eta.values.size} cells; "
@@ -311,7 +305,7 @@ def _require_mean_zero(eta: SignedDensity) -> None:
 
 
 def _prepare_instance(eta: SignedDensity):
-    _require_mean_zero(eta)
+    _require_valid(eta)
     pos_part, neg_part = jordan_decompose(eta)
     pos_p, mass_p, cells_p = _prune_atoms(*_atoms(pos_part))
     pos_n, mass_n, cells_n = _prune_atoms(*_atoms(neg_part))
@@ -324,21 +318,18 @@ def _prepare_instance(eta: SignedDensity):
 def _level_assignment(cost: CostSpec, grid: Grid, pos_p: np.ndarray, cells_p: np.ndarray,
                       pos_n: np.ndarray, cells_n: np.ndarray):
     """Optimal assignment between equally many sources and targets of equal
-    mass that pairs only atoms of the same level (module docstring); in 2-d
-    every atom has level 0.
+    mass that pairs only atoms of the same level (module docstring).
 
     Returns the target of each source, the cost of each source's pair and
     the number of block entries, the sum of k * k over the levels.  The
     costs of all blocks are evaluated in one pass, and every block, 1 x 1
     ones too, is solved by ``linear_sum_assignment``.
     """
-    lvl_p, lvl_n = np.zeros(len(cells_p), dtype=np.intp), np.zeros(len(cells_n), dtype=np.intp)
-    if grid.dim == 1:
-        sign = np.zeros(grid.ncells, dtype=np.intp)
-        sign[cells_p] = 1
-        sign[cells_n] = -1
-        H = np.cumsum(sign) - sign
-        lvl_p, lvl_n = H[cells_p], H[cells_n] - 1
+    sign = np.zeros(grid.ncells, dtype=np.intp)
+    sign[cells_p] = 1
+    sign[cells_n] = -1
+    H = np.cumsum(sign) - sign
+    lvl_p, lvl_n = H[cells_p], H[cells_n] - 1
     op, on = np.argsort(lvl_p, kind="stable"), np.argsort(lvl_n, kind="stable")
     m = len(op)
     starts = np.flatnonzero(np.diff(lvl_p[op], prepend=lvl_p[op[0]] - 1))
@@ -351,8 +342,8 @@ def _level_assignment(cost: CostSpec, grid: Grid, pos_p: np.ndarray, cells_p: np
     # of its k x k block, stored row-major, pairs the sorted source starts + i
     # with the sorted targets starts, ..., starts + k - 1
     tgt = np.arange(kr.sum()) - np.repeat(first[lvl] + row * kr - starts[lvl], kr)
-    costs = cost_eval(cost, periodic_norm(np.repeat(pos_p[op], kr, axis=0) - pos_n[on][tgt],
-                                          grid.length))
+    costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[op], kr) - pos_n[on][tgt],
+                                                 grid.length)))
     # linear_sum_assignment returns a square block's rows as arange(k), so
     # each level's column indices, in sorted source order, are its solution
     col = np.concatenate([linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
@@ -370,8 +361,8 @@ def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, flo
     each level is solved on its own (``_level_assignment``): some optimal
     plan for a concave cost is non-crossing (McCann 1999; Delon, Salomon &
     Sobolevski 2012), and a non-crossing plan pairs only atoms of the same
-    level, so the split loses nothing.  In 2-d the partition is one block,
-    the dense assignment.  Every other instance is a transportation LP.
+    level, so the split loses nothing.  Every other instance is a
+    transportation LP.
     The value sums the cost of each source's pair times its mass in source
     order.
     """
@@ -402,11 +393,11 @@ def check_plan(plan: TransportPlan, eta: SignedDensity, cost: CostSpec) -> None:
     ``eta`` and ``cost``: the same grid and cost, and the atom cells and
     masses of eta's Jordan parts.  Atoms are compared bit for bit, since a
     reused plan comes from the same deterministic solve."""
+    _, mass_p, cells_p, _, mass_n, cells_n = _prepare_instance(eta)
     if plan.grid != eta.grid:
         raise ValueError(f"plan was solved on a different grid: {plan.grid} vs {eta.grid}")
     if plan.cost != cost:
         raise ValueError(f"plan was solved for a different cost: {plan.cost} vs {cost}")
-    _, mass_p, cells_p, _, mass_n, cells_n = _prepare_instance(eta)
     if not (np.array_equal(plan.src_cells, cells_p) and np.array_equal(plan.dst_cells, cells_n)):
         raise ValueError("plan atoms sit on other cells than the Jordan parts of the "
                          "density: it was solved for another density")
@@ -461,15 +452,10 @@ def solve_dual(eta: SignedDensity, cost: CostSpec,
         C = cost_matrix(cost, plan.src_pos, pos_n, eta.grid.length)
         v = _assignment_duals(C, plan.src_idx, plan.dst_idx)
     # metric envelope from the target duals; c-Lipschitz and optimal
-    all_centers = eta.grid.centers()
-    phi = np.full(eta.grid.ncells, np.inf)
-    for lo in range(0, eta.grid.ncells, 4096):
-        hi = min(lo + 4096, eta.grid.ncells)
-        d = periodic_distance_matrix(all_centers[lo:hi], pos_n, eta.grid.length)
-        phi[lo:hi] = (cost_eval(cost, d) - v[None, :]).min(axis=1)
+    d = periodic_distance_matrix(eta.grid.axis_centers(), pos_n, eta.grid.length)
+    phi = (cost_eval(cost, d) - v[None, :]).min(axis=1)
     phi -= (phi.max() + phi.min()) / 2.0
-    phi = phi.reshape(eta.grid.shape)
-    value = float((phi.ravel() * eta.values.ravel()).sum() * eta.grid.cell_volume)
+    value = float((phi * eta.values).sum() * eta.grid.cell_volume)
     return Potential(eta.grid, cost, phi), value
 
 
@@ -495,32 +481,22 @@ def kr_distance(eta: SignedDensity, cost: CostSpec) -> float:
 
 def w_neg11_norm(eta: SignedDensity) -> float:
     """Dual-Lipschitz norm: sup of the pairing over grid functions with
-    |phi| <= 1 and axis-neighbor slopes <= 1, solved as an LP."""
+    |phi| <= 1 and neighbour slopes <= 1, solved as an LP."""
+    _require_valid(eta)
     g = eta.grid
-    v = eta.values.ravel()
-    if np.abs(v).max(initial=0.0) == 0.0:
+    if np.abs(eta.values).max(initial=0.0) == 0.0:
         return 0.0
-    _require_mean_zero(eta)
     N = g.ncells
-    idx = np.arange(N)
-    if g.dim == 1:
-        neighbors = [np.roll(idx, -1)]
-    else:
-        grid_idx = idx.reshape(g.shape)
-        neighbors = [np.roll(grid_idx, -1, axis=0).ravel(), np.roll(grid_idx, -1, axis=1).ravel()]
-    rows, cols, vals = [], [], []
-    r = 0
-    for nb in neighbors:
-        rows += [np.arange(r, r + N), np.arange(r, r + N)]
-        cols += [idx, nb]
-        vals += [np.ones(N), -np.ones(N)]
-        r += N
-    rows = np.concatenate(rows + [x + r for x in rows])
-    cols = np.concatenate(cols * 2)
-    vals = np.concatenate(vals + [-x for x in vals])
-    A = sparse.csc_array((vals, (rows, cols)), shape=(2 * r, N))
-    res = linprog(-v * g.cell_volume, (A.indptr, A.indices, A.data), np.full(2 * r, -np.inf),
-                  np.full(2 * r, g.h), -1.0, 1.0, _HIGHS_OPTS)
+    # row j is phi_j - phi_{j+1} <= h and row N + j its negation, so column j
+    # has its entries in rows j - 1, j, N + j - 1 and N + j (CSC, rows sorted);
+    # column 0 meets the wrapped pair N - 1, 2N - 1 after its own rows 0, N
+    j = np.arange(N)
+    rows = np.stack([j - 1, j, N + j - 1, N + j], axis=1)
+    vals = np.tile([-1.0, 1.0, 1.0, -1.0], (N, 1))
+    rows[0], vals[0] = [0, N - 1, N, 2 * N - 1], [1.0, -1.0, -1.0, 1.0]
+    A = (np.arange(0, 4 * N + 1, 4), rows.ravel(), vals.ravel())
+    res = linprog(-eta.values * g.cell_volume, A, np.full(2 * N, -np.inf), np.full(2 * N, g.h),
+                  -1.0, 1.0, _HIGHS_OPTS)
     if res.status != 0:
         raise RuntimeError(f"W^-1,1 LP failed: {res.message}")
     return float(-res.fun)
@@ -529,7 +505,8 @@ def w_neg11_norm(eta: SignedDensity) -> float:
 @dataclass
 class GradientSamples:
     """Potential gradients on the plan support per formula (9)-style rule:
-    grad phi at both endpoints equals c'(dist) * (x - y)/|x - y|."""
+    grad phi at both endpoints equals c'(dist) * (x - y)/|x - y|, one float
+    per entry on the circle."""
 
     src_idx: np.ndarray
     dst_idx: np.ndarray
@@ -537,7 +514,7 @@ class GradientSamples:
     dst_cells: np.ndarray
     mass: np.ndarray
     dist: np.ndarray  # periodic |x - y|, > 0
-    grad: np.ndarray  # (k, d)
+    grad: np.ndarray  # (k,)
     magnitude: np.ndarray
 
 
@@ -545,11 +522,11 @@ def potential_gradient_on_support(plan: TransportPlan, cost: CostSpec) -> Gradie
     if cost != plan.cost:
         raise ValueError("cost spec does not match the plan")
     delta = plan.displacements()
-    dist = np.sqrt((delta * delta).sum(axis=1))
+    dist = np.abs(delta)
     keep = dist > 0  # diagonal mass transports at zero cost; skip
     delta, dist = delta[keep], dist[keep]
     mag = cost_derivative(cost, dist)
-    grad = mag[:, None] * delta / dist[:, None]
+    grad = mag * delta / dist
     return GradientSamples(plan.src_idx[keep], plan.dst_idx[keep],
                            plan.src_cells[plan.src_idx[keep]], plan.dst_cells[plan.dst_idx[keep]],
                            plan.plan_mass[keep], dist, grad, mag)

@@ -7,7 +7,7 @@ import yaml
 
 from krlab import transport
 from krlab.cli import main
-from krlab.experiments import run_experiment
+from krlab.experiments import EXPERIMENTS, PARAM_RANGES, run_experiment
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "csv_schema.md"
 
@@ -198,6 +198,47 @@ def test_param_of_the_wrong_kind_or_length_is_refused(tmp_path, capsys, experime
     assert main(["run", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / experiment).exists()
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("transport-selftest", "n_instances"), ("transport-selftest", "n_triples"),
+    ("transport-selftest", "n_sandwich"), ("lemma4-suite", "trials"),
+])
+def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
+    # unchecked, a count of 0 passes on no data: lemma4-suite with trials 0
+    # printed PASS truncated-distance-bound measured= inf and exited 0
+    cfg = write_config(tmp_path, experiment=experiment, params={key: 0})
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{key} = 0: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("pde-convergence", {"cfl": 1.5}, "cfl = 1.5: must be in (0, 1)"),
+    ("uniqueness-drive", {"radius": 0.0}, "radius = 0.0: must be > 0"),
+    ("e1-example", {"deltas": [0.1, -0.01]}, "deltas = [0.1, -0.01]: every entry must be > 0"),
+    ("stability-rate", {"rs": [1.0, 0.1]}, "rs = [1.0, 0.1]: every entry must be in (0, 1)"),
+    ("prop1-sweep", {"n_frames": 1}, "n_frames = 1: must be in [2, 65]"),
+    ("stability-rate", {"n_frames": 66}, "n_frames = 66: must be in [2, 65]"),
+    ("oscillatory-example", {"ks": [0, 4]}, "ks = [0, 4]: every entry must be >= 1"),
+    ("pde-convergence", {"apriori_k": 0}, "apriori_k = 0: must be >= 1"),
+    ("prop1-sweep", {"horizon": 0.0}, "horizon = 0.0: must be > 0"),
+    ("pde-convergence", {"horizon_2d": 0.0}, "horizon_2d = 0.0: must be > 0"),
+    ("lemma4-suite", {"seed": -1}, "seed = -1: must be >= 0"),
+])
+def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       experiment, params, message):
+    # unchecked, each ended in a traceback with exit 1, stability-rate's
+    # rs = 1.0 in a ZeroDivisionError after all its PDE solves
+    monkeypatch.setitem(EXPERIMENTS, experiment, (None, EXPERIMENTS[experiment][1]))
+    cfg = write_config(tmp_path, experiment=experiment, params=params)
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
+
+
+def test_every_ranged_key_is_a_parameter():
+    assert set(PARAM_RANGES) <= {key for _, defaults in EXPERIMENTS.values() for key in defaults}
 
 
 def test_float_without_a_dot_is_refused_with_its_yaml_spelling(tmp_path, capsys):

@@ -152,9 +152,16 @@ def test_constant_field_norms():
     assert np.all(f(0.0, np.linspace(0.0, 1.0, 9)) == 0.7)
 
 
+def test_constant_field_has_one_speed():
+    with pytest.raises(ValueError, match="one speed"):
+        ConstantField([1.0, 0.0])
+
+
 def test_shear_and_rotation_are_divergence_free():
     g = Grid(2, 32)
-    pts = g.centers()
+    c = g.axis_centers()
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     f = SmoothShear2D()
     assert np.abs(np.asarray(f.divergence(0.0, pts))).max() == 0.0
     # exact flow preserves area: jacobian identically one

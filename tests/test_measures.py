@@ -15,7 +15,9 @@ def test_grid_invariants():
     assert np.all(np.diff(centers) == pytest.approx(g.h))
     # periodic distance is capped by half the diameter per axis
     g2 = Grid(2, 32)
-    pts = g2.centers()
+    c = g2.axis_centers()
+    X, Y = np.meshgrid(c, c, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     d = periodic_wrap(pts[:50, None, :] - pts[None, :50, :], g2.length)
     assert np.abs(d).max() <= g2.length / 2
     assert np.sqrt((d * d).sum(axis=-1)).max() <= math.sqrt(2) / 2 + 1e-15
