@@ -3,55 +3,57 @@
 Transport is implemented on 1-d grids, the circle [0, L), only: every entry
 point raises a ValueError on a 2-d density.  A mean-zero signed density is
 split into its Jordan parts, the parts become atoms at the cell centers (one
-float each, held in flat arrays), and the transport problem between them is
-solved as an exact linear program.  Two backends, both certified by LP
-optimality:
+float each, held in flat arrays), and one exact solver, the level split
+below, finds an optimal plan between them.
 
-* balanced instances whose atoms all carry the same mass reduce to an
-  assignment problem (Birkhoff: the extreme plans are permutations), solved
-  level by level with ``scipy.optimize.linear_sum_assignment`` (below);
-* everything else goes through the sparse transportation LP with the HiGHS
-  simplex, which also returns the node duals used to build Kantorovich-
-  Rubinstein potentials.
+For a cost c(dist) with c concave and nondecreasing, c of the arc length is
+concave on [0, L], so two crossing pairs can be swapped for two that do not
+cross at no higher cost, and some optimal plan is non-crossing (McCann,
+"Exact solutions to the transportation problem on the line", Proc. R. Soc.
+A, 1999; Delon, Salomon & Sobolevski, "Local matching indicators for
+transport problems with concave costs", SIAM J. Discrete Math., 2012).  Put
+the signed atom masses on the cells in order, with G their inclusive and E
+their exclusive prefix sum, and close G exactly: it is 0 at the last atom.
+A source at cell k covers the heights [E_k, G_k) and a target [G_k, E_k).
+Cut the range of heights at every G_k.  On each elementary interval, a
+level, the atoms whose interval contains it are equally many sources and
+targets, since the closed walk G crosses every height as often upward as
+downward.  Cut every atom into slivers of one common small mass: the
+slivers form a uniform-mass instance, a non-crossing pair leaves equally
+much source and target mass on each arc between its atoms, so an optimal
+non-crossing plan pairs only slivers of the same height.  Hence the levels
+are independent uniform-mass assignments, each weighted by its width, and
+the plan is their union with repeated pairs merged.  When every atom
+carries the same mass, each level is one atom wide; the step density of
+e1-example at n = 4096 has 2048 levels of one atom pair each, and its
+masses 1/4096 sum without roundoff.  The costs of all level blocks are
+evaluated in one pass, and each block of two or more pairs is solved by
+``scipy.optimize.linear_sum_assignment``.
 
-On the circle the assignment splits into independent levels.  For a cost
-c(dist) with c concave and nondecreasing, c of the arc length is concave on
-[0, L], so two crossing pairs can be swapped for two that do not cross at no
-higher cost, and some optimal plan is non-crossing (McCann, "Exact solutions
-to the transportation problem on the line", Proc. R. Soc. A, 1999; Delon,
-Salomon & Sobolevski, "Local matching indicators for transport problems with
-concave costs", SIAM J. Discrete Math., 2012).  A non-crossing pair leaves
-equally many sources and targets on each arc between its atoms.  With H the
-exclusive prefix sum of the atom signs in cell order (+1 a source, -1 a
-target), a source at cell k has level H[k] and a target level H[k] - 1; a
-balanced arc joins only atoms of one level, every level holds equally many
-sources and targets, and the levels are independent assignment problems.  The
-step density of e1-example at n = 4096 has 2048 levels of one atom pair each.
-
-The potential is built from the plan and never from a second solve.  An LP
-plan keeps the target duals of the LP that produced it; an assignment plan
-gets its column duals in ``solve_dual`` as shortest-path distances in its
-residual graph.  ``solve_dual(eta, cost, plan)`` extends the target duals to
-the whole grid by the metric envelope ``phi(z) = min_j (c(dist(z, y_j)) -
-v_j)``, which is c-Lipschitz by construction and attains the dual optimum,
-hence saturates the constraint on the support of every optimal plan.
+``solve_primal`` measures the marginal defect of every plan it returns.
+The potential is built from the plan and never from a second solve:
+``solve_dual`` finds the target duals v as shortest-path distances in the
+plan's residual graph and extends them to the whole grid by the metric
+envelope ``phi(z) = min_j (c(dist(z, y_j)) - v_j)``, which is c-Lipschitz
+by construction and attains the dual optimum, hence saturates the
+constraint on the support of every optimal plan.  A plan that is not
+optimal has a negative cycle there, and ``solve_dual`` raises.
 
 Callers solve an instance once and pass the plan to every check that reads
 it; ``check_plan`` rejects a plan that was solved for another density or
 cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
 
-Every HiGHS solve, transportation and W^{-1,1} LP alike, goes through
-``linprog`` below.  It drives scipy's own HiGHS bindings
+HiGHS is left only for the W^{-1,1} norm, a linear program.  It goes through
+``linprog`` below, which drives scipy's own HiGHS bindings
 (``scipy.optimize._highspy._core``) with exactly the options that
-``scipy.optimize.linprog(method="highs")`` sets, and its ``x``, row duals,
+``scipy.optimize.linprog(method="highs")`` sets; its ``x``, row duals,
 ``fun``, ``nit`` and ``status`` are linprog's bit for bit.  It skips what
 linprog does around the solver: input cleaning, option validation, sparse
-format conversion and a Python loop over the basis of every column.  On the
-few-hundred-variable LPs of transport-selftest that glue took longer than
-HiGHS.  linprog's feasibility check of the solution is kept
-(``lp_feasible``).  The function keeps the name ``linprog``, with the cost
-vector first, because the benchmark's tracer wraps ``transport.linprog`` as
-its ``transport.lp`` span and reads ``len(c)``, ``nit`` and ``status``.
+format conversion and a Python loop over the basis of every column.
+linprog's feasibility check of the solution is kept (``lp_feasible``).  The
+function keeps the name ``linprog``, with the cost vector first, because
+the benchmark's tracer wraps ``transport.linprog`` as its ``transport.lp``
+span and reads ``len(c)``, ``nit`` and ``status``.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
                        periodic_distance_matrix, periodic_wrap)
 
 MASS_TOL = 1e-10
-# the assignment duals stop once no dual drops by more than this fraction of
-# the largest cost: arc lengths are differences of costs, so the cycles of an
+# the duals stop once no dual drops by more than this fraction of the
+# largest cost: arc lengths are differences of costs, so the cycles of an
 # optimal plan can read a few ulps of that scale below zero and never settle
 DUAL_DROP_TOL = 1e-12
 # the options scipy.optimize.linprog(method="highs") sets on every solve:
@@ -93,24 +95,17 @@ def _highs_options(**opts) -> highs.HighsOptions:
     return out
 
 
-_TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-_HIGHS_OPTS = _highs_options(**_TIGHT)
-# with presolve, HiGHS can call a feasible transportation LP infeasible (three
-# prop1-sweep frames of the lp-large benchmark); fall back deterministically
-# to no presolve, then to HiGHS's own tolerances
-_LP_LADDER = (_HIGHS_OPTS, _highs_options(**_TIGHT, presolve="off"), _highs_options())
+_HIGHS_OPTS = _highs_options(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 # linprog's own check of a solution HiGHS calls optimal (scipy's _check_result
 # at its default tol 1e-9): bounds and rows may be off by sqrt(1e-9) * 10.
 # HiGHS works to 1e-7 at its loosest, so a larger defect is a wrong answer
 LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
-# running totals of the exact solves made by this process: transportation LPs
-# (one per instance), their variables (m * n each), the simplex iterations of
-# all their HiGHS attempts, the extra attempts after presolve failed, and the
-# uniform-mass instances solved as assignments, with the entries of their
-# level blocks (the sum of k * k over the levels)
-SOLVER_COUNTS = {"lp": 0, "lp_vars": 0, "lp_nit": 0, "lp_presolve_retries": 0, "assignment": 0,
-                 "assignment_vars": 0}
+# the exact solves made by this process: the nonempty instances, their
+# levels, the entries of their level blocks (the sum of k * k over the
+# levels), and the worst marginal defect of a plan (a maximum, not a total)
+SOLVER_COUNTS = {"instances": 0, "levels": 0, "assignment_vars": 0,
+                 "worst_marginal_defect": 0.0}
 
 
 @dataclass
@@ -129,7 +124,6 @@ class TransportPlan:
     dst_idx: np.ndarray = field(repr=False)
     plan_mass: np.ndarray = field(repr=False)
     value: float = 0.0
-    dst_dual: np.ndarray | None = field(default=None, repr=False)  # target duals of its LP
 
     @property
     def n_entries(self) -> int:
@@ -172,10 +166,6 @@ def _atoms(part: SignedDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def cost_matrix(spec: CostSpec, pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
     """Dense cost matrix c(dist(x_i, y_j))."""
     return cost_eval(spec, periodic_distance_matrix(pos_a, pos_b, length))
-
-
-def _uniform(masses: np.ndarray) -> bool:
-    return bool(masses.size and np.ptp(masses) <= 1e-12 * masses.max())
 
 
 class LPResult(NamedTuple):
@@ -245,38 +235,6 @@ def linprog(c: np.ndarray, A: tuple, lhs: np.ndarray, rhs: np.ndarray, lb: float
     return LPResult(x, np.array(sol.row_dual), fun, info.simplex_iteration_count, 0, "optimal")
 
 
-def _solve_transport_lp(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Exact transportation LP; returns (entries, target duals v).
-
-    Marginals are normalized to unit total for the solver (pure scaling:
-    plan masses scale back, duals are per-unit prices and are unchanged).
-    """
-    m, n = C.shape
-    mn = m * n
-    # column i*n + j carries source i (row i) to target j (row m + j)
-    rows = np.empty((m, n, 2), dtype=np.int32)
-    rows[:, :, 0] = np.arange(m, dtype=np.int32)[:, None]
-    rows[:, :, 1] = np.arange(m, m + n, dtype=np.int32)
-    A = (np.arange(0, 2 * mn + 1, 2, dtype=np.int32), rows.ravel(), np.ones(2 * mn))
-    scale = a.sum()
-    rhs = np.concatenate([a, b]) / scale
-    c = C.ravel()
-    for retries, opts in enumerate(_LP_LADDER):
-        res = linprog(c, A, rhs, rhs, 0.0, np.inf, opts)
-        SOLVER_COUNTS["lp_nit"] += res.nit
-        if res.status == 0:
-            break
-    SOLVER_COUNTS["lp"] += 1
-    SOLVER_COUNTS["lp_vars"] += mn
-    SOLVER_COUNTS["lp_presolve_retries"] += retries
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    x = res.x * scale
-    keep = np.nonzero(x > 1e-15 * max(a.max(), b.max()))[0]
-    si, di = np.divmod(keep, n)
-    return (si, di, x[keep]), res.row_dual[m:]
-
-
 def _prune_atoms(pos, masses, cells):
     # drop roundoff-level atoms (mean-zero projection residue); the pruned
     # fraction is <= n_atoms * 1e-13 of the largest atom, far below every
@@ -315,76 +273,92 @@ def _prepare_instance(eta: SignedDensity):
     return pos_p, mass_p, cells_p, pos_n, mass_n, cells_n
 
 
-def _level_assignment(cost: CostSpec, grid: Grid, pos_p: np.ndarray, cells_p: np.ndarray,
-                      pos_n: np.ndarray, cells_n: np.ndarray):
-    """Optimal assignment between equally many sources and targets of equal
-    mass that pairs only atoms of the same level (module docstring).
+def _level_members(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(atom, level) for each level lo[a] <= level < hi[a] of each atom a,
+    sorted by level and, within a level, by atom."""
+    span = hi - lo
+    atom = np.repeat(np.arange(len(lo)), span)
+    level = np.arange(span.sum()) + np.repeat(lo - (np.cumsum(span) - span), span)
+    order = np.argsort(level, kind="stable")
+    return atom[order], level[order]
 
-    Returns the target of each source, the cost of each source's pair and
-    the number of block entries, the sum of k * k over the levels.  The
-    costs of all blocks are evaluated in one pass, and every block, 1 x 1
-    ones too, is solved by ``linear_sum_assignment``.
+
+def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.ndarray,
+                cells_p: np.ndarray, pos_n: np.ndarray, mass_n: np.ndarray, cells_n: np.ndarray):
+    """Optimal plan between balanced sources and targets on the circle: the
+    union of the uniform-mass assignments on the levels of the mass prefix
+    sum (module docstring).  The atoms of each side are in cell order.
+
+    Returns the plan entries (source, target, mass), sorted by source and
+    then target, the cost of each entry, the number of levels and the
+    number of block entries, the sum of k * k over the levels.
     """
-    sign = np.zeros(grid.ncells, dtype=np.intp)
-    sign[cells_p] = 1
-    sign[cells_n] = -1
-    H = np.cumsum(sign) - sign
-    lvl_p, lvl_n = H[cells_p], H[cells_n] - 1
-    op, on = np.argsort(lvl_p, kind="stable"), np.argsort(lvl_n, kind="stable")
-    m = len(op)
-    starts = np.flatnonzero(np.diff(lvl_p[op], prepend=lvl_p[op[0]] - 1))
-    ks = np.diff(starts, append=m)
+    m, n = len(mass_p), len(mass_n)
+    order = np.argsort(np.concatenate([cells_p, cells_n]))
+    G = np.cumsum(np.concatenate([mass_p, -mass_n])[order])
+    G[-1] = 0.0  # the atoms balance, so G closes at 0: roundoff goes to the last atom
+    E = np.roll(G, 1)
+    heights = np.unique(G)
+    lo, hi = np.empty(m + n, dtype=np.intp), np.empty(m + n, dtype=np.intp)
+    lo[order] = np.searchsorted(heights, np.minimum(E, G))
+    hi[order] = np.searchsorted(heights, np.maximum(E, G))
+    # the closed walk G crosses every level as often upward as downward, and
+    # at least once, so both sides list every level equally often
+    src, lvl = _level_members(lo[:m], hi[:m])
+    dst, _ = _level_members(lo[m:], hi[m:])
+    starts = np.flatnonzero(np.diff(lvl, prepend=-1))
+    ks = np.diff(starts, append=len(lvl))
     first = np.cumsum(ks * ks) - ks * ks  # where each level's block starts in costs
-    lvl = np.repeat(np.arange(len(ks)), ks)  # the level of each sorted source
-    kr, row = ks[lvl], np.arange(m) - starts[lvl]
-    # a level holds as many targets as sources, so its targets take the same
-    # places in the target order as its sources in the source order.  Row i
-    # of its k x k block, stored row-major, pairs the sorted source starts + i
-    # with the sorted targets starts, ..., starts + k - 1
+    kr, row = ks[lvl], np.arange(len(lvl)) - starts[lvl]
+    # a level's targets take the same places in the target members as its
+    # sources in the source members.  Row i of its k x k block, stored
+    # row-major, pairs source member starts + i with the target members
+    # starts, ..., starts + k - 1
     tgt = np.arange(kr.sum()) - np.repeat(first[lvl] + row * kr - starts[lvl], kr)
-    costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[op], kr) - pos_n[on][tgt],
-                                                 grid.length)))
+    costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src], kr) - pos_n[dst][tgt],
+                                                 length)))
     # linear_sum_assignment returns a square block's rows as arange(k), so
-    # each level's column indices, in sorted source order, are its solution
-    col = np.concatenate([linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
-                          for e0, k in zip(first.tolist(), ks.tolist())])
-    dst, picked = np.empty(m, dtype=np.intp), np.empty(m)
-    dst[op] = on[starts[lvl] + col]
-    picked[op] = costs[first[lvl] + row * kr + col]
-    return dst, picked, len(costs)
+    # its column indices are the solution; a 1 x 1 block pairs its atoms
+    col = np.zeros(len(lvl), dtype=np.intp)
+    big = np.flatnonzero(ks > 1)
+    for s0, e0, k in zip(starts[big].tolist(), first[big].tolist(), ks[big].tolist()):
+        col[s0:s0 + k] = linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
+    # merge the pairs that several levels repeat
+    key = src * n + dst[starts[lvl] + col]
+    by_pair = np.argsort(key, kind="stable")
+    pairs = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
+    si, dj = np.divmod(key[by_pair][pairs], n)
+    pm = np.add.reduceat(np.diff(heights)[lvl][by_pair], pairs)
+    picked = costs[first[lvl] + row * kr + col][by_pair][pairs]
+    return (si, dj, pm), picked, len(ks), len(costs)
 
 
 def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, float]:
     """Exact optimal plan between the Jordan parts and its transport cost.
 
-    A uniform-mass instance is an assignment.  It is split into levels and
-    each level is solved on its own (``_level_assignment``): some optimal
-    plan for a concave cost is non-crossing (McCann 1999; Delon, Salomon &
-    Sobolevski 2012), and a non-crossing plan pairs only atoms of the same
-    level, so the split loses nothing.  Every other instance is a
-    transportation LP.
-    The value sums the cost of each source's pair times its mass in source
-    order.
+    The instance is split into the levels of its mass prefix sum and each
+    level is solved on its own (``_level_plan``): some optimal plan for a
+    concave cost is non-crossing (McCann 1999; Delon, Salomon & Sobolevski
+    2012), and a non-crossing plan pairs only mass of the same height, so the
+    split loses nothing.  The value sums the cost of each entry times its
+    mass in entry order, by source and then target.  The plan's marginal
+    defect goes into ``SOLVER_COUNTS``.
     """
     pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta)
-    empty = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
-                          np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     if len(mass_p) == 0 or len(mass_n) == 0:
-        return empty, 0.0
-    v = None
-    if len(mass_p) == len(mass_n) and _uniform(mass_p) and _uniform(mass_n):
-        dj, costs, entries = _level_assignment(cost, eta.grid, pos_p, cells_p, pos_n, cells_n)
-        si = np.arange(len(dj))
-        pm = np.full(len(si), mass_p.mean())
-        SOLVER_COUNTS["assignment"] += 1
-        SOLVER_COUNTS["assignment_vars"] += entries
-    else:
-        C = cost_matrix(cost, pos_p, pos_n, eta.grid.length)
-        (si, dj, pm), v = _solve_transport_lp(mass_p, mass_n, C)
-        costs = C[si, dj]
+        empty = np.zeros(0, dtype=np.intp)
+        return TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
+                             empty, empty, np.zeros(0)), 0.0
+    (si, dj, pm), costs, levels, entries = _level_plan(cost, eta.grid.length, pos_p, mass_p,
+                                                      cells_p, pos_n, mass_n, cells_n)
     value = float((costs * pm).sum())
     plan = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
-                         si, dj, pm, value, v)
+                         si, dj, pm, value)
+    SOLVER_COUNTS["instances"] += 1
+    SOLVER_COUNTS["levels"] += levels
+    SOLVER_COUNTS["assignment_vars"] += entries
+    SOLVER_COUNTS["worst_marginal_defect"] = max(SOLVER_COUNTS["worst_marginal_defect"],
+                                                 plan.marginal_deviation())
     return plan, value
 
 
@@ -406,21 +380,27 @@ def check_plan(plan: TransportPlan, eta: SignedDensity, cost: CostSpec) -> None:
                          "it was solved for another density")
 
 
-def _assignment_duals(C: np.ndarray, si: np.ndarray, dj: np.ndarray) -> np.ndarray:
-    """Column duals of the assignment ``si -> dj`` on the cost matrix ``C``.
+def _plan_duals(plan: TransportPlan) -> np.ndarray:
+    """Target duals of ``plan``.
 
     They are the shortest-path distances from a zero source over the arcs
-    j -> j' of length C[s(j), j'] - C[s(j), j], s(j) the row assigned to j
-    (the residual-graph optimality condition of the assignment LP), found by
-    Jacobi Bellman-Ford.  A plan that is not optimal has a negative cycle,
-    and the distances do not settle within n rounds.
+    j -> j' of length min over the sources i that the plan sends to j of
+    C[i, j'] - C[i, j] (the residual-graph optimality condition of the
+    transportation LP), found by Jacobi Bellman-Ford.  A plan that is not
+    optimal has a negative cycle, and the distances do not settle within n
+    rounds.
     """
-    n = len(dj)
-    rows = np.empty(n, dtype=int)
-    rows[dj] = si
-    arcs = C[rows]
-    arcs -= arcs[np.arange(n), np.arange(n)][:, None]
-    tol = DUAL_DROP_TOL * np.abs(C).max()
+    n = len(plan.dst_mass)
+    by_dst = np.argsort(plan.dst_idx, kind="stable")
+    si, dj = plan.src_idx[by_dst], plan.dst_idx[by_dst]
+    rows = cost_matrix(plan.cost, plan.src_pos[si], plan.dst_pos, plan.grid.length)
+    scale = np.abs(rows).max()
+    rows -= rows[np.arange(len(dj)), dj][:, None]
+    heads = np.flatnonzero(np.diff(dj, prepend=-1))
+    arcs = np.full((n, n), np.inf)
+    arcs[dj[heads]] = np.minimum.reduceat(rows, heads, axis=0)
+    np.fill_diagonal(arcs, 0.0)  # a target that the plan does not reach keeps its dual
+    tol = DUAL_DROP_TOL * scale
     v = np.zeros(n)
     for _ in range(n):
         nxt = (v[:, None] + arcs).min(axis=0)
@@ -428,7 +408,7 @@ def _assignment_duals(C: np.ndarray, si: np.ndarray, dj: np.ndarray) -> np.ndarr
         v = nxt
         if drop <= tol:
             return v
-    raise ValueError(f"the assignment plan is not optimal: its duals still drop by "
+    raise ValueError(f"the transport plan is not optimal: its duals still drop by "
                      f"{drop:.3e} after {n} Bellman-Ford rounds (a negative cycle)")
 
 
@@ -436,10 +416,9 @@ def solve_dual(eta: SignedDensity, cost: CostSpec,
                plan: TransportPlan | None = None) -> tuple[Potential, float]:
     """Optimal potential on the full grid and the dual value (= primal value).
 
-    The potential is the metric envelope of ``plan``'s target duals
-    (``check_plan`` must accept the plan): the duals of its LP, or for an
-    assignment plan the shortest-path duals of its residual graph.  Without
-    a plan, ``solve_primal`` makes one.  No LP is solved here.
+    The potential is the metric envelope of ``plan``'s target duals, the
+    shortest-path duals of its residual graph (``check_plan`` must accept
+    the plan).  Without a plan, ``solve_primal`` makes one.
     """
     if plan is None:
         plan, _ = solve_primal(eta, cost)
@@ -447,12 +426,9 @@ def solve_dual(eta: SignedDensity, cost: CostSpec,
         check_plan(plan, eta, cost)
     if plan.n_entries == 0:
         return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
-    pos_n, v = plan.dst_pos, plan.dst_dual
-    if v is None:
-        C = cost_matrix(cost, plan.src_pos, pos_n, eta.grid.length)
-        v = _assignment_duals(C, plan.src_idx, plan.dst_idx)
+    v = _plan_duals(plan)
     # metric envelope from the target duals; c-Lipschitz and optimal
-    d = periodic_distance_matrix(eta.grid.axis_centers(), pos_n, eta.grid.length)
+    d = periodic_distance_matrix(eta.grid.axis_centers(), plan.dst_pos, eta.grid.length)
     phi = (cost_eval(cost, d) - v[None, :]).min(axis=1)
     phi -= (phi.max() + phi.min()) / 2.0
     value = float((phi * eta.values).sum() * eta.grid.cell_volume)

@@ -1,15 +1,18 @@
 """Byte oracle: the eight experiments, run on the small configs in
-``tests/byte_oracle/``, write ``verdict.txt`` and CSV files whose sha256
-digests equal the committed table ``tests/byte_oracle/sha256.json``.
+``tests/byte_oracle/`` and at their defaults, write ``verdict.txt`` and CSV
+files whose sha256 digests equal the committed table
+``tests/byte_oracle/sha256.json``.
 
-The configs cover every experiment and every verdict name.  The bytes depend
-on the numpy and scipy builds, so the table records the versions it was made
-with; on other versions the test skips and names both sets.  A change that
-means to move bytes regenerates the table with
+The configs cover every experiment and every verdict name; the outputs at
+the defaults are under ``defaults/`` in the table.  The bytes depend on the
+numpy and scipy builds, so the table records the versions it was made with;
+on other versions the test skips and names both sets.  A change that means
+to move bytes regenerates the table with
 
     PYTHONPATH=src python tests/test_byte_oracle.py
 
-and lists the moved files in CHANGES.md.
+which prints the files that moved against the committed table, and lists
+them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -40,17 +43,24 @@ def versions() -> dict[str, str]:
 
 
 def run_configs(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """Run every config into ``out``.  Returns the sha256 of each verdict.txt
-    and CSV by its path under ``out``, and the verdict names by experiment."""
+    """Run every config, then every experiment at its defaults, into ``out``.
+    Returns the sha256 of each verdict.txt and CSV by its path under ``out``,
+    and the verdict names of the configs by experiment."""
     names = {}
     for cfg in sorted(CONFIGS.glob("*.yaml")):
         config = RunConfig.from_file(cfg)
         rec = run_experiment(config.experiment, config.params)
         rec.write(out / config.experiment)
         names[config.experiment] = [v.name for v in rec.verdicts]
+    for name in sorted(EXPERIMENTS):
+        run_experiment(name).write(out / "defaults" / name)
     digests = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted(out.rglob("*")) if f.suffix in (".txt", ".csv")}
     return digests, names
+
+
+def moved_files(table: dict[str, str], digests: dict[str, str]) -> list[str]:
+    return sorted(k for k in table.keys() | digests.keys() if table.get(k) != digests.get(k))
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +84,21 @@ def test_outputs_match_the_table(run):
     if table["versions"] != versions():
         pytest.skip(f"the table was made with {table['versions']}; this is {versions()}")
     digests, _ = run
-    moved = sorted(k for k in table["sha256"].keys() | digests.keys()
-                   if table["sha256"].get(k) != digests.get(k))
+    moved = moved_files(table["sha256"], digests)
     assert not moved, f"files that moved against {TABLE.name}: {moved}"
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests, _ = run_configs(Path(tmp))
+    if TABLE.is_file():
+        old = json.loads(TABLE.read_text())
+        moved = moved_files(old["sha256"], digests)
+        if old["versions"] != versions():
+            print(f"the committed table was made with {old['versions']}; this is {versions()}")
+        print(f"{len(moved)} files moved against the committed table")
+        for name in moved:
+            print(f"  {name}")
     TABLE.write_text(json.dumps({"versions": versions(), "sha256": digests}, indent=1,
                                 sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {TABLE}", file=sys.stderr)

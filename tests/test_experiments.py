@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,14 +18,15 @@ SHRUNK_PROP1 = {"n": 64, "n_frames": 5, "deltas": [0.1, 0.01], "chain_frames": [
 
 
 def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
-    shapes = []
-    solve_lp = transport._solve_transport_lp
+    solves = []
+    level_plan = transport._level_plan
 
-    def spy(a, b, C):
-        shapes.append(C.shape)
-        return solve_lp(a, b, C)
+    def spy(cost, length, pos_p, mass_p, *args):
+        out = level_plan(cost, length, pos_p, mass_p, *args)
+        solves.append((bool(np.ptp(mass_p) > 0), *out[2:]))  # (unequal masses, levels, Σk²)
+        return out
 
-    monkeypatch.setattr(transport, "_solve_transport_lp", spy)
+    monkeypatch.setattr(transport, "_level_plan", spy)
     cfg = tmp_path / "prop1.yaml"
     cfg.write_text(yaml.safe_dump({"experiment": "prop1-sweep", "params": SHRUNK_PROP1}))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
@@ -43,18 +45,19 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
         with open(out / f"{table}.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert all(f"`{col}`" in section for col in header), (table, header)
-    # one LP per distinct nonzero (frame, delta): the rate-bound checks reuse
-    # the plans that check_prop1 solved, so a second solve fails here
+    # one solve per distinct nonzero (frame, delta), 8 instances of atoms of
+    # unequal mass: the rate-bound checks reuse the plans that check_prop1
+    # solved, so a second solve fails here.  The 2 uniform-mass solves are
+    # the BV control, one per delta
     counts = json.loads((out / "record.json").read_text())["meta"]["transport"]
-    assert set(counts) == {"lp", "lp_vars", "lp_nit", "lp_presolve_retries", "assignment",
-                           "assignment_vars"}
-    assert counts["lp"] == 8 == len(shapes)
-    assert counts["assignment"] == 2  # the uniform-mass BV control, one per delta
+    assert set(counts) == {"instances", "levels", "assignment_vars", "worst_marginal_defect"}
+    assert counts["instances"] == 10 == len(solves)
+    assert [s[0] for s in solves].count(True) == 8
     # the control is the step on 64 cells: 32 levels of one atom pair each
-    assert counts["assignment_vars"] == 2 * 32
-    # LP sizes: m * n variables per plan, and the simplex iterations
-    assert counts["lp_vars"] == sum(m * n for m, n in shapes) > 0
-    assert counts["lp_nit"] > 0
+    assert [s[1:] for s in solves if not s[0]] == [(32, 32)] * 2
+    assert counts["levels"] == sum(s[1] for s in solves)
+    assert counts["assignment_vars"] == sum(s[2] for s in solves)
+    assert 0.0 < counts["worst_marginal_defect"] <= 1e-13
 
 
 # every experiment shrunk to well under a second: the parameters of the
@@ -230,6 +233,27 @@ def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeyp
                                                        experiment, params, message):
     # unchecked, each ended in a traceback with exit 1, stability-rate's
     # rs = 1.0 in a ZeroDivisionError after all its PDE solves
+    monkeypatch.setitem(EXPERIMENTS, experiment, (None, EXPERIMENTS[experiment][1]))
+    cfg = write_config(tmp_path, experiment=experiment, params=params)
+    assert main(["run", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / experiment).exists()
+
+
+@pytest.mark.parametrize("experiment, params, message", [
+    ("e1-example", {"deltas": [0.1, 0.01], "report_deltas": [0.5]},
+     "report_deltas[0] = 0.5 is not in the sweep deltas = [0.1, 0.01]"),
+    ("prop1-sweep", {"n_frames": 5, "chain_frames": [2, 5]},
+     "chain_frames[1] = 5: must be in [0, 4], the frames of n_frames = 5"),
+    ("prop1-sweep", {"chain_frames": [-1]},
+     "chain_frames[0] = -1: must be in [0, 32], the frames of n_frames = 33"),
+], ids=["report-delta-outside-sweep", "chain-frame-past-the-last", "chain-frame-negative"])
+def test_param_outside_its_sweep_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          experiment, params, message):
+    # unchecked, e1-example dropped the closed-form check of a report delta
+    # outside the sweep, and prop1-sweep measured the last frame for a chain
+    # frame past it but labelled the row with the frame asked for; both
+    # exited 0 with every verdict PASS
     monkeypatch.setitem(EXPERIMENTS, experiment, (None, EXPERIMENTS[experiment][1]))
     cfg = write_config(tmp_path, experiment=experiment, params=params)
     assert main(["run", cfg, "--out", str(tmp_path)]) == 2

@@ -13,10 +13,9 @@ from krlab.estimates import build_eta
 from krlab.experiments import PROP1_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix)
-from krlab.transport import (SOLVER_COUNTS, _prepare_instance, _solve_transport_lp,
-                             check_plan, cost_matrix, duality_gap, kr_distance,
-                             potential_gradient_on_support, solve_dual, solve_primal,
-                             w_neg11_norm)
+from krlab.transport import (SOLVER_COUNTS, _prepare_instance, check_plan, cost_matrix,
+                             duality_gap, kr_distance, potential_gradient_on_support,
+                             solve_dual, solve_primal, w_neg11_norm)
 
 real_linprog = transport.linprog
 
@@ -74,13 +73,12 @@ def test_dual_from_the_plan_needs_no_second_lp(rng):
     eta = random_mean_zero(Grid(1, 64), rng)
     spec = bounded_log(0.05, 0.5)
     plan, primal = solve_primal(eta, spec)
-    assert plan.dst_dual is not None
-    lps = SOLVER_COUNTS["lp"]
+    solves = SOLVER_COUNTS["instances"]
     pot, dual = solve_dual(eta, spec, plan)
-    assert SOLVER_COUNTS["lp"] == lps
-    # the same LP, so the same duals, bit for bit, as a solve of its own
+    assert SOLVER_COUNTS["instances"] == solves
+    # the same plan, so the same duals, bit for bit, as a solve of its own
     alone, dual_alone = solve_dual(eta, spec)
-    assert SOLVER_COUNTS["lp"] == lps + 1
+    assert SOLVER_COUNTS["instances"] == solves + 1
     assert np.array_equal(pot.values, alone.values) and dual == dual_alone
     assert duality_gap(plan, pot) <= 1e-9 * (1 + abs(primal))
 
@@ -99,16 +97,17 @@ def test_assignment_potential_solves_no_lp():
     spec = bounded_log(0.1, 0.5)
     counts = dict(SOLVER_COUNTS)
     plan, primal = solve_primal(eta, spec)
-    assert plan.dst_dual is None
-    assert SOLVER_COUNTS["assignment"] == counts["assignment"] + 1
+    assert SOLVER_COUNTS["instances"] == counts["instances"] + 1
     pot, dual = solve_dual(eta, spec, plan)
-    # 8 levels of one atom pair each
-    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 1,
+    # 8 levels of one atom pair each, with exact marginals
+    assert SOLVER_COUNTS == {**counts, "instances": counts["instances"] + 1,
+                             "levels": counts["levels"] + 8,
                              "assignment_vars": counts["assignment_vars"] + 8}
     assert dual == pytest.approx(primal, rel=1e-10)
-    # without a plan, solve_primal's one assignment is the only solve
+    # without a plan, solve_primal's one solve is the only one
     alone, _ = solve_dual(eta, spec)
-    assert SOLVER_COUNTS == {**counts, "assignment": counts["assignment"] + 2,
+    assert SOLVER_COUNTS == {**counts, "instances": counts["instances"] + 2,
+                             "levels": counts["levels"] + 16,
                              "assignment_vars": counts["assignment_vars"] + 16}
     assert np.array_equal(alone.values, pot.values)
 
@@ -122,7 +121,6 @@ def test_assignment_potential_is_certified(n, delta):
     spec = bounded_log(delta, 0.5)
     for eta in (step(n), SignedDensity(Grid(1, n), signs)):
         plan, primal = solve_primal(eta, spec)
-        assert plan.dst_dual is None
         pot, dual = solve_dual(eta, spec, plan)
         phi = pot.values.ravel()
         assert duality_gap(plan, pot) / (1.0 + abs(primal)) <= 1e-8
@@ -139,7 +137,7 @@ def test_assignment_plan_with_two_targets_swapped_is_not_optimal(a, b):
     plan, _ = solve_primal(eta, spec)
     dst = plan.dst_idx.copy()
     dst[[a, b]] = dst[[b, a]]
-    with pytest.raises(ValueError, match="assignment plan is not optimal"):
+    with pytest.raises(ValueError, match="transport plan is not optimal"):
         solve_dual(eta, spec, dataclasses.replace(plan, dst_idx=dst))
 
 
@@ -458,7 +456,7 @@ def test_level_assignment_matches_dense_assignment(pattern, length):
         plan, value = solve_primal(eta, spec)
         _, oracle = dense_assignment(eta, spec)
         assert abs(value - oracle) <= 1e-12 * oracle, (trial, spec)
-        assert plan.dst_dual is None and plan.marginal_deviation() == 0.0
+        assert plan.marginal_deviation() == 0.0
         if trial % 4 == 0:  # a sample of level plans is certified by its duals
             pot, _ = solve_dual(eta, spec, plan)
             assert duality_gap(plan, pot) <= 1e-8 * value, (trial, spec)
@@ -479,7 +477,8 @@ def test_level_assignment_of_the_step_is_the_dense_one(n):
 
 
 @pytest.mark.parametrize("pattern, blocks", [("step", [1] * 32), ("alternating", [32])])
-def test_every_level_is_one_linear_sum_assignment(monkeypatch, pattern, blocks):
+def test_every_level_of_two_or_more_pairs_is_one_linear_sum_assignment(monkeypatch, pattern,
+                                                                       blocks):
     sizes = []
 
     def spy(C):
@@ -488,20 +487,159 @@ def test_every_level_is_one_linear_sum_assignment(monkeypatch, pattern, blocks):
 
     monkeypatch.setattr(transport, "linear_sum_assignment", spy)
     eta = step(64) if pattern == "step" else SignedDensity(Grid(1, 64), np.tile([1.0, -1.0], 32))
-    vars_before = SOLVER_COUNTS["assignment_vars"]
+    before = dict(SOLVER_COUNTS)
     solve_primal(eta, bounded_log(0.01, 0.5))
-    assert sizes == [(k, k) for k in blocks]
-    assert SOLVER_COUNTS["assignment_vars"] == vars_before + sum(k * k for k in blocks)
+    # a level of one atom pair pairs its atoms without a call
+    assert sizes == [(k, k) for k in blocks if k > 1]
+    assert SOLVER_COUNTS["levels"] == before["levels"] + len(blocks)
+    entries = sum(k * k for k in blocks)
+    assert SOLVER_COUNTS["assignment_vars"] == before["assignment_vars"] + entries
 
 
 # ---------------------------------------------------------------------------
-# the direct HiGHS call against scipy.optimize.linprog(method="highs"): every
-# field krlab reads must agree bit for bit, so a scipy whose private HiGHS
-# bindings (scipy.optimize._highspy._core) change shape fails here
+# the level solver on instances of any mass, against
+# scipy.optimize.linprog(method="highs") and against brute force
 
 TIGHT = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-# the retry ladder as linprog options: presolve, no presolve, HiGHS defaults
-LINPROG_LADDER = [{"presolve": True, **TIGHT}, {"presolve": False, **TIGHT}, {}]
+
+
+def transport_a_eq(m, n):
+    """The transportation constraint matrix, built as a COO -> CSR."""
+    cols = np.arange(m * n)
+    rows = np.concatenate([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)])
+    return sparse.csr_matrix((np.ones(2 * m * n), (rows, np.concatenate([cols, cols]))),
+                             shape=(m + n, m * n))
+
+
+def linprog_value(eta, spec, presolve=False):
+    """The transportation LP of eta's atoms by scipy's linprog, as
+    (status, value), the value None unless the status is 0.  By default
+    without presolve, which can call these LPs infeasible, and at tight
+    tolerances."""
+    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    C = cost_matrix(spec, pos_p, pos_n, eta.grid.length)
+    res = optimize.linprog(C.ravel(), A_eq=transport_a_eq(*C.shape),
+                           b_eq=np.concatenate([mass_p, mass_n]) / mass_p.sum(),
+                           bounds=(0, None), method="highs",
+                           options={"presolve": presolve, **TIGHT})
+    return res.status, res.fun * mass_p.sum() if res.status == 0 else None
+
+
+def random_atoms(rng, n):
+    """Sources and targets of random mass on random cells of a 1-d grid."""
+    g = Grid(1, n)
+    k = int(rng.integers(2, n // 2 + 1))
+    cells = rng.choice(n, size=k, replace=False)
+    n_pos = int(rng.integers(1, k))
+    v = np.zeros(n)
+    v[cells[:n_pos]] = rng.uniform(0.1, 2.0, n_pos)
+    neg = rng.uniform(0.1, 2.0, k - n_pos)
+    v[cells[n_pos:]] = -neg * (v.sum() / neg.sum())
+    return SignedDensity(g, v)
+
+
+LEVEL_SPECS = [bounded_log(0.2, 0.5), bounded_log(1e-2, 0.5), bounded_log(1e-4, 0.5),
+               truncated_linear(0.5), truncated_linear(0.1)]
+LEVEL_SPEC_IDS = ["log-0.2", "log-1e-2", "log-1e-4", "lin-0.5", "lin-0.1"]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("spec", LEVEL_SPECS, ids=LEVEL_SPEC_IDS)
+def test_level_solver_matches_linprog(n, spec):
+    # dense random densities and sparse atoms of random mass
+    rng = np.random.default_rng([n, LEVEL_SPECS.index(spec)])
+    for trial in range(6):
+        eta = random_mean_zero(Grid(1, n), rng) if trial % 2 else random_atoms(rng, n)
+        plan, value = solve_primal(eta, spec)
+        status, oracle = linprog_value(eta, spec)
+        assert status == 0
+        assert abs(value - oracle) <= 1e-9 * oracle, trial
+        assert plan.marginal_deviation() <= 1e-13, trial
+        pot, _ = solve_dual(eta, spec, plan)
+        assert duality_gap(plan, pot) >= -1e-12 * value, trial
+
+
+def sliver_brute_force(eta, spec):
+    """Exhaustive: integer atom masses cut into unit slivers, and every
+    assignment of source slivers to target slivers.  The transportation LP
+    with integer marginals has an integer optimal plan, so this is its
+    value."""
+    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    xs = np.repeat(pos_p, np.rint(mass_p).astype(int))
+    ys = np.repeat(pos_n, np.rint(mass_n).astype(int))
+    C = cost_eval(spec, periodic_distance_matrix(xs, ys, eta.grid.length))
+    rows = np.arange(len(xs))
+    return min(C[rows, list(perm)].sum() for perm in itertools.permutations(rows))
+
+
+def integer_atoms(g, cells, masses):
+    """Atoms of the given signed integer masses on the given cells."""
+    v = np.zeros(g.n)
+    v[cells] = np.asarray(masses, dtype=float) / g.h
+    return SignedDensity(g, v)
+
+
+def composition(rng, total, parts):
+    cuts = np.sort(rng.choice(np.arange(1, total), parts - 1, replace=False))
+    return np.diff(np.r_[0, cuts, total])
+
+
+@pytest.mark.parametrize("spec", [bounded_log(0.05, 0.5), truncated_linear(0.3)],
+                         ids=["log", "lin"])
+def test_level_solver_matches_sliver_brute_force(spec):
+    # on 16 cells of width 1/16 the integer masses are exact in floats
+    rng = np.random.default_rng(11)
+    g = Grid(1, 16)
+    for trial in range(12):
+        total = int(rng.integers(2, 8))
+        n_pos, n_neg = (int(rng.integers(1, total + 1)) for _ in range(2))
+        cells = rng.choice(16, size=n_pos + n_neg, replace=False)
+        masses = np.r_[composition(rng, total, n_pos), -composition(rng, total, n_neg)]
+        eta = integer_atoms(g, cells, masses)
+        plan, value = solve_primal(eta, spec)
+        assert value == pytest.approx(sliver_brute_force(eta, spec), rel=1e-12), trial
+        assert plan.marginal_deviation() == 0.0
+
+
+def test_prefix_sum_that_revisits_a_height():
+    # masses +2, -1, +1, -2 in cell order: F reads 2, 1, 2, 0 and reaches the
+    # height 2 twice.  The level [0, 1) pairs the first source with the last
+    # target; the level [1, 2) holds two sources and two targets
+    g = Grid(1, 16)
+    eta = integer_atoms(g, [1, 4, 9, 13], [2, -1, 1, -2])
+    spec = bounded_log(0.05, 0.5)
+    before = dict(SOLVER_COUNTS)
+    plan, value = solve_primal(eta, spec)
+    assert SOLVER_COUNTS["levels"] == before["levels"] + 2
+    assert SOLVER_COUNTS["assignment_vars"] == before["assignment_vars"] + 1 + 4
+    assert plan.marginal_deviation() == 0.0
+    assert value == pytest.approx(sliver_brute_force(eta, spec), rel=1e-14)
+    assert value == pytest.approx(linprog_value(eta, spec)[1], rel=1e-12)
+
+
+def test_plan_with_entries_of_two_levels_swapped_is_not_optimal(rng):
+    eta = random_atoms(rng, 64)
+    spec = bounded_log(0.01, 0.5)
+    plan, _ = solve_primal(eta, spec)
+    # the heights [E, G) each source covers, from the mass prefix sum in cell order
+    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta)
+    signed = np.zeros(eta.grid.n)
+    signed[cells_p], signed[cells_n] = mass_p, -mass_n
+    top = np.cumsum(signed)[cells_p]
+    bottom = top - mass_p
+    C = cost_matrix(spec, pos_p, pos_n, eta.grid.length)
+    si, dj = plan.src_idx, plan.dst_idx
+    for a, b in itertools.combinations(range(plan.n_entries), 2):
+        i, j, k, l = si[a], dj[a], si[b], dj[b]
+        disjoint = top[i] <= bottom[k] or top[k] <= bottom[i]
+        if disjoint and C[i, l] + C[k, j] > C[i, j] + C[k, l] + 1e-6:
+            break
+    else:
+        pytest.fail("no two entries of different levels whose swap costs more")
+    dst = dj.copy()
+    dst[[a, b]] = dst[[b, a]]
+    with pytest.raises(ValueError, match="transport plan is not optimal"):
+        solve_dual(eta, spec, dataclasses.replace(plan, dst_idx=dst))
 
 
 def capture_lps(monkeypatch):
@@ -517,6 +655,41 @@ def capture_lps(monkeypatch):
     return calls
 
 
+def test_prop1_frame_that_presolve_calls_infeasible_is_certified(monkeypatch):
+    # frame 2 of the lp-large benchmark instance: HiGHS with presolve on reads
+    # its transportation LP as infeasible.  The level solver calls no HiGHS,
+    # and its plan is certified at a value no lower than HiGHS's without
+    # presolve
+    p = {**PROP1_DEFAULTS, "n": 256, "n_frames": 9, "deltas": [0.1], "e1_control_n": 512,
+         "chain_frames": [2, 6]}
+    _, _, inst, traj1, traj2 = _twin_cusp_instance(p)
+    frame = build_eta(inst, traj1, traj2).frame(2)
+    spec = bounded_log(0.1, 0.5)
+    calls = capture_lps(monkeypatch)
+    plan, value = solve_primal(frame, spec)
+    assert calls == []
+    assert linprog_value(frame, spec, presolve=True)[0] == 2
+    status, oracle = linprog_value(frame, spec)
+    assert status == 0
+    assert oracle <= value <= oracle * (1 + 1e-10)
+    assert plan.marginal_deviation() <= 1e-13
+    pot, _ = solve_dual(frame, spec, plan)
+    assert abs(duality_gap(plan, pot)) <= 1e-12 * value
+
+
+# ---------------------------------------------------------------------------
+# the direct HiGHS call against scipy.optimize.linprog(method="highs"): every
+# field krlab reads must agree bit for bit, so a scipy whose private HiGHS
+# bindings (scipy.optimize._highspy._core) change shape fails here.  The
+# W^{-1,1} norm solves its LP this way; a transportation LP exercises the
+# equality rows
+
+# presolve, no presolve, HiGHS defaults: as HiGHS options and as linprog options
+HIGHS_LADDER = [transport._HIGHS_OPTS, transport._highs_options(**TIGHT, presolve="off"),
+                transport._highs_options()]
+LINPROG_LADDER = [{"presolve": True, **TIGHT}, {"presolve": False, **TIGHT}, {}]
+
+
 def assert_same_solve(mine, ref, ref_row_dual):
     assert mine.status == ref.status and mine.nit == ref.nit
     if ref.status == 0:
@@ -525,12 +698,14 @@ def assert_same_solve(mine, ref, ref_row_dual):
         assert np.array_equal(mine.row_dual, ref_row_dual)
 
 
-def transport_a_eq(m, n):
-    """The transportation constraint matrix, built as a COO -> CSR."""
-    cols = np.arange(m * n)
-    rows = np.concatenate([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)])
-    return sparse.csr_matrix((np.ones(2 * m * n), (rows, np.concatenate([cols, cols]))),
-                             shape=(m + n, m * n))
+def transport_lp(a, b, C):
+    """The transportation LP as ``transport.linprog`` takes it: column
+    i * n + j carries source i (row i) to target j (row m + j), in CSC form,
+    with the marginals scaled to unit total."""
+    m, n = C.shape
+    rows = np.stack([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)], axis=1)
+    A = (np.arange(0, 2 * m * n + 1, 2), rows.ravel(), np.ones(2 * m * n))
+    return C.ravel(), A, np.concatenate([a, b]) / a.sum()
 
 
 @pytest.mark.parametrize("m, n", [(8, 8), (24, 40), (128, 128)])
@@ -538,47 +713,17 @@ def transport_a_eq(m, n):
                                   bounded_log(1e-4, 0.5), truncated_linear(0.5),
                                   truncated_linear(0.2)],
                          ids=["log-0.2", "log-1e-2", "log-1e-4", "lin-0.5", "lin-0.2"])
-def test_transport_lp_is_linprog_bit_for_bit(monkeypatch, m, n, spec):
+def test_transport_lp_is_linprog_bit_for_bit(m, n, spec):
     rng = np.random.default_rng(m * n)
     a, b = rng.random(m), rng.random(n)
     b *= a.sum() / b.sum()
-    C = cost_matrix(spec, rng.random(m), rng.random(n), 1.0)
-    calls = capture_lps(monkeypatch)
-    (si, dj, pm), v = _solve_transport_lp(a, b, C)
-    (c, A, lhs, rhs, lb, ub, _), _ = calls[0]
-    assert len(calls) == 1 and np.array_equal(c, C.ravel())
-    A_eq, b_eq = transport_a_eq(m, n), np.concatenate([a, b]) / a.sum()
-    refs = []
-    for opts, linprog_opts in zip(transport._LP_LADDER, LINPROG_LADDER):
-        refs.append(optimize.linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
-                                     method="highs", options=linprog_opts))
-        assert refs[-1].status == 0
-        assert_same_solve(real_linprog(c, A, lhs, rhs, lb, ub, opts), refs[-1],
-                          refs[-1].eqlin.marginals)
-    first = refs[0]
-    assert np.array_equal(v, first.eqlin.marginals[m:])
-    assert np.array_equal(pm, (first.x * a.sum())[si * n + dj])
-
-
-def test_prop1_frame_retries_without_presolve_like_linprog(monkeypatch):
-    # frame 2 of the lp-large benchmark instance: presolve on reads it as
-    # infeasible, the attempt without presolve solves it
-    p = {**PROP1_DEFAULTS, "n": 256, "n_frames": 9, "deltas": [0.1], "e1_control_n": 512,
-         "chain_frames": [2, 6]}
-    _, _, inst, traj1, traj2 = _twin_cusp_instance(p)
-    frame = build_eta(inst, traj1, traj2).frame(2)
-    calls = capture_lps(monkeypatch)
-    retries = SOLVER_COUNTS["lp_presolve_retries"]
-    plan, _ = solve_primal(frame, bounded_log(0.1, 0.5))
-    assert SOLVER_COUNTS["lp_presolve_retries"] == retries + 1
-    assert [res.status for _, res in calls] == [2, 0]
-    m, n = len(plan.src_mass), len(plan.dst_mass)
-    A_eq = transport_a_eq(m, n)
-    for ((c, _, _, rhs, _, _, _), mine), opts in zip(calls, LINPROG_LADDER):
-        ref = optimize.linprog(c, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs",
-                               options=opts)
-        assert_same_solve(mine, ref, ref.eqlin.marginals)
-    assert np.array_equal(plan.dst_dual, calls[-1][1].row_dual[m:])
+    c, A, rhs = transport_lp(a, b, cost_matrix(spec, rng.random(m), rng.random(n), 1.0))
+    for opts, linprog_opts in zip(HIGHS_LADDER, LINPROG_LADDER):
+        ref = optimize.linprog(c, A_eq=transport_a_eq(m, n), b_eq=rhs, bounds=(0, None),
+                               method="highs", options=linprog_opts)
+        assert ref.status == 0
+        assert_same_solve(real_linprog(c, A, rhs, rhs, 0.0, np.inf, opts), ref,
+                          ref.eqlin.marginals)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (1, 512)])
@@ -603,18 +748,15 @@ def test_w_neg11_lp_is_linprog_bit_for_bit(monkeypatch, rng, dim, n):
     assert w == -ref.fun
 
 
-def test_infeasible_lp_reports_highs_status(monkeypatch):
+def test_infeasible_lp_reports_highs_status():
     m, n = 6, 9
     a, b = np.ones(m), np.full(n, 2.0)  # total masses 6 and 18
     C = cost_matrix(truncated_linear(0.2), np.linspace(0, 1, m), np.linspace(0, 1, n), 1.0)
-    calls = capture_lps(monkeypatch)
-    with pytest.raises(RuntimeError, match="transport LP failed: HiGHS model status Infeasible"):
-        _solve_transport_lp(a, b, C)
-    assert len(calls) == 3
-    A_eq = transport_a_eq(m, n)
-    for ((c, _, _, rhs, _, _, _), mine), opts in zip(calls, LINPROG_LADDER):
-        ref = optimize.linprog(c, A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs",
-                               options=opts)
+    c, A, rhs = transport_lp(a, b, C)
+    for opts, linprog_opts in zip(HIGHS_LADDER, LINPROG_LADDER):
+        mine = real_linprog(c, A, rhs, rhs, 0.0, np.inf, opts)
+        ref = optimize.linprog(c, A_eq=transport_a_eq(m, n), b_eq=rhs, bounds=(0, None),
+                               method="highs", options=linprog_opts)
         assert ref.status == mine.status == 2
         assert_same_solve(mine, ref, None)
         assert mine.x is None and mine.row_dual is None
