@@ -591,8 +591,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         traj2 = eulerian_solve(data2, grid, cfl=p["cfl"], n_frames=p["n_frames"])
         upwind_steps += traj1.meta["steps"] + traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
-        norms = [w_neg11_norm(eta.frame(k)) if np.abs(eta.frames[k]).max() > 0 else 0.0
-                 for k in range(eta.n_frames)]
+        norms = [w_neg11_norm(eta.frame(k)) for k in range(eta.n_frames)]
         sup_w.append(max(norms))
         r_measured = inst.perturbation_size(grid)
         prop1 = check_prop1(inst, _thin(traj1, 4), _thin(traj2, 4),

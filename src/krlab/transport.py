@@ -26,8 +26,9 @@ are independent uniform-mass assignments, each weighted by its width, and
 the plan is their union with repeated pairs merged.  When every atom
 carries the same mass, each level is one atom wide; the step density of
 e1-example at n = 4096 has 2048 levels of one atom pair each, and its
-masses 1/4096 sum without roundoff.  The costs of all level blocks are
-evaluated in one pass, and each block of two or more pairs is solved by
+masses 1/4096 sum without roundoff.  The costs of the level blocks are
+evaluated one run of whole levels at a time (``BLOCK_RUN_ENTRIES``), and
+each block of two or more pairs is solved by
 ``scipy.optimize.linear_sum_assignment``.
 
 ``solve_primal`` measures the marginal defect of every plan it returns.
@@ -43,30 +44,27 @@ Callers solve an instance once and pass the plan to every check that reads
 it; ``check_plan`` rejects a plan that was solved for another density or
 cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
 
-HiGHS is left only for the W^{-1,1} norm, a linear program.  It goes through
-``linprog`` below, which drives scipy's own HiGHS bindings
-(``scipy.optimize._highspy._core``) with exactly the options that
-``scipy.optimize.linprog(method="highs")`` sets; its ``x``, row duals,
-``fun``, ``nit`` and ``status`` are linprog's bit for bit.  It skips what
-linprog does around the solver: input cleaning, option validation, sparse
-format conversion and a Python loop over the basis of every column.
-linprog's feasibility check of the solution is kept (``lp_feasible``).  The
-function keeps the name ``linprog``, with the cost vector first, because
-the benchmark's tracer wraps ``transport.linprog`` as its ``transport.lp``
-span and reads ``len(c)``, ``nit`` and ``status``.
+The W^{-1,1} norm is a KR distance too.  Its dual-Lipschitz form takes the
+sup of the pairing over grid functions with |phi| <= 1 and neighbour slopes
+<= 1.  Those are, up to a constant that a mean-zero density does not see,
+the functions that are 1-Lipschitz for the metric min(d, 2): a function
+with |phi| <= 1 moves by at most 2 and, along the grid, by at most d, and
+one that is 1-Lipschitz for min(d, 2) oscillates by at most 2.  By
+Kantorovich-Rubinstein duality on the grid (bounded-Lipschitz duality:
+Hanin, "Kantorovich-Rubinstein norm and its application in the theory of
+Lipschitz spaces", Proc. AMS, 1992) the norm is the transport cost for
+min(d, 2), the truncated-linear cost with R = 2, which is concave, so the
+level solver gives it exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy import _core as highs
 
-from .cost import CostSpec, cost_derivative, cost_eval
+from .cost import CostSpec, cost_derivative, cost_eval, truncated_linear
 from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
                        periodic_distance_matrix, periodic_wrap)
 
@@ -75,31 +73,13 @@ MASS_TOL = 1e-10
 # largest cost: arc lengths are differences of costs, so the cycles of an
 # optimal plan can read a few ulps of that scale below zero and never settle
 DUAL_DROP_TOL = 1e-12
-# the options scipy.optimize.linprog(method="highs") sets on every solve:
-# presolve on, no output, the dual simplex
-_LINPROG_OPTS = {
-    "presolve": "on",
-    "highs_debug_level": highs.HighsDebugLevel.kHighsDebugLevelNone,
-    "log_to_console": False,
-    "output_flag": False,
-    "simplex_strategy": highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
-}
-
-
-def _highs_options(**opts) -> highs.HighsOptions:
-    """linprog's HiGHS options with ``opts`` laid over them.  HiGHS copies
-    the options it is passed, so one object serves every solve."""
-    out = highs.HighsOptions()
-    for key, val in {**_LINPROG_OPTS, **opts}.items():
-        setattr(out, key, val)
-    return out
-
-
-_HIGHS_OPTS = _highs_options(primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
-# linprog's own check of a solution HiGHS calls optimal (scipy's _check_result
-# at its default tol 1e-9): bounds and rows may be off by sqrt(1e-9) * 10.
-# HiGHS works to 1e-7 at its loosest, so a larger defect is a wrong answer
-LP_CHECK_TOL = math.sqrt(1e-9) * 10
+# the level blocks' costs are evaluated in runs of whole levels of at most
+# this many entries, so that memory stays flat however large the sum of k * k
+# over the levels grows (510,128 entries at n = 2048 in oscillatory-example);
+# a single level with more entries is a run of its own.  A run's costs, 128
+# KiB, stay in cache: the k = 16 instance took 19-21 ms against 23-25 ms in
+# runs of 2^12 or 2^16 entries (2-CPU x86-64 host)
+BLOCK_RUN_ENTRIES = 1 << 14
 
 # the exact solves made by this process: the nonempty instances, their
 # levels, the entries of their level blocks (the sum of k * k over the
@@ -166,73 +146,6 @@ def _atoms(part: SignedDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def cost_matrix(spec: CostSpec, pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
     """Dense cost matrix c(dist(x_i, y_j))."""
     return cost_eval(spec, periodic_distance_matrix(pos_a, pos_b, length))
-
-
-class LPResult(NamedTuple):
-    """What krlab reads of a HiGHS solve; ``x`` and ``row_dual`` are None
-    unless ``status`` is 0."""
-
-    x: np.ndarray | None
-    row_dual: np.ndarray | None
-    fun: float
-    nit: int
-    status: int
-    message: str
-
-
-def lp_feasible(x: np.ndarray, fun: float, row_value: np.ndarray, lhs: np.ndarray,
-                rhs: np.ndarray, lb: float, ub: float) -> bool:
-    """linprog's feasibility check of a solution: no NaN, and the bounds
-    ``lb <= x <= ub`` and rows ``lhs <= row_value <= rhs`` hold to within
-    ``LP_CHECK_TOL``.  A NaN propagates through min and max and fails its
-    comparison."""
-    tol = LP_CHECK_TOL
-    return bool(not math.isnan(fun) and x.min() >= lb - tol and x.max() <= ub + tol
-                and (rhs - row_value).min() >= -tol and (row_value - lhs).min() >= -tol)
-
-
-def linprog(c: np.ndarray, A: tuple, lhs: np.ndarray, rhs: np.ndarray, lb: float, ub: float,
-            options: highs.HighsOptions) -> LPResult:
-    """Minimize ``c @ x`` subject to ``lhs <= A @ x <= rhs`` and
-    ``lb <= x <= ub`` as ``scipy.optimize.linprog(method="highs")`` does,
-    bit for bit (see the module docstring, also for the name).  ``A`` is
-    (indptr, indices, data) in CSC form with sorted row indices, and
-    ``options`` comes from ``_highs_options``.  A solution that HiGHS calls
-    optimal must also pass ``lp_feasible``, or the status is 4.
-    """
-    numcol, numrow = len(c), len(rhs)
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = numcol
-    lp.num_row_ = lp.a_matrix_.num_row_ = numrow
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    # only col_cost_ reads a numpy array as a buffer; the other vectors take
-    # a list faster than an array, which they convert element by element
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (v.tolist() for v in A)
-    lp.col_cost_ = c
-    lp.col_lower_ = [lb] * numcol
-    lp.col_upper_ = [ub] * numcol
-    lp.row_lower_ = lhs
-    lp.row_upper_ = rhs
-    solver = highs._Highs()
-    solver.passOptions(options)
-    solver.passModel(lp)
-    solver.run()
-    model_status = solver.getModelStatus()
-    info = solver.getInfo()
-    if model_status != highs.HighsModelStatus.kOptimal:
-        # linprog's codes: 2 infeasible, 4 any other failure (1 for a limit
-        # and 3 for unbounded cannot occur: no limit is set, every LP is bounded)
-        status = 2 if model_status == highs.HighsModelStatus.kInfeasible else 4
-        return LPResult(None, None, math.nan, info.simplex_iteration_count, status,
-                        f"HiGHS model status {solver.modelStatusToString(model_status)}")
-    sol = solver.getSolution()
-    x = np.array(sol.col_value)
-    fun = info.objective_function_value
-    if not lp_feasible(x, fun, np.array(sol.row_value), lhs, rhs, lb, ub):
-        return LPResult(None, None, fun, info.simplex_iteration_count, 4,
-                        f"HiGHS called a solution optimal that violates a bound or row "
-                        f"by more than {LP_CHECK_TOL:.2e}")
-    return LPResult(x, np.array(sol.row_dual), fun, info.simplex_iteration_count, 0, "optimal")
 
 
 def _prune_atoms(pos, masses, cells):
@@ -308,29 +221,44 @@ def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.nda
     dst, _ = _level_members(lo[m:], hi[m:])
     starts = np.flatnonzero(np.diff(lvl, prepend=-1))
     ks = np.diff(starts, append=len(lvl))
-    first = np.cumsum(ks * ks) - ks * ks  # where each level's block starts in costs
-    kr, row = ks[lvl], np.arange(len(lvl)) - starts[lvl]
-    # a level's targets take the same places in the target members as its
-    # sources in the source members.  Row i of its k x k block, stored
-    # row-major, pairs source member starts + i with the target members
-    # starts, ..., starts + k - 1
-    tgt = np.arange(kr.sum()) - np.repeat(first[lvl] + row * kr - starts[lvl], kr)
-    costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src], kr) - pos_n[dst][tgt],
-                                                 length)))
+    kk = ks * ks
+    ends = np.cumsum(kk)
+    first = ends - kk  # where each level's block starts in the entries
+    row = np.arange(len(lvl)) - starts[lvl]
+    dst_pos = pos_n[dst]
+    bounds = np.append(starts, len(lvl))
     # linear_sum_assignment returns a square block's rows as arange(k), so
     # its column indices are the solution; a 1 x 1 block pairs its atoms
     col = np.zeros(len(lvl), dtype=np.intp)
-    big = np.flatnonzero(ks > 1)
-    for s0, e0, k in zip(starts[big].tolist(), first[big].tolist(), ks[big].tolist()):
-        col[s0:s0 + k] = linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
+    picked = np.empty(len(lvl))  # the cost of each member's pair
+    a = 0
+    while a < len(ks):
+        # levels a, ..., b - 1: as many as fit in BLOCK_RUN_ENTRIES, and at least one
+        b = max(int(np.searchsorted(ends, first[a] + BLOCK_RUN_ENTRIES, side="right")), a + 1)
+        run = slice(bounds[a], bounds[b])
+        lr = lvl[run]
+        kr = ks[lr]
+        at = first[lr] - first[a] + row[run] * kr  # where each member's row starts
+        # a level's targets take the same places in the target members as
+        # its sources in the source members.  Row i of its k x k block,
+        # stored row-major from ``at``, pairs source member starts + i with
+        # the target members starts, ..., starts + k - 1
+        tgt = np.arange(kr.sum()) - np.repeat(at - starts[lr], kr)
+        costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src[run]], kr)
+                                                     - dst_pos[tgt], length)))
+        big = np.flatnonzero(ks[a:b] > 1) + a
+        for s0, e0, k in zip(starts[big].tolist(), (first[big] - first[a]).tolist(),
+                             ks[big].tolist()):
+            col[s0:s0 + k] = linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
+        picked[run] = costs[at + col[run]]
+        a = b
     # merge the pairs that several levels repeat
     key = src * n + dst[starts[lvl] + col]
     by_pair = np.argsort(key, kind="stable")
     pairs = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
     si, dj = np.divmod(key[by_pair][pairs], n)
     pm = np.add.reduceat(np.diff(heights)[lvl][by_pair], pairs)
-    picked = costs[first[lvl] + row * kr + col][by_pair][pairs]
-    return (si, dj, pm), picked, len(ks), len(costs)
+    return (si, dj, pm), picked[by_pair][pairs], len(ks), int(ends[-1])
 
 
 def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, float]:
@@ -457,25 +385,9 @@ def kr_distance(eta: SignedDensity, cost: CostSpec) -> float:
 
 def w_neg11_norm(eta: SignedDensity) -> float:
     """Dual-Lipschitz norm: sup of the pairing over grid functions with
-    |phi| <= 1 and neighbour slopes <= 1, solved as an LP."""
-    _require_valid(eta)
-    g = eta.grid
-    if np.abs(eta.values).max(initial=0.0) == 0.0:
-        return 0.0
-    N = g.ncells
-    # row j is phi_j - phi_{j+1} <= h and row N + j its negation, so column j
-    # has its entries in rows j - 1, j, N + j - 1 and N + j (CSC, rows sorted);
-    # column 0 meets the wrapped pair N - 1, 2N - 1 after its own rows 0, N
-    j = np.arange(N)
-    rows = np.stack([j - 1, j, N + j - 1, N + j], axis=1)
-    vals = np.tile([-1.0, 1.0, 1.0, -1.0], (N, 1))
-    rows[0], vals[0] = [0, N - 1, N, 2 * N - 1], [1.0, -1.0, -1.0, 1.0]
-    A = (np.arange(0, 4 * N + 1, 4), rows.ravel(), vals.ravel())
-    res = linprog(-eta.values * g.cell_volume, A, np.full(2 * N, -np.inf), np.full(2 * N, g.h),
-                  -1.0, 1.0, _HIGHS_OPTS)
-    if res.status != 0:
-        raise RuntimeError(f"W^-1,1 LP failed: {res.message}")
-    return float(-res.fun)
+    |phi| <= 1 and neighbour slopes <= 1, which is the KR distance for the
+    cost min(d, 2) (module docstring)."""
+    return kr_distance(eta, truncated_linear(2.0))
 
 
 @dataclass

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize, sparse
-from scipy.optimize._linprog_util import _check_result
 
 from krlab import transport
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
@@ -16,8 +15,6 @@ from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_d
 from krlab.transport import (SOLVER_COUNTS, _prepare_instance, check_plan, cost_matrix,
                              duality_gap, kr_distance, potential_gradient_on_support,
                              solve_dual, solve_primal, w_neg11_norm)
-
-real_linprog = transport.linprog
 
 
 def step(n):
@@ -276,8 +273,7 @@ def test_unbalanced_rejected(rng):
 ], ids=["kr-nan", "kr-inf", "wneg11-nan", "wneg11-inf", "check-plan-neg-inf"])
 def test_non_finite_density_is_rejected(bad, solve):
     # unchecked, a NaN cell drops out of the Jordan parts (kr_distance 0.496
-    # on a rebalanced 7-against-8 step), an inf cell reads 0.0, and the
-    # W^{-1,1} LP fails its feasibility check
+    # on a rebalanced 7-against-8 step) and an inf cell reads 0.0
     v = step(16).values.copy()
     v[[3, 11]] = bad
     with pytest.raises(ValueError, match="NaN or inf in 2 of 16 cells"):
@@ -642,20 +638,7 @@ def test_plan_with_entries_of_two_levels_swapped_is_not_optimal(rng):
         solve_dual(eta, spec, dataclasses.replace(plan, dst_idx=dst))
 
 
-def capture_lps(monkeypatch):
-    """Record (args, result) of every transport.linprog call."""
-    calls = []
-
-    def spy(*args):
-        res = real_linprog(*args)
-        calls.append((args, res))
-        return res
-
-    monkeypatch.setattr(transport, "linprog", spy)
-    return calls
-
-
-def test_prop1_frame_that_presolve_calls_infeasible_is_certified(monkeypatch):
+def test_prop1_frame_that_presolve_calls_infeasible_is_certified():
     # frame 2 of the lp-large benchmark instance: HiGHS with presolve on reads
     # its transportation LP as infeasible.  The level solver calls no HiGHS,
     # and its plan is certified at a value no lower than HiGHS's without
@@ -665,9 +648,7 @@ def test_prop1_frame_that_presolve_calls_infeasible_is_certified(monkeypatch):
     _, _, inst, traj1, traj2 = _twin_cusp_instance(p)
     frame = build_eta(inst, traj1, traj2).frame(2)
     spec = bounded_log(0.1, 0.5)
-    calls = capture_lps(monkeypatch)
     plan, value = solve_primal(frame, spec)
-    assert calls == []
     assert linprog_value(frame, spec, presolve=True)[0] == 2
     status, oracle = linprog_value(frame, spec)
     assert status == 0
@@ -678,116 +659,60 @@ def test_prop1_frame_that_presolve_calls_infeasible_is_certified(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the direct HiGHS call against scipy.optimize.linprog(method="highs"): every
-# field krlab reads must agree bit for bit, so a scipy whose private HiGHS
-# bindings (scipy.optimize._highspy._core) change shape fails here.  The
-# W^{-1,1} norm solves its LP this way; a transportation LP exercises the
-# equality rows
+# the W^{-1,1} norm against its LP, solved by scipy.optimize.linprog(method="highs")
 
-# presolve, no presolve, HiGHS defaults: as HiGHS options and as linprog options
-HIGHS_LADDER = [transport._HIGHS_OPTS, transport._highs_options(**TIGHT, presolve="off"),
-                transport._highs_options()]
-LINPROG_LADDER = [{"presolve": True, **TIGHT}, {"presolve": False, **TIGHT}, {}]
-
-
-def assert_same_solve(mine, ref, ref_row_dual):
-    assert mine.status == ref.status and mine.nit == ref.nit
-    if ref.status == 0:
-        assert mine.fun == ref.fun
-        assert np.array_equal(mine.x, ref.x)
-        assert np.array_equal(mine.row_dual, ref_row_dual)
+def w_neg11_linprog(eta):
+    """Sup of the pairing over phi in [-1, 1]^n with phi_j - phi_{j+1} <= h
+    and phi_{j+1} - phi_j <= h around the circle, by scipy's linprog."""
+    g = eta.grid
+    n = g.ncells
+    j = np.arange(n)
+    diff = sparse.csr_matrix((np.r_[np.ones(n), -np.ones(n)], (np.r_[j, j], np.r_[j, (j + 1) % n])),
+                             shape=(n, n))
+    res = optimize.linprog(-eta.values * g.cell_volume, A_ub=sparse.vstack([diff, -diff]),
+                           b_ub=np.full(2 * n, g.h), bounds=(-1.0, 1.0), method="highs",
+                           options=TIGHT)
+    assert res.status == 0
+    return -res.fun
 
 
-def transport_lp(a, b, C):
-    """The transportation LP as ``transport.linprog`` takes it: column
-    i * n + j carries source i (row i) to target j (row m + j), in CSC form,
-    with the marginals scaled to unit total."""
-    m, n = C.shape
-    rows = np.stack([np.repeat(np.arange(m), n), m + np.tile(np.arange(n), m)], axis=1)
-    A = (np.arange(0, 2 * m * n + 1, 2), rows.ravel(), np.ones(2 * m * n))
-    return C.ravel(), A, np.concatenate([a, b]) / a.sum()
+@pytest.mark.parametrize("length", [1.0, 2 * np.pi, 7.0], ids=["L1", "L2pi", "L7"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_w_neg11_is_its_lp(rng, length, n):
+    # on the circles longer than 4 the truncation of the cost at 2 binds:
+    # the KR distance for the untruncated arc length is larger somewhere
+    g = Grid(1, n, length=length)
+    binds = False
+    for _ in range(4):
+        eta = random_mean_zero(g, rng)
+        w = w_neg11_norm(eta)
+        assert abs(w - w_neg11_linprog(eta)) <= 1e-12 * w
+        binds |= kr_distance(eta, truncated_linear(length)) > w * (1 + 1e-12)
+    assert binds == (length > 4.0)
 
 
-@pytest.mark.parametrize("m, n", [(8, 8), (24, 40), (128, 128)])
-@pytest.mark.parametrize("spec", [bounded_log(0.2, 0.5), bounded_log(1e-2, 0.5),
-                                  bounded_log(1e-4, 0.5), truncated_linear(0.5),
-                                  truncated_linear(0.2)],
-                         ids=["log-0.2", "log-1e-2", "log-1e-4", "lin-0.5", "lin-0.2"])
-def test_transport_lp_is_linprog_bit_for_bit(m, n, spec):
-    rng = np.random.default_rng(m * n)
-    a, b = rng.random(m), rng.random(n)
-    b *= a.sum() / b.sum()
-    c, A, rhs = transport_lp(a, b, cost_matrix(spec, rng.random(m), rng.random(n), 1.0))
-    for opts, linprog_opts in zip(HIGHS_LADDER, LINPROG_LADDER):
-        ref = optimize.linprog(c, A_eq=transport_a_eq(m, n), b_eq=rhs, bounds=(0, None),
-                               method="highs", options=linprog_opts)
-        assert ref.status == 0
-        assert_same_solve(real_linprog(c, A, rhs, rhs, 0.0, np.inf, opts), ref,
-                          ref.eqlin.marginals)
+# ---------------------------------------------------------------------------
+# the level blocks' costs, evaluated in runs of BLOCK_RUN_ENTRIES entries
 
+def test_runs_of_few_block_entries_give_the_same_solves(monkeypatch, rng):
+    instances = [(random_mean_zero(Grid(1, n), rng), spec) for n in (64, 256, 1024)
+                 for spec in (bounded_log(0.01, 0.5), truncated_linear(0.3))]
+    blocks = []
+    real = transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda c: blocks.append(len(c)) or real(c))
 
-@pytest.mark.parametrize("dim, n", [(1, 64), (1, 512)])
-def test_w_neg11_lp_is_linprog_bit_for_bit(monkeypatch, rng, dim, n):
-    eta = random_mean_zero(Grid(dim, n), rng)
-    calls = capture_lps(monkeypatch)
-    w = w_neg11_norm(eta)
-    [((c, A, lhs, rhs, lb, ub, _), mine)] = calls
-    assert np.all(lhs == -np.inf) and (lb, ub) == (-1.0, 1.0)
-    # the CSC arrays of the neighbour rows phi_j - phi_{j+1} <= h and their
-    # negations, assembled by scipy's COO -> CSC conversion
-    j, nb = np.arange(n), np.roll(np.arange(n), -1)
-    one = np.ones(n)
-    coo = sparse.csc_array((np.r_[one, -one, -one, one], (np.r_[j, j, n + j, n + j],
-                                                         np.r_[j, nb, j, nb])), shape=(2 * n, n))
-    assert all(np.array_equal(a, b) for a, b in zip(A, (coo.indptr, coo.indices, coo.data)))
-    A_ub = sparse.csr_matrix(sparse.csc_array((A[2], A[1], A[0]), shape=(len(rhs), len(c))))
-    ref = optimize.linprog(c, A_ub=A_ub, b_ub=rhs, bounds=(-1.0, 1.0), method="highs",
-                           options=LINPROG_LADDER[0])
-    assert ref.status == 0
-    assert_same_solve(mine, ref, ref.ineqlin.marginals)
-    assert w == -ref.fun
+    def solve_all(limit):
+        monkeypatch.setattr(transport, "BLOCK_RUN_ENTRIES", limit)
+        counts = dict.fromkeys(SOLVER_COUNTS, 0)
+        monkeypatch.setattr(transport, "SOLVER_COUNTS", counts)
+        return [solve_primal(eta, spec) for eta, spec in instances], counts
 
-
-def test_infeasible_lp_reports_highs_status():
-    m, n = 6, 9
-    a, b = np.ones(m), np.full(n, 2.0)  # total masses 6 and 18
-    C = cost_matrix(truncated_linear(0.2), np.linspace(0, 1, m), np.linspace(0, 1, n), 1.0)
-    c, A, rhs = transport_lp(a, b, C)
-    for opts, linprog_opts in zip(HIGHS_LADDER, LINPROG_LADDER):
-        mine = real_linprog(c, A, rhs, rhs, 0.0, np.inf, opts)
-        ref = optimize.linprog(c, A_eq=transport_a_eq(m, n), b_eq=rhs, bounds=(0, None),
-                               method="highs", options=linprog_opts)
-        assert ref.status == mine.status == 2
-        assert_same_solve(mine, ref, None)
-        assert mine.x is None and mine.row_dual is None
-
-
-def test_feasibility_check_is_linprogs():
-    # a solved 3x3 transportation LP, then its row values pushed off
-    m = n = 3
-    A_eq = transport_a_eq(m, n)
-    rhs = np.full(m + n, 1.0 / 3)
-    res = optimize.linprog(np.arange(9.0), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
-    row = A_eq @ res.x
-    tol = transport.LP_CHECK_TOL
-    assert tol == np.sqrt(1e-9) * 10
-
-    def linprog_accepts(x, fun, row_value):
-        con = rhs - row_value
-        status, _ = _check_result(x, fun, 0, np.zeros(0), con, np.array([[0, np.inf]] * 9),
-                                  1e-9, "", None)
-        return status == 0
-
-    for x, fun, row_value in [
-        (res.x, res.fun, row),
-        (res.x, res.fun, row + 0.9 * tol),
-        (res.x, res.fun, row - 2 * tol),
-        (res.x, res.fun, np.where(np.arange(m + n) == 4, row[4] + 2 * tol, row)),
-        (np.where(np.arange(9) == 2, -2 * tol, res.x), res.fun, row),
-        (np.where(np.arange(9) == 2, np.nan, res.x), res.fun, row),
-        (res.x, np.nan, row),
-    ]:
-        mine = transport.lp_feasible(x, fun, row_value, rhs, rhs, 0.0, np.inf)
-        assert mine == linprog_accepts(x, fun, row_value)
-    assert transport.lp_feasible(res.x, res.fun, row, rhs, rhs, 0.0, np.inf)
-    assert not transport.lp_feasible(res.x, res.fun, row + 2 * tol, rhs, rhs, 0.0, np.inf)
+    default, default_counts = solve_all(transport.BLOCK_RUN_ENTRIES)
+    assert max(blocks) ** 2 > 16
+    small, small_counts = solve_all(16)
+    assert small_counts == default_counts
+    for (plan, value), (ref, ref_value) in zip(small, default):
+        assert value == ref_value
+        for name in ("src_idx", "dst_idx", "plan_mass"):
+            assert np.array_equal(getattr(plan, name), getattr(ref, name)), name

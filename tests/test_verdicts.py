@@ -76,6 +76,15 @@ def norms_above_schedule(monkeypatch):
     monkeypatch.setattr(experiments, "w_neg11_norm", lambda eta: 1e3 * real(eta))
 
 
+def scaled_w_neg11(factor):
+    """Every W^{-1,1} norm ``factor`` times the real one: at 0.5 below the
+    truncated-linear distance d1 (R = 1), at 3 above twice d1."""
+    def patch(monkeypatch):
+        real = experiments.w_neg11_norm
+        monkeypatch.setattr(experiments, "w_neg11_norm", lambda eta: factor * real(eta))
+    return patch
+
+
 def jump_at_t1(monkeypatch):
     """Hand-built twin trajectories: eta is c_k times one bump with
     c = (0, 1, 1/2, 1/2, ...), so D jumps at t1 and is half that at t2."""
@@ -122,6 +131,8 @@ NEGATIVE_CONTROLS = [
     # verdict, experiment, params, patch
     ("duality-gap-relative", "transport-selftest", SELFTEST_SMALL, half_potential),
     ("potential-sup-bound", "transport-selftest", SELFTEST_SMALL, shifted_potential),
+    ("d1-lower-bounds-w", "transport-selftest", SELFTEST_SMALL, scaled_w_neg11(0.5)),
+    ("w-below-twice-d1", "transport-selftest", SELFTEST_SMALL, scaled_w_neg11(3.0)),
     ("uniqueness-bound-monotone", "uniqueness-drive", {"n": 32, "control_n": 32}, rising_series),
     # a step series over one decade too few: its bound rises 1.56-fold, not tenfold
     ("bv-control-bound-grows", "uniqueness-drive",
@@ -153,6 +164,13 @@ def test_shifted_potential_fails_only_the_sup_bound(monkeypatch):
     shifted_potential(monkeypatch)
     rec = run_experiment("transport-selftest", SELFTEST_SMALL)
     assert [v.name for v in rec.verdicts if not v.passed] == ["potential-sup-bound"]
+
+
+@pytest.mark.parametrize("factor, verdict", [(0.5, "d1-lower-bounds-w"), (3.0, "w-below-twice-d1")])
+def test_scaled_w_neg11_fails_only_its_bound(monkeypatch, factor, verdict):
+    scaled_w_neg11(factor)(monkeypatch)
+    rec = run_experiment("transport-selftest", SELFTEST_SMALL)
+    assert [v.name for v in rec.verdicts if not v.passed] == [verdict]
 
 
 def test_reversed_translation_grids_measure_the_error_ratio():
