@@ -555,6 +555,42 @@ def test_level_solver_matches_linprog(n, spec):
         assert duality_gap(plan, pot) >= -1e-12 * value, trial
 
 
+@pytest.mark.parametrize("m, n", [(8, 8), (24, 40), (128, 128)])
+@pytest.mark.parametrize("spec", [bounded_log(0.2, 0.5), bounded_log(1e-2, 0.5),
+                                  bounded_log(1e-4, 0.5), truncated_linear(0.5),
+                                  truncated_linear(0.2)],
+                         ids=["log-0.2", "log-1e-2", "log-1e-4", "lin-0.5", "lin-0.2"])
+def test_transport_lp_is_linprog_bit_for_bit(m, n, spec):
+    # m sources and n targets of random mass on distinct cells, against
+    # linprog with presolve, without presolve and at HiGHS's defaults.  A
+    # bounded-log cost is strictly concave in the distance, so the optimal
+    # plan is unique and linprog's support is the level plan's, bit for bit
+    rng = np.random.default_rng(m * n)
+    g = Grid(1, 4096)
+    cells = rng.choice(g.n, size=m + n, replace=False)
+    a, b = rng.random(m), rng.random(n)
+    b *= a.sum() / b.sum()
+    v = np.zeros(g.n)
+    v[cells[:m]], v[cells[m:]] = a / g.h, -b / g.h
+    eta = SignedDensity(g, v)
+    plan, value = solve_primal(eta, spec)
+    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    assert (len(mass_p), len(mass_n)) == (m, n)
+    mine = np.zeros((m, n))
+    mine[plan.src_idx, plan.dst_idx] = plan.plan_mass / mass_p.sum()
+    C = cost_matrix(spec, pos_p, pos_n, g.length)
+    for options in [{"presolve": True, **TIGHT}, {"presolve": False, **TIGHT}, {}]:
+        res = optimize.linprog(C.ravel(), A_eq=transport_a_eq(m, n),
+                               b_eq=np.concatenate([mass_p, mass_n]) / mass_p.sum(),
+                               bounds=(0, None), method="highs", options=options)
+        assert res.status == 0, options
+        assert abs(res.fun * mass_p.sum() - value) <= 1e-12 * value, options
+        if spec.kind is CostKind.BOUNDED_LOG:
+            x = res.x.reshape(m, n)
+            assert np.array_equal(x > 1e-12, mine > 0), options
+            assert np.abs(x - mine).max() <= 1e-12, options
+
+
 def sliver_brute_force(eta, spec):
     """Exhaustive: integer atom masses cut into unit slivers, and every
     assignment of source slivers to target slivers.  The transportation LP
