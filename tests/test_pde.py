@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from krlab import pde
 from krlab.fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                           SmoothShear2D, VelocityField)
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm
@@ -15,6 +16,11 @@ TWO_PI = 2 * math.pi
 
 def smooth_1d(grid):
     return density_from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+
+
+def bits(a):
+    """The float64 bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,73 @@ def test_lagrangian_mass_conservation_2d():
     m0 = rho0.values.sum() * g.cell_volume
     for k in range(traj.n_frames):
         assert traj.frames[k].sum() * g.cell_volume == pytest.approx(m0, abs=1e-12)
+
+
+def add_at_intervals(left, right, masses, grid):
+    """The np.add.at loop that _deposit_intervals_1d replaced."""
+    n, h, L = grid.n, grid.h, grid.length
+    a = np.mod(left, L)
+    width = np.maximum(right - left, 1e-300)
+    b = a + width
+    out = np.zeros(n)
+    ia = np.floor(a / h).astype(np.int64)
+    ib = np.floor((b - 1e-300) / h).astype(np.int64)
+    for k in range(int((ib - ia).max(initial=0)) + 1):
+        cell = ia + k
+        lo = np.maximum(a, cell * h)
+        hi = np.minimum(b, (cell + 1) * h)
+        w = np.clip(hi - lo, 0.0, None)
+        np.add.at(out, cell % n, masses * (w / width))
+    return out / h
+
+
+def add_at_cic(pos, masses, grid):
+    """The np.add.at loop that _deposit_cic_2d replaced."""
+    n, h, L = grid.n, grid.h, grid.length
+    xi = np.mod(pos, L) / h - 0.5
+    base = np.floor(xi).astype(np.int64)
+    frac = xi - base
+    out = np.zeros((n, n))
+    for dx in (0, 1):
+        for dy in (0, 1):
+            wx = frac[:, 0] if dx else 1.0 - frac[:, 0]
+            wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
+            np.add.at(out, ((base[:, 0] + dx) % n, (base[:, 1] + dy) % n), masses * wx * wy)
+    return out / grid.cell_volume
+
+
+def _masses(rng, m):
+    # signs and magnitudes that make any reassociated cell sum round differently
+    return rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6, size=m)
+
+
+@pytest.mark.parametrize("length", [1.0, TWO_PI])
+def test_deposits_are_the_add_at_loops_bit_for_bit(length):
+    rng = np.random.default_rng(11)
+    g = Grid(2, 8, length=length)
+    h, L = g.h, g.length
+    # across the seam, negative and >= L, and a crowd around the vertex at
+    # (2h, 3h) that reaches each of the four cells there from every corner
+    seam = np.array([[-1e-3, 0.2 * h], [L - 1e-3, L + 0.3 * h], [-0.3 * h, -2.6 * L],
+                     [L, 0.0], [2.0 * L + 0.1 * h, L - 0.5 * h], [0.5 * h, 0.5 * h]])
+    crowd = np.array([2.0 * h, 3.0 * h]) + rng.uniform(-0.99 * h, 0.99 * h, size=(64, 2))
+    spread = rng.uniform(-L, 2.0 * L, size=(256, 2))
+    pos = np.concatenate([seam, crowd, spread])
+    masses = _masses(rng, len(pos))
+    assert np.array_equal(bits(pde._deposit_cic_2d(pos, masses, g)),
+                          bits(add_at_cic(pos, masses, g)))
+
+    g1 = Grid(1, 16, length=length)
+    h1 = g1.h
+    left = np.concatenate([[-0.2 * h1, L - 0.5 * h1, -L - 3.7 * h1, 2.0 * L],
+                           rng.uniform(-L, 2.0 * L, size=60)])
+    right = left + np.concatenate([[0.5 * h1, 3.2 * h1, 4.9 * h1, 0.0],
+                                   rng.exponential(1.5 * h1, size=60)])
+    masses1 = _masses(rng, len(left))
+    span = np.floor((np.mod(left, L) + (right - left)) / h1) - np.floor(np.mod(left, L) / h1)
+    assert span.max() >= 3  # some interval covers four cells or more
+    assert np.array_equal(bits(pde._deposit_intervals_1d(left, right, masses1, g1)),
+                          bits(add_at_intervals(left, right, masses1, g1)))
 
 
 def test_det_grad_flow_matches_analytic():
@@ -253,6 +326,7 @@ def reference_eulerian(data, grid, cfl, n_frames):
     frames = [rho.copy()]
     t = 0.0
     steps = 0
+    added = 0.0  # the integral of the source's total
     for k in range(1, len(store)):
         target = store[k]
         while t < target - 1e-14:
@@ -270,11 +344,14 @@ def reference_eulerian(data, grid, cfl, n_frames):
             f = data.source_at(t, grid)
             if f is not None:
                 rho = rho + dt * f
+                added += np.sum(f) * dt
             t += dt
             steps += 1
         frames.append(rho.copy())
     total_source = 0.0
-    if data.source is not None and not callable(data.source):
+    if callable(data.source):
+        total_source = float(added * grid.cell_volume)
+    elif data.source is not None:
         total_source = float(np.sum(data.source_at(0.0, grid)) * grid.cell_volume * store[-1])
     mass_defect = float(frames[-1].sum() - frames[0].sum()) * grid.cell_volume - total_source
     return np.stack(frames), steps, mass_defect
@@ -292,6 +369,30 @@ class SwirlField(VelocityField):
         out[..., 0] = 0.1 + 0.3 * np.sin(TWO_PI * p[..., 1])
         out[..., 1] = 0.2 * np.cos(TWO_PI * p[..., 0])
         return out
+
+
+class PlaneField(VelocityField):
+    """u = (ux(x, y), uy(x, y)) from two callables of the coordinates."""
+
+    dim = 2
+
+    def __init__(self, name, ux, uy):
+        self.name, self.ux, self.uy = name, ux, uy
+
+    def __call__(self, t, pos):
+        p = np.asarray(pos, dtype=float)
+        out = np.empty_like(p)
+        out[..., 0] = self.ux(p[..., 0], p[..., 1])
+        out[..., 1] = self.uy(p[..., 0], p[..., 1])
+        return out
+
+
+# moves y only, at a speed that varies with x
+Y_ONLY = PlaneField("y-only", lambda x, y: 0.0 * x, lambda x, y: 0.25 + 0.1 * np.cos(TWO_PI * x))
+# moves x only, in both directions, with the sign changing along x and y
+MIXED_X = PlaneField("mixed-x",
+                     lambda x, y: 0.3 * np.sin(TWO_PI * y + 0.1) + 0.1 * np.cos(TWO_PI * x),
+                     lambda x, y: 0.0 * x)
 
 
 class CountingData(CauchyData):
@@ -320,12 +421,22 @@ def stepper_cases():
     g, cusp, rho0 = _cusp_1d()
     f = 0.3 * np.cos(2 * np.pi * g.axis_centers())
     g2, rho2 = _blob_2d()
+    # 256^2 is eight blocks of rows, so the carried flux row is exercised
+    gb, rhob = _blob_2d(256)
+    g_osc = Grid(1, 256, length=TWO_PI)  # h is not a power of two: no fold
+    rho_osc = density_from_function(g_osc, lambda x: 1.0 + 0.5 * np.sin(x))
     return {
         "cusp-1d": (g, CountingData(cusp, None, rho0, 0.5)),
         "cusp-1d-constant-source": (g, CountingData(cusp, f, rho0, 0.5)),
         "cusp-1d-callable-source": (g, CountingData(cusp, lambda t: (1.0 + t) * f, rho0, 0.5)),
+        "oscillatory-1d-2pi": (g_osc, CountingData(OscillatoryField(3), None, rho_osc, 0.5)),
         "shear-2d": (g2, CountingData(SmoothShear2D(), None, rho2, 0.5)),
         "swirl-2d": (g2, CountingData(SwirlField(), None, rho2, 0.5)),
+        "y-only-2d": (g2, CountingData(Y_ONLY, None, rho2, 0.5)),
+        "shear-2d-blocks": (gb, CountingData(SmoothShear2D(), None, rhob, 0.02)),
+        "swirl-2d-blocks": (gb, CountingData(SwirlField(), None, rhob, 0.02)),
+        "mixed-x-2d-blocks": (gb, CountingData(MIXED_X, None, SignedDensity(gb, rhob.values - 1.0),
+                                               0.02)),
         "zero-1d": (Grid(1, 64), CountingData(ConstantField([0.0]), None, smooth_1d(Grid(1, 64)),
                                               1.0)),
     }
@@ -337,11 +448,37 @@ def test_in_place_stepper_is_bit_identical(case):
     frames, steps, mass_defect = reference_eulerian(data, grid, cfl=0.45, n_frames=9)
     data.calls = 0
     traj = eulerian_solve(data, grid, cfl=0.45, n_frames=9)
-    assert np.array_equal(traj.frames, frames)
-    assert traj.meta["mass_defect"] == mass_defect
+    assert np.array_equal(bits(traj.frames), bits(frames))
+    assert bits(traj.meta["mass_defect"]) == bits(mass_defect)
     assert traj.meta["steps"] == steps > 0
     # the benchmark tracer counts one upwind step per source_at call
     assert data.calls == steps
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4])
+@pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X],
+                         ids=lambda fld: fld.name)
+def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
+    # blocks of 1, 3 (a shorter last block) or 4 rows of 32 cells
+    grid, rho0 = _blob_2d()
+    data = CauchyData(field, 0.1 * rho0.values, rho0, 0.25)
+    whole = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    monkeypatch.setattr(pde, "BLOCK_CELLS", rows * grid.n)
+    blocked = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    assert np.array_equal(bits(blocked.frames), bits(whole.frames))
+    assert bits(blocked.meta["mass_defect"]) == bits(whole.meta["mass_defect"])
+
+
+def test_mass_defect_with_a_callable_source():
+    # the source adds mass (nonzero mean) and the defect excludes it
+    g = Grid(1, 256)
+    rho0 = smooth_1d(g)
+    f = 0.3 + np.cos(2 * np.pi * g.axis_centers())
+    data = CauchyData(PowerCuspField(0.6, x0=0.31, amp=0.4), lambda t: (1.0 + t) * f, rho0, 1.0)
+    traj = eulerian_solve(data, g, cfl=0.5, n_frames=9)
+    gained = (traj.frames[-1].sum() - traj.frames[0].sum()) * g.cell_volume
+    assert gained > 0.4  # 0.3 * (1 + 1/2) in the continuum
+    assert abs(traj.meta["mass_defect"]) <= 1e-11 * (1 + lq_norm(rho0, 1))
 
 
 def test_stepper_meta_reports_steps_and_dt_max():
