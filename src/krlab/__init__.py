@@ -6,7 +6,7 @@ from .cost import CostKind, CostSpec, bounded_log, cost_derivative, cost_eval, c
     truncated_linear
 from .measures import Grid, SignedDensity, density_from_function, jordan_decompose, lq_norm, \
     mass, mean_zero_projection
-from .transport import Potential, TransportPlan, check_plan, duality_gap, kr_distance, \
+from .transport import Potential, TransportPlan, duality_gap, kr_distance, \
     potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm
 from .fields import ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField, \
     PowerCuspField, SmoothShear2D, VelocityField, default_modulus, maximal_function, psi_one

@@ -31,7 +31,8 @@ from pathlib import Path
 
 import yaml
 
-from .experiments import EXPERIMENTS, check_grid_size, merge_params, run_experiment
+from .experiments import EXPERIMENTS, merge_params, run_experiment
+from .measures import check_grid_size
 
 GRID_KEYS = ("n", "n_grid", "apriori_n")
 

@@ -21,7 +21,7 @@ from .cost import CostKind, CostSpec
 from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
-from .transport import TransportPlan, check_plan, potential_gradient_on_support, solve_primal
+from .transport import TransportPlan, potential_gradient_on_support, solve_primal
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -158,35 +158,17 @@ def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
     return u1 * eta.frames[k] + (u1 - u2) * traj2.frames[k] + u1 * offset
 
 
-def frame_plans(eta: EtaTrajectory, delta: float,
-                radius: float) -> list[TransportPlan | None]:
-    """The optimal plan of every stored frame for D_{delta,R}, None for a
-    zero frame: one exact solve per nonzero frame."""
+def frame_plans(eta: EtaTrajectory, delta: float, radius: float) -> list[TransportPlan]:
+    """The optimal plan of every stored frame for D_{delta,R}: one exact
+    solve per frame.  A zero frame gets the empty plan, of value 0."""
     spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    return [solve_primal(eta.frame(k), spec)[0] if np.abs(eta.frames[k]).max() > 0 else None
-            for k in range(eta.n_frames)]
+    return [solve_primal(eta.frame(k), spec)[0] for k in range(eta.n_frames)]
 
 
-def track_kr(eta: EtaTrajectory, delta: float, radius: float,
-             plans: list[TransportPlan | None] | None = None) -> np.ndarray:
-    """D_{delta,R}(eta(t)) for every stored frame.
-
-    The values are read off ``plans``, the ``frame_plans`` of the same eta,
-    delta and radius; they are solved here when none are given.
-    """
-    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    if plans is None:
-        plans = frame_plans(eta, delta, radius)
-    if len(plans) != eta.n_frames:
-        raise ValueError(f"{len(plans)} plans for {eta.n_frames} frames")
-    out = np.zeros(eta.n_frames)
-    for k, plan in enumerate(plans):
-        if plan is not None:
-            check_plan(plan, eta.frame(k), spec)
-            out[k] = plan.value
-        elif np.abs(eta.frames[k]).max() > 0:
-            raise ValueError(f"frame {k} is nonzero but has no plan")
-    return out
+def track_kr(plans: list[TransportPlan]) -> np.ndarray:
+    """D_{delta,R}(eta(t)) for every stored frame, read off the frame's plan
+    (``frame_plans``)."""
+    return np.array([plan.value for plan in plans])
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +197,16 @@ def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
     """
     if eta.n_frames < 5:
         raise ValueError("need at least 5 stored frames")
-    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
     plans = frame_plans(eta, delta, radius)
-    D = track_kr(eta, delta, radius, plans=plans)
+    D = track_kr(plans)
     hv = eta.grid.cell_volume
     times, lhs, rhs = [], [], []
     for k in range(1, eta.n_frames - 1):
         dt = eta.times[k + 1] - eta.times[k - 1]
         lhs.append((D[k + 1] - D[k - 1]) / dt)
         times.append(eta.times[k])
-        if plans[k] is None:  # a zero frame has an empty plan and pairs to zero
-            rhs.append(0.0)
-            continue
         j = eta_flux(instance, eta, traj2, k)
-        g = potential_gradient_on_support(plans[k], spec)
+        g = potential_gradient_on_support(plans[k])
         # deposit the support gradient at both endpoint cells, mass-averaged
         acc = np.zeros(eta.grid.ncells)
         wts = np.zeros(eta.grid.ncells)
@@ -265,22 +243,15 @@ class RateBoundsReport:
     psi1: float | None
 
 
-def check_rate_bounds(eta_frame: SignedDensity, u: VelocityField, delta: float,
-                      radius: float, p: float, q: float,
+def check_rate_bounds(plan: TransportPlan, u: VelocityField, p: float, q: float,
                       modulus: IntegrabilityModulus | None = None,
-                      modulus_integral: float | None = None,
-                      plan: TransportPlan | None = None) -> RateBoundsReport:
-    """The rate-of-change chain on the optimal plan of ``eta_frame`` for
-    D_{delta,R}: ``plan`` when given (``check_plan`` must accept it), else
-    solved here."""
-    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
-    if plan is None:
-        plan, _ = solve_primal(eta_frame, spec)
-    else:
-        check_plan(plan, eta_frame, spec)
+                      modulus_integral: float | None = None) -> RateBoundsReport:
+    """The rate-of-change chain on ``plan``, an optimal plan of a frame of
+    eta for D_{delta,R}; the frame and delta are the plan's."""
+    eta_frame, delta = plan.eta, plan.cost.delta
     if plan.n_entries == 0:
         return RateBoundsReport(delta, 0.0, 0.0, 0.0, 0.0, None, None, None)
-    g = potential_gradient_on_support(plan, spec)
+    g = potential_gradient_on_support(plan)
     du = np.asarray(u(0.0, plan.src_pos[g.src_idx])) - np.asarray(u(0.0, plan.dst_pos[g.dst_idx]))
     pairing = float((g.mass * du * g.grad).sum())
     du_mag = np.abs(du)
@@ -319,7 +290,7 @@ class Prop1Report:
     ratio: float               # max/min of sup_d across the sweep
     short_time_excess: float   # worst |D(t1)-D(t0)| - 2 x extrapolated; -inf if no rise
     eta: EtaTrajectory
-    plans: dict[float, list[TransportPlan | None]]  # frame_plans(eta, delta) by delta
+    plans: dict[float, list[TransportPlan]]  # frame_plans(eta, delta) by delta
 
 
 def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
@@ -336,7 +307,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     plans = {}
     for i, d in enumerate(deltas):
         plans[float(d)] = frame_plans(eta, d, radius)
-        series = track_kr(eta, d, radius, plans=plans[float(d)])
+        series = track_kr(plans[float(d)])
         sup_d[i] = series.max()
         # the change of D from its initial value (zero for equal initial
         # data) vanishes at least linearly as t -> t0

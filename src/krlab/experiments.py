@@ -10,7 +10,6 @@ lays given values over them and rejects unknown keys, and
 from __future__ import annotations
 
 import math
-import operator
 import time
 
 import numpy as np
@@ -22,7 +21,8 @@ from .estimates import (CHAIN_SLACK_TOL, SCHEDULE_SLACK_TOL, StabilityInstance, 
                         stability_rate, uniqueness_drive)
 from .fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                      SmoothShear2D, default_modulus, modulus_gradient_integral)
-from .measures import Grid, SignedDensity, density_from_function, lq_norm, mean_zero_projection
+from .measures import (Grid, SignedDensity, check_grid_size, density_from_function, lq_norm,
+                       mean_zero_projection)
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
     lagrangian_solve
 from .records import ExperimentRecord
@@ -47,19 +47,6 @@ PARAM_RANGES = {
     **dict.fromkeys(("cfl", "rs"), (lambda x: 0 < x < 1, "in (0, 1)")),
     "n_frames": (lambda x: 2 <= x <= 65, "in [2, 65]"),
 }
-
-
-def check_grid_size(label: str, n) -> None:
-    """Raise ValueError naming the two nearest powers of two unless ``n`` is a
-    power of two >= 2, the cells per axis that ``Grid`` accepts."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"{label}: the grid size must be a power of two >= 2") from None
-    if n < 2 or n & (n - 1):
-        lower = 1 << max(n.bit_length() - 1, 1)
-        raise ValueError(f"{label}: the grid size must be a power of two >= 2; "
-                         f"use {lower} or {2 * lower}")
 
 
 def _check_number(label: str, x, integer: bool) -> None:
@@ -193,8 +180,8 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         eta = random_mean_zero(grid, rng)
         spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
         plan, primal = solve_primal(eta, spec)
-        pot, dual = solve_dual(eta, spec, plan)
-        gap = duality_gap(plan, pot) / (1.0 + abs(primal))
+        pot, dual = solve_dual(plan)
+        gap = duality_gap(pot) / (1.0 + abs(primal))
         phi = pot.values.ravel()
         sat = float(np.abs(np.abs(phi[plan.src_cells[plan.src_idx]]
                                   - phi[plan.dst_cells[plan.dst_idx]])
@@ -270,8 +257,7 @@ def run_e1_example(p: dict) -> ExperimentRecord:
     for delta in deltas:
         spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
         plan, value = solve_primal(eta, spec)
-        report = check_rate_bounds(eta, E1StepField(), delta, p["radius"], p=1.0, q=math.inf,
-                                   plan=plan)
+        report = check_rate_bounds(plan, E1StepField(), p=1.0, q=math.inf)
         integral, chain_slack = report.difference_quotient, report.chain_slack
         closed = 2.0 * math.log(1.0 / (2.0 * delta) + 1.0)
         rel = integral / closed - 1.0
@@ -395,16 +381,14 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
             detail="D(t1) <= 2 x extrapolated D(t2)")
 
     # exact chain + Sobolev-route constants on selected frames, on the plans
-    # that check_prop1 solved for them
+    # that check_prop1 solved for them; a zero frame has no chain rows
     worst_chain = 0.0
     c3_by_delta: dict[float, list[float]] = {}
     for k in p["chain_frames"]:
-        frame = eta.frame(k)
-        if np.abs(frame.values).max() == 0:
+        if not eta.frames[k].any():
             continue
         for d in p["deltas"]:
-            rb = check_rate_bounds(frame, field, d, p["radius"], p=2.0, q=2.0,
-                                   plan=report.plans[d][k])
+            rb = check_rate_bounds(report.plans[d][k], field, p=2.0, q=2.0)
             worst_chain = max(worst_chain, rb.chain_slack)
             if rb.c_l3 is not None:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
@@ -421,12 +405,10 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     l5field = PowerCuspField(p["l5_alpha"], x0=p["x0"], amp=p["amp"])
     modulus = default_modulus()
     e_int = modulus_gradient_integral(l5field, modulus)
-    frame = eta.frame(eta.n_frames - 1)
     c5_sweep = []
     for d in p["deltas"]:
-        rb = check_rate_bounds(frame, l5field, d, p["radius"], p=1.0, q=math.inf,
-                               modulus=modulus, modulus_integral=e_int,
-                               plan=report.plans[d][-1])
+        rb = check_rate_bounds(report.plans[d][-1], l5field, p=1.0, q=math.inf,
+                               modulus=modulus, modulus_integral=e_int)
         if rb.c_l5 is not None:
             c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)

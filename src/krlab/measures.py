@@ -12,9 +12,31 @@ where a position is one float and a point set is a flat array.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_grid_size(label: str, n) -> None:
+    """Raise ValueError unless ``n`` is an integer power of two >= 2, the cells
+    per axis of a ``Grid``; a value that reads as a number gets the two
+    nearest powers of two."""
+    try:
+        k = operator.index(n)
+    except TypeError:
+        k = None
+    if k is not None and k >= 2 and not k & (k - 1):
+        return
+    message = f"{label}: the grid size must be a power of two >= 2"
+    if k is None:
+        try:
+            k = int(float(n))  # 4.0 or "8" names 4 or 8
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(message) from None
+    lower = 1 << max(k.bit_length() - 1, 1)
+    raise ValueError(f"{message}; use {lower} or {2 * lower}")
 
 
 @dataclass(frozen=True)
@@ -28,10 +50,9 @@ class Grid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.n < 2 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"cells per axis must be a power of two >= 2, got {self.n}")
-        if not self.length > 0:
-            raise ValueError("length must be positive")
+        check_grid_size(f"cells per axis n = {self.n!r}", self.n)
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"length must be positive and finite, got {self.length!r}")
 
     @property
     def h(self) -> float:

@@ -40,9 +40,11 @@ by construction and attains the dual optimum, hence saturates the
 constraint on the support of every optimal plan.  A plan that is not
 optimal has a negative cycle there, and ``solve_dual`` raises.
 
-Callers solve an instance once and pass the plan to every check that reads
-it; ``check_plan`` rejects a plan that was solved for another density or
-cost.  ``SOLVER_COUNTS`` tallies the solves of this process.
+A plan carries the density and the cost it was solved for, so a check that
+reads a plan reads its instance off the plan, and no caller can pair a plan
+with another instance.  Callers solve an instance once and pass the plan to
+every check that reads it.  ``SOLVER_COUNTS`` tallies the solves of this
+process.
 
 The W^{-1,1} norm is a KR distance too.  Its dual-Lipschitz form takes the
 sup of the pairing over grid functions with |phi| <= 1 and neighbour slopes
@@ -90,9 +92,10 @@ SOLVER_COUNTS = {"instances": 0, "levels": 0, "assignment_vars": 0,
 
 @dataclass
 class TransportPlan:
-    """Sparse optimal coupling between the Jordan parts of a density."""
+    """Sparse optimal coupling for ``cost`` between the Jordan parts of
+    ``eta``: the plan carries the instance it was solved for."""
 
-    grid: Grid
+    eta: SignedDensity
     cost: CostSpec
     src_pos: np.ndarray = field(repr=False)  # (m,) atom positions on the circle
     src_mass: np.ndarray = field(repr=False)
@@ -104,6 +107,10 @@ class TransportPlan:
     dst_idx: np.ndarray = field(repr=False)
     plan_mass: np.ndarray = field(repr=False)
     value: float = 0.0
+
+    @property
+    def grid(self) -> Grid:
+        return self.eta.grid
 
     @property
     def n_entries(self) -> int:
@@ -129,11 +136,10 @@ class TransportPlan:
 
 @dataclass
 class Potential:
-    """Kantorovich-Rubinstein potential on the full grid, normalized so that
-    max(phi) + min(phi) = 0."""
+    """Kantorovich-Rubinstein potential of ``plan``'s instance on the full
+    grid, normalized so that max(phi) + min(phi) = 0."""
 
-    grid: Grid
-    cost: CostSpec
+    plan: TransportPlan = field(repr=False)
     values: np.ndarray = field(repr=False)
 
 
@@ -275,12 +281,12 @@ def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, flo
     pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta)
     if len(mass_p) == 0 or len(mass_n) == 0:
         empty = np.zeros(0, dtype=np.intp)
-        return TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
+        return TransportPlan(eta, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
                              empty, empty, np.zeros(0)), 0.0
     (si, dj, pm), costs, levels, entries = _level_plan(cost, eta.grid.length, pos_p, mass_p,
                                                       cells_p, pos_n, mass_n, cells_n)
     value = float((costs * pm).sum())
-    plan = TransportPlan(eta.grid, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
+    plan = TransportPlan(eta, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
                          si, dj, pm, value)
     SOLVER_COUNTS["instances"] += 1
     SOLVER_COUNTS["levels"] += levels
@@ -288,24 +294,6 @@ def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, flo
     SOLVER_COUNTS["worst_marginal_defect"] = max(SOLVER_COUNTS["worst_marginal_defect"],
                                                  plan.marginal_deviation())
     return plan, value
-
-
-def check_plan(plan: TransportPlan, eta: SignedDensity, cost: CostSpec) -> None:
-    """Raise ValueError, naming the mismatch, unless ``plan`` was solved for
-    ``eta`` and ``cost``: the same grid and cost, and the atom cells and
-    masses of eta's Jordan parts.  Atoms are compared bit for bit, since a
-    reused plan comes from the same deterministic solve."""
-    _, mass_p, cells_p, _, mass_n, cells_n = _prepare_instance(eta)
-    if plan.grid != eta.grid:
-        raise ValueError(f"plan was solved on a different grid: {plan.grid} vs {eta.grid}")
-    if plan.cost != cost:
-        raise ValueError(f"plan was solved for a different cost: {plan.cost} vs {cost}")
-    if not (np.array_equal(plan.src_cells, cells_p) and np.array_equal(plan.dst_cells, cells_n)):
-        raise ValueError("plan atoms sit on other cells than the Jordan parts of the "
-                         "density: it was solved for another density")
-    if not (np.array_equal(plan.src_mass, mass_p) and np.array_equal(plan.dst_mass, mass_n)):
-        raise ValueError("plan atom masses differ from the Jordan parts of the density: "
-                         "it was solved for another density")
 
 
 def _plan_duals(plan: TransportPlan) -> np.ndarray:
@@ -340,35 +328,29 @@ def _plan_duals(plan: TransportPlan) -> np.ndarray:
                      f"{drop:.3e} after {n} Bellman-Ford rounds (a negative cycle)")
 
 
-def solve_dual(eta: SignedDensity, cost: CostSpec,
-               plan: TransportPlan | None = None) -> tuple[Potential, float]:
-    """Optimal potential on the full grid and the dual value (= primal value).
+def solve_dual(plan: TransportPlan) -> tuple[Potential, float]:
+    """Optimal potential of ``plan``'s instance on the full grid and the dual
+    value (= primal value).
 
     The potential is the metric envelope of ``plan``'s target duals, the
-    shortest-path duals of its residual graph (``check_plan`` must accept
-    the plan).  Without a plan, ``solve_primal`` makes one.
+    shortest-path duals of its residual graph.
     """
-    if plan is None:
-        plan, _ = solve_primal(eta, cost)
-    else:
-        check_plan(plan, eta, cost)
+    eta, cost = plan.eta, plan.cost
     if plan.n_entries == 0:
-        return Potential(eta.grid, cost, np.zeros(eta.grid.shape)), 0.0
+        return Potential(plan, np.zeros(eta.grid.shape)), 0.0
     v = _plan_duals(plan)
     # metric envelope from the target duals; c-Lipschitz and optimal
     d = periodic_distance_matrix(eta.grid.axis_centers(), plan.dst_pos, eta.grid.length)
     phi = (cost_eval(cost, d) - v[None, :]).min(axis=1)
     phi -= (phi.max() + phi.min()) / 2.0
     value = float((phi * eta.values).sum() * eta.grid.cell_volume)
-    return Potential(eta.grid, cost, phi), value
+    return Potential(plan, phi), value
 
 
-def duality_gap(plan: TransportPlan, potential: Potential) -> float:
-    """Primal minus dual objective; certified nonnegative up to float noise."""
-    if plan.grid is not potential.grid and plan.grid != potential.grid:
-        raise ValueError("plan and potential live on different grids")
-    if plan.cost != potential.cost:
-        raise ValueError("plan and potential use different cost specs")
+def duality_gap(potential: Potential) -> float:
+    """Primal minus dual objective of ``potential``'s plan; certified
+    nonnegative up to float noise."""
+    plan = potential.plan
     phi = potential.values.ravel()
     dual = float((phi[plan.src_cells] * plan.src_mass).sum()
                  - (phi[plan.dst_cells] * plan.dst_mass).sum())
@@ -406,14 +388,12 @@ class GradientSamples:
     magnitude: np.ndarray
 
 
-def potential_gradient_on_support(plan: TransportPlan, cost: CostSpec) -> GradientSamples:
-    if cost != plan.cost:
-        raise ValueError("cost spec does not match the plan")
+def potential_gradient_on_support(plan: TransportPlan) -> GradientSamples:
     delta = plan.displacements()
     dist = np.abs(delta)
     keep = dist > 0  # diagonal mass transports at zero cost; skip
     delta, dist = delta[keep], dist[keep]
-    mag = cost_derivative(cost, dist)
+    mag = cost_derivative(plan.cost, dist)
     grad = mag * delta / dist
     return GradientSamples(plan.src_idx[keep], plan.dst_idx[keep],
                            plan.src_cells[plan.src_idx[keep]], plan.dst_cells[plan.dst_idx[keep]],

@@ -13,7 +13,7 @@ from krlab.fields import ConstantField, OscillatoryField, default_modulus
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
 from krlab.pde import CauchyData, eulerian_solve
-from krlab.transport import kr_distance, solve_primal
+from krlab.transport import SOLVER_COUNTS, kr_distance, solve_primal
 
 TWO_PI = 2 * math.pi
 
@@ -97,7 +97,7 @@ def test_track_kr_frozen_step():
                                            SignedDensity(g, np.zeros(256)), 1.0),
                              p=2.0, q=2.0)
     eta = build_eta(inst, traj, eulerian_solve(inst.data2, g, n_frames=5))
-    series = track_kr(eta, 0.01, 0.5)
+    series = track_kr(frame_plans(eta, 0.01, 0.5))
     direct = kr_distance(mean_zero_projection(step), bounded_log(0.01, 0.5))
     assert np.allclose(series, direct, rtol=1e-12)
 
@@ -106,7 +106,8 @@ def test_rate_bounds_constant_field():
     g = Grid(1, 64)
     rng = np.random.default_rng(3)
     eta = mean_zero_projection(SignedDensity(g, rng.standard_normal(64)))
-    rep = check_rate_bounds(eta, ConstantField([2.0]), 0.05, 0.5, p=2.0, q=2.0)
+    plan, _ = solve_primal(eta, bounded_log(0.05, 0.5))
+    rep = check_rate_bounds(plan, ConstantField([2.0]), p=2.0, q=2.0)
     assert rep.lhs_pairing == 0.0
     assert rep.difference_quotient == 0.0
 
@@ -117,7 +118,7 @@ def test_rate_bounds_chain_random():
     u = OscillatoryField(2)
     for _ in range(5):
         eta = mean_zero_projection(SignedDensity(g, rng.standard_normal(128)))
-        rep = check_rate_bounds(eta, u, 0.05, 1.0, p=2.0, q=2.0)
+        rep = check_rate_bounds(solve_primal(eta, bounded_log(0.05, 1.0))[0], u, p=2.0, q=2.0)
         assert rep.chain_slack <= 1e-9
         assert rep.c_l3 is not None and rep.c_l3 > 0
 
@@ -236,7 +237,7 @@ def test_derivative_identity_solves_each_frame_once(monkeypatch):
     assert len(calls) == nonzero
     # the same value as when each interior frame was solved a second time
     assert rep.rel_gap == pytest.approx(0.06428890712575, rel=1e-10)
-    D = track_kr(eta, 0.05, math.pi)
+    D = track_kr(frame_plans(eta, 0.05, math.pi))
     assert np.array_equal(rep.lhs, (D[2:] - D[:-2]) / (eta.times[2:] - eta.times[:-2]))
 
 
@@ -247,47 +248,24 @@ def _rate_bounds_frames():
 
 
 def test_rate_bounds_reuses_a_matching_plan():
+    # the frame and delta are read off the plan, which is solved once
     eta, _ = _rate_bounds_frames()
     u = OscillatoryField(2)
     plan, _ = solve_primal(eta, bounded_log(0.05, 0.5))
-    solved = check_rate_bounds(eta, u, 0.05, 0.5, p=2.0, q=2.0)
-    reused = check_rate_bounds(eta, u, 0.05, 0.5, p=2.0, q=2.0, plan=plan)
-    assert reused == solved
-
-
-def test_rate_bounds_rejects_a_plan_of_another_frame():
-    eta, other = _rate_bounds_frames()
-    plan, _ = solve_primal(other, bounded_log(0.05, 0.5))
-    with pytest.raises(ValueError, match="another density"):
-        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
-
-
-def test_rate_bounds_rejects_a_plan_of_another_delta():
-    eta, _ = _rate_bounds_frames()
-    plan, _ = solve_primal(eta, bounded_log(0.01, 0.5))
-    with pytest.raises(ValueError, match="different cost"):
-        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
-
-
-def test_rate_bounds_rejects_a_plan_on_another_grid():
-    eta, _ = _rate_bounds_frames()
-    coarse = mean_zero_projection(SignedDensity(Grid(1, 32), eta.values[::2]))
-    plan, _ = solve_primal(coarse, bounded_log(0.05, 0.5))
-    with pytest.raises(ValueError, match="different grid"):
-        check_rate_bounds(eta, OscillatoryField(2), 0.05, 0.5, p=2.0, q=2.0, plan=plan)
+    counts = dict(SOLVER_COUNTS)
+    reused = check_rate_bounds(plan, u, p=2.0, q=2.0)
+    assert SOLVER_COUNTS == counts
+    assert reused == check_rate_bounds(solve_primal(eta, bounded_log(0.05, 0.5))[0], u,
+                                       p=2.0, q=2.0)
+    assert reused.delta == 0.05 and reused.c_l3 is not None
 
 
 def test_track_kr_reads_values_off_matching_plans():
     _, eta, _ = _upwind_twin()
     plans = frame_plans(eta, 0.05, math.pi)
-    assert np.array_equal(track_kr(eta, 0.05, math.pi, plans=plans),
-                          track_kr(eta, 0.05, math.pi))
-    with pytest.raises(ValueError, match="different cost"):
-        track_kr(eta, 0.01, math.pi, plans=plans)
-    with pytest.raises(ValueError, match="another density"):
-        track_kr(eta, 0.05, math.pi, plans=plans[::-1])
-    with pytest.raises(ValueError, match="no plan"):
-        track_kr(eta, 0.05, math.pi, plans=[None] * eta.n_frames)
+    direct = [kr_distance(eta.frame(k), bounded_log(0.05, math.pi))
+              for k in range(eta.n_frames)]
+    assert np.array_equal(track_kr(plans), direct)
 
 
 def test_check_prop1_carries_the_plans_it_solved():
@@ -297,8 +275,14 @@ def test_check_prop1_carries_the_plans_it_solved():
     assert np.array_equal(rep.eta.frames, eta.frames)
     assert sorted(rep.plans) == [0.01, 0.1]
     for i, d in enumerate(rep.deltas):
-        values = track_kr(rep.eta, d, math.pi, plans=rep.plans[d])
-        assert values.max() == rep.sup_d[i]
+        plans = rep.plans[d]
+        assert len(plans) == rep.eta.n_frames
+        for k, plan in enumerate(plans):
+            # each plan carries the frame and the cost it was solved for
+            assert np.array_equal(plan.eta.values.view(np.uint64),
+                                  rep.eta.frames[k].view(np.uint64))
+            assert plan.cost.delta == d
+        assert track_kr(plans).max() == rep.sup_d[i]
 
 
 def test_check_prop1_zero_twin():
@@ -307,6 +291,11 @@ def test_check_prop1_zero_twin():
     data = CauchyData(ConstantField([1.0]), None, rho0, 0.5)
     traj = eulerian_solve(data, g, n_frames=9)
     inst = StabilityInstance(data, data, p=2.0, q=2.0)
+    counts = dict(SOLVER_COUNTS)
     rep = check_prop1(inst, traj, traj, [1e-1, 1e-2], 0.5)
     assert rep.sup_d.max() == 0.0
     assert rep.c1_joint == 0.0 and rep.c2_joint == 0.0
+    # every frame is zero: each gets the empty plan, and none is an instance
+    assert all(plan.n_entries == 0 and plan.value == 0.0
+               for plans in rep.plans.values() for plan in plans)
+    assert SOLVER_COUNTS == counts

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,10 +27,17 @@ def test_grid_invariants():
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(3, 32)
-    with pytest.raises(ValueError):
-        Grid(1, 48)  # not a power of two
-    with pytest.raises(ValueError):
-        Grid(1, 32, length=-1.0)
+    # the one rule for grid sizes: Grid states it, and krlab run's checks of
+    # --grid and of params call the same function
+    for n, fix in [(48, "; use 32 or 64"), (1, "; use 2 or 4"), (0, "; use 2 or 4"),
+                   (4.0, "; use 4 or 8"),  # a float, even of a power of two, is no cell count
+                   ("8", "; use 8 or 16"), (None, "")]:
+        message = f"cells per axis n = {n!r}: the grid size must be a power of two >= 2{fix}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Grid(1, n)
+    for length in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            Grid(1, 32, length=length)
 
 
 def test_jordan_zero():

@@ -107,9 +107,9 @@ def half_potential(monkeypatch):
     infeasible, and duality_gap raises on it.)"""
     real = experiments.solve_dual
 
-    def halved(eta, spec, plan):
-        pot, dual = real(eta, spec, plan)
-        return Potential(pot.grid, pot.cost, 0.5 * pot.values), 0.5 * dual
+    def halved(plan):
+        pot, dual = real(plan)
+        return Potential(pot.plan, 0.5 * pot.values), 0.5 * dual
     monkeypatch.setattr(experiments, "solve_dual", halved)
 
 
@@ -118,9 +118,9 @@ def shifted_potential(monkeypatch):
     the saturation and the slopes stay, and only the sup bound breaks."""
     real = experiments.solve_dual
 
-    def shifted(eta, spec, plan):
-        pot, dual = real(eta, spec, plan)
-        return Potential(pot.grid, pot.cost, pot.values + cost_sup(spec)), dual
+    def shifted(plan):
+        pot, dual = real(plan)
+        return Potential(pot.plan, pot.values + cost_sup(plan.cost)), dual
     monkeypatch.setattr(experiments, "solve_dual", shifted)
 
 
