@@ -57,9 +57,9 @@ def truncated_linear(radius: float) -> CostSpec:
 
 def _validate_arg(z, name: str = "z"):
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError(f"{name} must be finite")
-    if np.any(z < 0):
+    if (z < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     return z
 

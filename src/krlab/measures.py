@@ -49,9 +49,13 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+            raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
         check_grid_size(f"cells per axis n = {self.n!r}", self.n)
-        if not (math.isfinite(self.length) and self.length > 0):
+        try:
+            ok = math.isfinite(self.length) and self.length > 0
+        except TypeError:  # not a real number, e.g. the string "1"
+            ok = False
+        if not ok:
             raise ValueError(f"length must be positive and finite, got {self.length!r}")
 
     @property

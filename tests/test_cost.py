@@ -89,3 +89,16 @@ def test_validation_errors():
         cost_eval(SPEC, -1.0)
     with pytest.raises(ValueError):
         cost_eval(SPEC, math.nan)
+
+
+@pytest.mark.parametrize("fn", [cost_eval, cost_derivative])
+def test_argument_checks_see_every_entry(fn):
+    # one bad entry among good ones, at either end of an array or as a
+    # scalar; -0.0 is a distance of zero
+    for bad, message in [(math.nan, "z must be finite"), (math.inf, "z must be finite"),
+                         (-math.inf, "z must be finite"), (-1e-300, "z must be nonnegative")]:
+        for z in (bad, np.array([bad, 0.5, 1.0]), np.array([0.5, 1.0, bad])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(SPEC, z)
+    assert fn(SPEC, -0.0) == fn(SPEC, 0.0)
+    assert np.array_equal(fn(SPEC, np.array([-0.0, 0.5])), fn(SPEC, np.array([0.0, 0.5])))

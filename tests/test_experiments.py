@@ -27,6 +27,10 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(transport, "_level_plan", spy)
+    blocks = []
+    assignment = transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda c: blocks.append(c.shape) or assignment(c))
     cfg = tmp_path / "prop1.yaml"
     cfg.write_text(yaml.safe_dump({"experiment": "prop1-sweep", "params": SHRUNK_PROP1}))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
@@ -50,13 +54,17 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     # solved, so a second solve fails here.  The 2 uniform-mass solves are
     # the BV control, one per delta
     counts = json.loads((out / "record.json").read_text())["meta"]["transport"]
-    assert set(counts) == {"instances", "levels", "assignment_vars", "worst_marginal_defect"}
+    assert set(counts) == {"instances", "levels", "assignment_vars", "assignment_calls",
+                           "worst_marginal_defect"}
     assert counts["instances"] == 10 == len(solves)
     assert [s[0] for s in solves].count(True) == 8
     # the control is the step on 64 cells: 32 levels of one atom pair each
     assert [s[1:] for s in solves if not s[0]] == [(32, 32)] * 2
     assert counts["levels"] == sum(s[1] for s in solves)
     assert counts["assignment_vars"] == sum(s[2] for s in solves)
+    # one linear_sum_assignment call per level of two or more pairs
+    assert counts["assignment_calls"] == len(blocks) > 0
+    assert all(k == j > 1 for k, j in blocks)
     assert 0.0 < counts["worst_marginal_defect"] <= 1e-13
 
 
@@ -111,6 +119,7 @@ def test_e1_example_at_its_defaults():
         "bv-log-growth-r2", "rate-chain-slack"]
     assert rec.ok, rec.verdict_text()
     assert rec.meta["transport"]["assignment_vars"] == 4 * 2048
+    assert rec.meta["transport"]["assignment_calls"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ def test_grid_invariants():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(3, 32)
+    for dim in (3, "1", 1.5):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'dim must be 1 or 2, got {dim!r}')}$"):
+            Grid(dim, 32)
     # the one rule for grid sizes: Grid states it, and krlab run's checks of
     # --grid and of params call the same function
     for n, fix in [(48, "; use 32 or 64"), (1, "; use 2 or 4"), (0, "; use 2 or 4"),
@@ -35,9 +36,12 @@ def test_grid_validation():
         message = f"cells per axis n = {n!r}: the grid size must be a power of two >= 2{fix}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Grid(1, n)
-    for length in (-1.0, 0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="length must be positive and finite"):
+    # a length that is no real number is a bad length too, not a TypeError
+    for length in (-1.0, 0.0, math.inf, math.nan, "1", None, 1j):
+        message = f"length must be positive and finite, got {length!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Grid(1, 32, length=length)
+    assert Grid(1, 32, length=np.float64(2.0)).h == 2.0 / 32
 
 
 def test_jordan_zero():

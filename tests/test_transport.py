@@ -10,7 +10,8 @@ from krlab import transport
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
 from krlab.experiments import PROP1_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
-                            lq_norm, mean_zero_projection, periodic_distance_matrix)
+                            lq_norm, mean_zero_projection, periodic_distance_matrix,
+                            periodic_wrap)
 from krlab.estimates import build_eta, check_rate_bounds
 from krlab.fields import OscillatoryField
 from krlab.transport import (SOLVER_COUNTS, _prepare_instance, cost_matrix, duality_gap,
@@ -473,6 +474,7 @@ def test_every_level_of_two_or_more_pairs_is_one_linear_sum_assignment(monkeypat
     assert SOLVER_COUNTS["levels"] == before["levels"] + len(blocks)
     entries = sum(k * k for k in blocks)
     assert SOLVER_COUNTS["assignment_vars"] == before["assignment_vars"] + entries
+    assert SOLVER_COUNTS["assignment_calls"] == before["assignment_calls"] + len(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -735,3 +737,156 @@ def test_runs_of_few_block_entries_give_the_same_solves(monkeypatch, rng):
         assert value == ref_value
         for name in ("src_idx", "dst_idx", "plan_mass"):
             assert np.array_equal(getattr(plan, name), getattr(ref, name)), name
+
+
+# ---------------------------------------------------------------------------
+# the per-instance path against the one it replaced: reference_prepare_instance
+# and reference_level_plan are the earlier _prepare_instance and _level_plan
+# with their helpers, verbatim but for names and comments, built from
+# np.roll, np.unique, np.diff and jordan_decompose.  The level solver must
+# give the same atoms and plans bit for bit
+
+def reference_atoms(part):
+    """Nonzero cells of a nonnegative density as (positions, masses, cells)."""
+    cells = np.nonzero(part.values > 0.0)[0]
+    return part.grid.axis_centers()[cells], part.values[cells] * part.grid.cell_volume, cells
+
+
+def reference_prune_atoms(pos, masses, cells):
+    if len(masses) == 0:
+        return pos, masses, cells
+    keep = masses > 1e-13 * masses.max()
+    return pos[keep], masses[keep], cells[keep]
+
+
+def reference_prepare_instance(eta):
+    transport._require_valid(eta)
+    pos_part, neg_part = jordan_decompose(eta)
+    pos_p, mass_p, cells_p = reference_prune_atoms(*reference_atoms(pos_part))
+    pos_n, mass_n, cells_n = reference_prune_atoms(*reference_atoms(neg_part))
+    if len(mass_p) and len(mass_n):
+        # remove the residual float imbalance exactly
+        mass_n = mass_n * (mass_p.sum() / mass_n.sum())
+    return pos_p, mass_p, cells_p, pos_n, mass_n, cells_n
+
+
+def reference_level_members(lo, hi):
+    span = hi - lo
+    atom = np.repeat(np.arange(len(lo)), span)
+    level = np.arange(span.sum()) + np.repeat(lo - (np.cumsum(span) - span), span)
+    order = np.argsort(level, kind="stable")
+    return atom[order], level[order]
+
+
+def reference_level_plan(cost, length, pos_p, mass_p, cells_p, pos_n, mass_n, cells_n):
+    m, n = len(mass_p), len(mass_n)
+    order = np.argsort(np.concatenate([cells_p, cells_n]))
+    G = np.cumsum(np.concatenate([mass_p, -mass_n])[order])
+    G[-1] = 0.0  # the atoms balance, so G closes at 0: roundoff goes to the last atom
+    E = np.roll(G, 1)
+    heights = np.unique(G)
+    lo, hi = np.empty(m + n, dtype=np.intp), np.empty(m + n, dtype=np.intp)
+    lo[order] = np.searchsorted(heights, np.minimum(E, G))
+    hi[order] = np.searchsorted(heights, np.maximum(E, G))
+    src, lvl = reference_level_members(lo[:m], hi[:m])
+    dst, _ = reference_level_members(lo[m:], hi[m:])
+    starts = np.flatnonzero(np.diff(lvl, prepend=-1))
+    ks = np.diff(starts, append=len(lvl))
+    kk = ks * ks
+    ends = np.cumsum(kk)
+    first = ends - kk  # where each level's block starts in the entries
+    row = np.arange(len(lvl)) - starts[lvl]
+    dst_pos = pos_n[dst]
+    bounds = np.append(starts, len(lvl))
+    col = np.zeros(len(lvl), dtype=np.intp)
+    picked = np.empty(len(lvl))  # the cost of each member's pair
+    a = 0
+    while a < len(ks):
+        b = max(int(np.searchsorted(ends, first[a] + transport.BLOCK_RUN_ENTRIES,
+                                    side="right")), a + 1)
+        run = slice(bounds[a], bounds[b])
+        lr = lvl[run]
+        kr = ks[lr]
+        at = first[lr] - first[a] + row[run] * kr  # where each member's row starts
+        tgt = np.arange(kr.sum()) - np.repeat(at - starts[lr], kr)
+        costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src[run]], kr)
+                                                     - dst_pos[tgt], length)))
+        big = np.flatnonzero(ks[a:b] > 1) + a
+        for s0, e0, k in zip(starts[big].tolist(), (first[big] - first[a]).tolist(),
+                             ks[big].tolist()):
+            col[s0:s0 + k] = optimize.linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
+        picked[run] = costs[at + col[run]]
+        a = b
+    # merge the pairs that several levels repeat
+    key = src * n + dst[starts[lvl] + col]
+    by_pair = np.argsort(key, kind="stable")
+    pairs = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
+    si, dj = np.divmod(key[by_pair][pairs], n)
+    pm = np.add.reduceat(np.diff(heights)[lvl][by_pair], pairs)
+    return (si, dj, pm), picked[by_pair][pairs], len(ks), int(ends[-1])
+
+
+def oracle_density(rng, g, kind):
+    """A mean-zero density of one of the shapes the oracle test covers."""
+    n = g.n
+    if kind == "step":
+        return density_from_function(g, lambda x: np.where(x < g.length / 2, 1.0, -1.0))
+    if kind == "random":
+        return random_mean_zero(g, rng)
+    v = np.zeros(n)
+    if kind == "quantized":
+        # small integers and their negatives in random cells, so the prefix
+        # sum revisits its heights, and -0.0 in the empty cells
+        k = int(rng.integers(1, n // 2 + 1))
+        q = rng.integers(1, 4, k) * rng.choice([0.25, 1.0, 3.0])
+        cells = rng.choice(n, size=2 * k, replace=False)
+        v[cells] = np.concatenate([q, -rng.permutation(q)])
+        v[v == 0.0] = -0.0
+        return SignedDensity(g, v)
+    # atoms at the pruning threshold, in the empty cells of sparse atoms:
+    # exactly 1e-13 of the largest atom of their side (pruned, and exact in
+    # the masses when h is a power of two) and one ulp either way of it
+    cells = rng.permutation(n)
+    k = int(rng.integers(2, n // 2 + 1))
+    v[cells[:k]] = rng.uniform(0.1, 2.0, k) * rng.permutation(np.arange(k) % 2 * 2 - 1)
+    v[cells[:k]] -= v[cells[:k]].mean()
+    tiny = cells[k:k + max(1, n // 8)]
+    side = rng.choice([-1.0, 1.0], len(tiny))
+    at = 1e-13 * np.where(side > 0, v.max(), -v.min())
+    shift = rng.integers(3, size=len(tiny))
+    v[tiny] = side * np.choose(shift, [np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)])
+    if rng.random() < 0.5:
+        v[cells[k + len(tiny):]] = -0.0
+    return SignedDensity(g, v)
+
+
+@pytest.mark.parametrize("length", [1.0, 2 * math.pi], ids=["L1", "L2pi"])
+@pytest.mark.parametrize("kind", list(CostKind), ids=[k.value for k in CostKind])
+def test_level_plan_is_the_reference_bit_for_bit(kind, length):
+    rng = np.random.default_rng([7, list(CostKind).index(kind), int(length)])
+    shapes = ("random", "quantized", "threshold", "step")
+    for trial in range(260):
+        g = Grid(1, int(rng.choice([8, 16, 32, 64, 128, 256])), length)
+        eta = oracle_density(rng, g, shapes[trial % 4])
+        if kind is CostKind.BOUNDED_LOG:
+            spec = bounded_log(10.0 ** rng.uniform(-4, 0), length * rng.uniform(0.05, 1.0))
+        else:
+            spec = truncated_linear(length * rng.uniform(0.02, 1.0))
+        ref_inst = reference_prepare_instance(eta)
+        inst = _prepare_instance(eta)
+        for mine, ref in zip(inst, ref_inst):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), trial
+            assert np.array_equal(mine.view(np.uint64), ref.view(np.uint64)), trial
+        plan, value = solve_primal(eta, spec)
+        if plan.n_entries == 0:
+            assert len(ref_inst[1]) == 0 or len(ref_inst[4]) == 0
+            continue
+        (si, dj, pm), costs, levels, entries = reference_level_plan(spec, length, *ref_inst)
+        mine = transport._level_plan(spec, length, *inst)
+        assert mine[2:] == (levels, entries), trial
+        for got, want in [(plan.src_idx, si), (plan.dst_idx, dj), (mine[0][0], si),
+                          (mine[0][1], dj)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+        for got, want in [(plan.plan_mass, pm), (mine[0][2], pm), (mine[1], costs)]:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
+        assert value == float((costs * pm).sum()) == plan.value, trial
