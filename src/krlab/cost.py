@@ -72,10 +72,10 @@ def cost_eval(spec: CostSpec, z):
     else:
         d, r = spec.delta, spec.radius
         # log1p keeps full accuracy for z << delta
-        inner = np.log1p(np.minimum(zs, r) / d)
-        zsafe = np.maximum(zs, r)
-        outer = math.log1p(r / d) + r / (r + d) * (1.0 - r / zsafe)
-        out = np.where(zs <= r, inner, outer)
+        out = np.log1p(np.minimum(zs, r) / d, out=np.empty(zs.shape))
+        far = zs > r  # the outer branch, evaluated only where it applies
+        if far.any():
+            out[far] = math.log1p(r / d) + r / (r + d) * (1.0 - r / zs[far])
     return out if isinstance(z, np.ndarray) else float(out)
 
 
@@ -85,8 +85,11 @@ def cost_derivative(spec: CostSpec, z):
         raise ValueError("cost_derivative is defined for the bounded-log cost only")
     zs = _validate_arg(z)
     d, r = spec.delta, spec.radius
-    zsafe = np.maximum(zs, r)
-    out = np.where(zs <= r, 1.0 / (d + zs), r * r / ((r + d) * zsafe * zsafe))
+    out = np.divide(1.0, d + zs, out=np.empty(zs.shape))
+    far = zs > r
+    if far.any():
+        zf = zs[far]
+        out[far] = r * r / ((r + d) * zf * zf)
     return out if isinstance(z, np.ndarray) else float(out)
 
 

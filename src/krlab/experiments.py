@@ -294,9 +294,9 @@ OSCILLATORY_DEFAULTS = {
 
 
 def _oscillatory_l1(k: int, T: float) -> float:
-    field = OscillatoryField(k)
     breaks = [m * math.pi / k for m in range(2 * k + 1)]
-    val, _ = quad(lambda y: abs(field.jacobian_at(-T, y) - 1.0), 0.0, TWO_PI,
+    jacobian = OscillatoryField(k).jacobian_point(-T)
+    val, _ = quad(lambda y: abs(jacobian(y) - 1.0), 0.0, TWO_PI,
                   points=breaks[1:-1], limit=800, epsabs=1e-11, epsrel=1e-11)
     return val
 

@@ -22,15 +22,22 @@ and commute with period shifts.
 
 Point forms.  ``scipy.integrate.quad`` calls its integrand once per node with
 one Python float, and wrapping that float in an array to run 15-40 small
-numpy operations costs far more than the arithmetic.  So the fields that
-feed a ``quad`` integral also have a point form that takes and returns one
-float: ``PowerCuspField.derivative_at`` and ``OscillatoryField.jacobian_at``.
+numpy operations costs far more than the arithmetic.  So the fields and the
+modulus that feed a ``quad`` integral also have a point form that takes and
+returns one float: ``PowerCuspField.derivative_at``,
+``OscillatoryField.jacobian_point(t)`` and ``IntegrabilityModulus.at``.
 A point form must stay bit-identical to its array form: the same IEEE
-operations in the same order, with exp, tan and power taken from the numpy
-ufuncs (``math.exp`` and the scalar ``**`` round differently), every square
-written ``t * t`` (what numpy does for ``** 2``) and Python's ``round``
-(half to even, like ``np.round``).  The array forms stay for grid
-evaluations; ``tests/test_point_forms.py`` holds the two to ``==``.
+operations in the same order, with exp, log, tan and power taken from the
+numpy ufuncs (``math.exp`` and the scalar ``**`` round differently), every
+square written ``t * t`` (what numpy does for ``** 2``), Python's ``round``
+(half to even, like ``np.round``) and ``max(x, c)`` for ``np.maximum`` (both
+keep a NaN ``x``).  A numpy call on one float costs about a microsecond, so
+a point form does no per-node work with a fixed answer: it computes a value
+that is constant over an integral once, when the integrand is built
+(``exp(+-t)`` of the Jacobian), and skips the cutoff's terms where the
+cutoff is exactly 1 or exactly 0 (and w' exactly -0.0).  The array forms
+stay for grid evaluations; ``tests/test_point_forms.py`` holds the two to
+``==``.
 """
 
 from __future__ import annotations
@@ -219,18 +226,22 @@ class OscillatoryField(VelocityField):
         _, jac = _flow_unit_circle(t, self.k * np.asarray(pos, dtype=float))
         return jac
 
-    def jacobian_at(self, t: float, x: float) -> float:
-        """exact_flow_jacobian at one float x, bit for bit: the Jacobian half
-        of _flow_unit_circle."""
-        y = self.k * x
-        m = math.floor(y / math.pi)
-        z = y - m * math.pi
-        tau = t if m % 2 == 0 else -t
-        lower = z <= math.pi / 2
-        s = float(np.tan((z if lower else math.pi - z) / 2.0))
-        e = float(np.exp(tau if lower else -tau))
-        se = s * e
-        return e * (1.0 + s * s) / (1.0 + se * se)
+    def jacobian_point(self, t: float) -> Callable[[float], float]:
+        """exact_flow_jacobian(t, .) at one float x, bit for bit: the Jacobian
+        half of _flow_unit_circle, whose exponent is +-t."""
+        k, exp_t, exp_neg_t = self.k, float(np.exp(t)), float(np.exp(-t))
+
+        def at(x: float) -> float:
+            y = k * x
+            m = math.floor(y / math.pi)
+            z = y - m * math.pi
+            lower = z <= math.pi / 2
+            s = float(np.tan((z if lower else math.pi - z) / 2.0))
+            e = exp_t if (m % 2 == 0) == lower else exp_neg_t
+            se = s * e
+            return e * (1.0 + s * s) / (1.0 + se * se)
+
+        return at
 
 
 class PowerCuspField(VelocityField):
@@ -247,6 +258,8 @@ class PowerCuspField(VelocityField):
                  cut0: float = 0.2, cut1: float = 0.45):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if not 0.0 <= cut0 < cut1:
+            raise ValueError(f"the cutoff needs 0 <= cut0 < cut1, got {cut0}, {cut1}")
         self.alpha, self.x0, self.amp = alpha, x0, amp
         self.cut0, self.cut1 = cut0, cut1
         self.name = f"power_cusp:{alpha:g}"
@@ -277,8 +290,12 @@ class PowerCuspField(VelocityField):
         """derivative at one float x, bit for bit."""
         d = x - self.x0
         a = abs(d - self.length * round(d / self.length))
-        w, wp = _smoothstep_down_at(a, self.cut0, self.cut1)
+        if a >= self.cut1:  # w = 0.0 and w' = -0.0: core * 0.0 + a**alpha * -0.0
+            return self.amp * 0.0
         core = math.inf if a == 0.0 else self.alpha * float(np.power(a, self.alpha - 1.0))
+        if a <= self.cut0:  # w = 1.0 and w' = -0.0: core * 1.0 + a**alpha * -0.0
+            return self.amp * core
+        w, wp = _smoothstep_down_at(a, self.cut0, self.cut1)
         return self.amp * (core * w + float(np.power(a, self.alpha)) * wp)
 
     def divergence(self, t, pos):
@@ -411,6 +428,11 @@ class IntegrabilityModulus:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    point: Callable[[float], float] | None = None  # fn at one float, bit for bit
+
+    def at(self, x: float) -> float:
+        """e(x) at one float: the point form, else ``fn`` on a 0-d array."""
+        return self.point(x) if self.point is not None else float(self.fn(x))
 
 
 def default_modulus() -> IntegrabilityModulus:
@@ -418,7 +440,10 @@ def default_modulus() -> IntegrabilityModulus:
         x = np.asarray(xi, dtype=float)
         return x * (1.0 + np.maximum(np.log(np.maximum(x, 1e-300)), 0.0))
 
-    return IntegrabilityModulus("xi*(1+log+xi)", e)
+    def e_at(x: float) -> float:
+        return x * (1.0 + max(float(np.log(max(x, 1e-300))), 0.0))
+
+    return IntegrabilityModulus("xi*(1+log+xi)", e, e_at)
 
 
 _PSI_LOG_GRID = np.linspace(math.log(1e-12), math.log(1e10), 3001)  # log M scanned by psi_one
@@ -443,7 +468,7 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
 
     def obj(logm: float) -> float:
         m = math.exp(logm)
-        return m + m / float(modulus.fn(m)) * L
+        return m + m / modulus.at(m) * L
 
     grid = _PSI_LOG_GRID
     vals = _psi_one_scan(modulus, L)
@@ -459,19 +484,19 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
 def modulus_gradient_integral(field: VelocityField, modulus: IntegrabilityModulus) -> float:
     """|| e(|grad u|) ||_{L^1} over one period of a 1-d field.
 
-    The integrand is the field's point form ``derivative_at``.  Integrable
-    gradient blow-ups at the field's singular points are handled by dyadic
-    subdivision towards the singularity.  Evaluation works in absolute
-    coordinates, so the resolved neighborhood of a singular point floors at
-    its float ulp; for the steepest admissible cusp this leaves a ~1e-3
-    relative tail, far below the fitted-constant resolution these integrals
-    feed.
+    The integrand is the point forms ``derivative_at`` and ``modulus.at``.
+    Integrable gradient blow-ups at the field's singular points are handled
+    by dyadic subdivision towards the singularity.  Evaluation works in
+    absolute coordinates, so the resolved neighborhood of a singular point
+    floors at its float ulp; for the steepest admissible cusp this leaves a
+    ~1e-3 relative tail, far below the fitted-constant resolution these
+    integrals feed.
     """
     if field.dim != 1:
         raise ValueError("implemented for 1-d fields")
 
     def f(x):
-        return float(modulus.fn(abs(field.derivative_at(x))))
+        return modulus.at(abs(field.derivative_at(x)))
 
     sing = sorted(s for s in field.singular_points() if 0.0 < s < field.length)
     edges = [0.0] + sing + [field.length]

@@ -51,8 +51,9 @@ class Grid:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
         check_grid_size(f"cells per axis n = {self.n!r}", self.n)
-        try:
-            ok = math.isfinite(self.length) and self.length > 0
+        try:  # a bool is a number to math, but no length
+            ok = (not isinstance(self.length, (bool, np.bool_))
+                  and math.isfinite(self.length) and self.length > 0)
         except TypeError:  # not a real number, e.g. the string "1"
             ok = False
         if not ok:

@@ -6,21 +6,29 @@ files whose sha256 digests equal the committed table
 The configs cover every experiment and every verdict name; the outputs at
 the defaults are under ``defaults/`` in the table.  The bytes depend on the
 numpy and scipy builds, so the table records the versions it was made with;
-on other versions the test skips and names both sets.  A change that means
-to move bytes regenerates the table with
+on other versions the test skips and names both sets.  They also depend on
+the SIMD loops numpy dispatches to (a few files move without AVX-512), so
+the table holds one set of digests per x86-64 level: X86_V4, X86_V3 and
+baseline, the widest level whose ``__cpu_features__`` flag is on.  A change
+that means to move bytes regenerates the table with
 
     PYTHONPATH=src python tests/test_byte_oracle.py
 
-which prints the files that moved against the committed table, and lists
-them in CHANGES.md.
+which runs the configs once per level, each in a fresh interpreter with
+``NPY_DISABLE_CPU_FEATURES`` switching off the levels above it, prints the
+files that moved against the committed table, and lists them in CHANGES.md.
+A level this machine cannot reach keeps its committed set, if the table
+was made with the same versions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,6 +36,7 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_features__
 
 import krlab.experiments
 from krlab.cli import RunConfig
@@ -35,11 +44,19 @@ from krlab.experiments import EXPERIMENTS, run_experiment
 
 CONFIGS = Path(__file__).parent / "byte_oracle"
 TABLE = CONFIGS / "sha256.json"
+# x86-64 level -> the NPY_DISABLE_CPU_FEATURES value that makes it the widest one on
+LEVELS = {"X86_V4": "", "X86_V3": "X86_V4", "baseline": "X86_V3 X86_V4"}
 
 
 def versions() -> dict[str, str]:
     return {"python": ".".join(platform.python_version_tuple()[:2]),
             "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
+def simd_level() -> str:
+    """The widest x86-64 level numpy dispatches to in this interpreter."""
+    return next((level for level in ("X86_V4", "X86_V3") if __cpu_features__.get(level)),
+                "baseline")
 
 
 def run_configs(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
@@ -83,22 +100,47 @@ def test_outputs_match_the_table(run):
     table = json.loads(TABLE.read_text())
     if table["versions"] != versions():
         pytest.skip(f"the table was made with {table['versions']}; this is {versions()}")
+    level = simd_level()
+    if level not in table["sha256"]:
+        pytest.skip(f"the table has no digests for {level}")
     digests, _ = run
-    moved = moved_files(table["sha256"], digests)
-    assert not moved, f"files that moved against {TABLE.name}: {moved}"
+    moved = moved_files(table["sha256"][level], digests)
+    assert not moved, f"files that moved against {TABLE.name} at {level}: {moved}"
+
+
+def digests_at(level: str) -> dict[str, str] | None:
+    """The digests of a fresh interpreter run at ``level``, or None where this
+    machine cannot reach it."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": LEVELS[level]}
+    out = subprocess.run([sys.executable, __file__, "--digests"], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    reached, digests = json.loads(out.splitlines()[-1])
+    return digests if reached == level else None
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        digests, _ = run_configs(Path(tmp))
-    if TABLE.is_file():
-        old = json.loads(TABLE.read_text())
-        moved = moved_files(old["sha256"], digests)
-        if old["versions"] != versions():
-            print(f"the committed table was made with {old['versions']}; this is {versions()}")
-        print(f"{len(moved)} files moved against the committed table")
-        for name in moved:
-            print(f"  {name}")
-    TABLE.write_text(json.dumps({"versions": versions(), "sha256": digests}, indent=1,
+    if sys.argv[1:] == ["--digests"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps([simd_level(), run_configs(Path(tmp))[0]]))
+        sys.exit()
+    old = json.loads(TABLE.read_text()) if TABLE.is_file() else {"versions": {}, "sha256": {}}
+    table = dict(old["sha256"])
+    if old["versions"] != versions():
+        print(f"the committed table was made with {old['versions']}; this is {versions()}")
+        table = {}  # no set of other versions is kept
+    for level in LEVELS:
+        digests = digests_at(level)
+        if digests is None:
+            print(f"{level}: not reached on this machine; the committed set is kept")
+            continue
+        if level not in old["sha256"]:
+            print(f"{level}: {len(digests)} files, a new set")
+        else:
+            moved = moved_files(old["sha256"][level], digests)
+            print(f"{level}: {len(moved)} files moved against the committed table")
+            for name in moved:
+                print(f"  {name}")
+        table[level] = digests
+    TABLE.write_text(json.dumps({"versions": versions(), "sha256": table}, indent=1,
                                 sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {TABLE}", file=sys.stderr)
+    print(f"wrote the digests of {sorted(table)} to {TABLE}", file=sys.stderr)

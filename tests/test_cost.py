@@ -102,3 +102,43 @@ def test_argument_checks_see_every_entry(fn):
                 fn(SPEC, z)
     assert fn(SPEC, -0.0) == fn(SPEC, 0.0)
     assert np.array_equal(fn(SPEC, np.array([-0.0, 0.5])), fn(SPEC, np.array([0.0, 0.5])))
+
+
+def _where_cost_eval(spec, z):
+    """cost_eval for the bounded-log cost as it was: both branches on every
+    entry, picked by np.where."""
+    zs = np.asarray(z, dtype=float)
+    d, r = spec.delta, spec.radius
+    inner = np.log1p(np.minimum(zs, r) / d)
+    zsafe = np.maximum(zs, r)
+    outer = math.log1p(r / d) + r / (r + d) * (1.0 - r / zsafe)
+    out = np.where(zs <= r, inner, outer)
+    return out if isinstance(z, np.ndarray) else float(out)
+
+
+def _where_cost_derivative(spec, z):
+    zs = np.asarray(z, dtype=float)
+    d, r = spec.delta, spec.radius
+    zsafe = np.maximum(zs, r)
+    out = np.where(zs <= r, 1.0 / (d + zs), r * r / ((r + d) * zsafe * zsafe))
+    return out if isinstance(z, np.ndarray) else float(out)
+
+
+# at z = radius the two branches round apart: the values for (0.1, 0.2), the
+# slopes for (1e-4, 0.3), so a branch taken on the wrong side of z = r shows
+@pytest.mark.parametrize("spec", [SPEC, bounded_log(delta=0.1, radius=0.2),
+                                  bounded_log(delta=1e-4, radius=0.3)])
+def test_each_branch_only_where_it_applies_is_bit_identical(spec, rng):
+    r = spec.radius
+    edges = [0.0, -0.0, r, math.nextafter(r, math.inf), math.nextafter(r, -math.inf), 10 * r]
+    mixed = np.concatenate([edges, rng.uniform(0.0, 2 * r, 999)])
+    cases = [*edges, np.array(edges), mixed, mixed.reshape(-1, 3),
+             rng.uniform(0.0, r, 64), rng.uniform(r, 10 * r, 64),  # one branch only
+             np.array([]), np.zeros((0, 3)), np.array(0.25 * r), np.array(10 * r)]
+    for fn, oracle in [(cost_eval, _where_cost_eval), (cost_derivative, _where_cost_derivative)]:
+        for z in cases:
+            got, expected = fn(spec, z), oracle(spec, z)
+            assert type(got) is type(expected)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(expected).view(np.uint64)), (fn.__name__, z)

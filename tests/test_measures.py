@@ -37,7 +37,7 @@ def test_grid_validation():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Grid(1, n)
     # a length that is no real number is a bad length too, not a TypeError
-    for length in (-1.0, 0.0, math.inf, math.nan, "1", None, 1j):
+    for length in (-1.0, 0.0, math.inf, math.nan, "1", None, 1j, True, np.True_):
         message = f"length must be positive and finite, got {length!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Grid(1, 32, length=length)
