@@ -9,7 +9,7 @@ from .measures import Grid, SignedDensity, density_from_function, jordan_decompo
 from .transport import Potential, TransportPlan, duality_gap, kr_distance, \
     potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm
 from .fields import ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField, \
-    PowerCuspField, SmoothShear2D, VelocityField, default_modulus, maximal_function, psi_one
+    PowerCuspField, SmoothShear2D, VelocityField, default_modulus, psi_one
 from .pde import AprioriReport, CauchyData, SolutionTrajectory, apriori_lq_check, \
     eulerian_solve, lagrangian_solve
 from .estimates import EtaTrajectory, StabilityInstance, build_eta, check_derivative_identity, \

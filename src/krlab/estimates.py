@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import CostKind, CostSpec
+from .cost import bounded_log
 from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
@@ -63,17 +63,19 @@ class StabilityInstance:
         du = np.asarray(self.data1.velocity(0.0, centers)) - \
             np.asarray(self.data2.velocity(0.0, centers))
         u_term = T * lq_norm(SignedDensity(grid, np.abs(du)), self.p)
-        f1 = self.data1.source_at(0.0, grid)
-        f2 = self.data2.source_at(0.0, grid)
-        if f1 is None and f2 is None:
-            f_term = 0.0
-        else:
-            z = np.zeros(grid.shape)
-            diff = (f1 if f1 is not None else z) - (f2 if f2 is not None else z)
-            f_term = T * lq_norm(SignedDensity(grid, diff), self.q)
+        df = self._source_difference()
+        f_term = 0.0 if df is None else T * lq_norm(SignedDensity(grid, df), self.q)
         rho_term = lq_norm(SignedDensity(
             grid, self.data1.initial.values - self.data2.initial.values), self.q)
         return float(u_term + f_term + rho_term)
+
+    def _source_difference(self) -> np.ndarray | None:
+        """f1 - f2 per cell, a missing source counting as zero; None when
+        neither problem has a source."""
+        f1, f2 = self.data1.source, self.data2.source
+        if f1 is None and f2 is None:
+            return None
+        return (0.0 if f1 is None else f1) - (0.0 if f2 is None else f2)
 
 
 @dataclass
@@ -100,25 +102,11 @@ class EtaTrajectory:
         return len(self.times)
 
 
-def _source_integral(instance: StabilityInstance, grid: Grid, t: float):
-    """int_0^t (f1 - f2) ds on the grid; the scalar 0.0 when neither problem
-    has a source.  Exact for time-independent sources, a 33-point trapezoid
-    in time for callable ones."""
-    if instance.data1.source is None and instance.data2.source is None:
-        return 0.0
-    z = np.zeros(grid.shape)
-
-    def diff(s):
-        a = instance.data1.source_at(s, grid)
-        b = instance.data2.source_at(s, grid)
-        return (a if a is not None else z) - (b if b is not None else z)
-
-    if callable(instance.data1.source) or callable(instance.data2.source):
-        if t <= 0:
-            return 0.0
-        ts = np.linspace(0.0, t, 33)
-        return np.trapezoid(np.stack([diff(s) for s in ts]), ts, axis=0)
-    return diff(t) * t
+def _source_integral(instance: StabilityInstance, t: float):
+    """int_0^t (f1 - f2) ds = (f1 - f2) t per cell, the sources being
+    constant in time; the scalar 0.0 when neither problem has a source."""
+    df = instance._source_difference()
+    return 0.0 if df is None else df * t
 
 
 def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
@@ -132,7 +120,7 @@ def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
     grid = traj1.grid
     frames, projections = [], []
     for k, t in enumerate(traj1.times):
-        raw = traj1.frames[k] - traj2.frames[k] - _source_integral(instance, grid, t)
+        raw = traj1.frames[k] - traj2.frames[k] - _source_integral(instance, t)
         eta = SignedDensity(grid, raw)
         projections.append(abs(mass(eta)))
         frames.append(mean_zero_projection(eta).values)
@@ -154,14 +142,14 @@ def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
     u1 = np.asarray(instance.data1.velocity(t, centers))
     u2 = np.asarray(instance.data2.velocity(t, centers))
     drho0_mean = float((instance.data1.initial.values - instance.data2.initial.values).mean())
-    offset = drho0_mean + _source_integral(instance, grid, t)
+    offset = drho0_mean + _source_integral(instance, t)
     return u1 * eta.frames[k] + (u1 - u2) * traj2.frames[k] + u1 * offset
 
 
 def frame_plans(eta: EtaTrajectory, delta: float, radius: float) -> list[TransportPlan]:
     """The optimal plan of every stored frame for D_{delta,R}: one exact
     solve per frame.  A zero frame gets the empty plan, of value 0."""
-    spec = CostSpec(CostKind.BOUNDED_LOG, radius=radius, delta=delta)
+    spec = bounded_log(delta, radius)
     return [solve_primal(eta.frame(k), spec)[0] for k in range(eta.n_frames)]
 
 

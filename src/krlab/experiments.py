@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from .cost import CostKind, CostSpec, cost_eval, cost_sup
+from .cost import bounded_log, cost_eval, cost_sup, truncated_linear
 from .estimates import (CHAIN_SLACK_TOL, SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
                         check_prop1, check_rate_bounds, lemma4_combine, linear_fit,
                         stability_rate, uniqueness_drive)
@@ -148,8 +148,7 @@ def _thin(traj: SolutionTrajectory, step: int) -> SolutionTrajectory:
     idx = list(range(0, traj.n_frames, step))
     if idx[-1] != traj.n_frames - 1:
         idx.append(traj.n_frames - 1)
-    return SolutionTrajectory(traj.grid, traj.times[idx], traj.frames[idx],
-                              traj.scheme, dict(traj.meta))
+    return SolutionTrajectory(traj.grid, traj.times[idx], traj.frames[idx], dict(traj.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         delta = p["deltas"][i % len(p["deltas"])]
         grid = Grid(1, n)
         eta = random_mean_zero(grid, rng)
-        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
+        spec = bounded_log(delta, p["radius"])
         plan, primal = solve_primal(eta, spec)
         pot, dual = solve_dual(plan)
         gap = duality_gap(pot) / (1.0 + abs(primal))
@@ -208,8 +207,7 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     worst_sym = 0.0
     for i in range(p["n_triples"]):
         a, b, c = (random_mean_zero(grid3, rng) for _ in range(3))
-        kind = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=0.05) if i % 2 == 0 \
-            else CostSpec(CostKind.TRUNCATED_LINEAR, radius=p["radius"])
+        kind = bounded_log(0.05, p["radius"]) if i % 2 == 0 else truncated_linear(p["radius"])
         dab = kr_distance(SignedDensity(grid3, a.values - b.values), kind)
         dbc = kr_distance(SignedDensity(grid3, b.values - c.values), kind)
         dac = kr_distance(SignedDensity(grid3, a.values - c.values), kind)
@@ -225,7 +223,7 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     lo_ok, hi_worst = math.inf, -math.inf
     for i in range(p["n_sandwich"]):
         eta = random_mean_zero(gridw, rng)
-        d1 = kr_distance(eta, CostSpec(CostKind.TRUNCATED_LINEAR, radius=1.0))
+        d1 = kr_distance(eta, truncated_linear(1.0))
         w = w_neg11_norm(eta)
         lo_ok = min(lo_ok, w - d1)
         hi_worst = max(hi_worst, w - 2.0 * d1)
@@ -255,7 +253,7 @@ def run_e1_example(p: dict) -> ExperimentRecord:
     worst_chain = 0.0
     dvals = []
     for delta in deltas:
-        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=delta)
+        spec = bounded_log(delta, p["radius"])
         plan, value = solve_primal(eta, spec)
         report = check_rate_bounds(plan, E1StepField(), p=1.0, q=math.inf)
         integral, chain_slack = report.difference_quotient, report.chain_slack
@@ -422,7 +420,7 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     e1 = step_density(e1grid)
     dvals = []
     for d in sorted(p["deltas"], reverse=True):
-        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=d)
+        spec = bounded_log(d, p["radius"])
         dvals.append(kr_distance(e1, spec))
         rec.row("e1_control", delta=d, sup_d=dvals[-1])
     slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(sorted(p["deltas"], reverse=True))), dvals)
@@ -458,8 +456,8 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
         delta = math.exp(rng.uniform(math.log(p["delta_range"][0]),
                                      math.log(p["delta_range"][1])))
         eps = rng.uniform(*p["eps_range"])
-        d_log = kr_distance(eta, CostSpec(CostKind.BOUNDED_LOG, radius=R, delta=delta))
-        d_trunc = kr_distance(eta, CostSpec(CostKind.TRUNCATED_LINEAR, radius=R))
+        d_log = kr_distance(eta, bounded_log(delta, R))
+        d_trunc = kr_distance(eta, truncated_linear(R))
         eta_l1 = lq_norm(eta, 1)
         bound = lemma4_combine(d_log, eta_l1, eps, delta, R)
         slack = bound - d_trunc
@@ -503,7 +501,7 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     eta_l1 = lq_norm(frame, 1)
     d_by_delta = {}
     for d in p["deltas"]:
-        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=d)
+        spec = bounded_log(d, p["radius"])
         d_by_delta[d] = kr_distance(frame, spec) if eta_l1 > 0 else 0.0
     drive = uniqueness_drive(d_by_delta, eta_l1, p["radius"])
     for d, b, bw in zip(drive.deltas, drive.bounds_dr, drive.bounds_w):
@@ -520,7 +518,7 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     e1 = step_density(cgrid)
     d_ctrl = {}
     for d in p["deltas"]:
-        spec = CostSpec(CostKind.BOUNDED_LOG, radius=p["radius"], delta=d)
+        spec = bounded_log(d, p["radius"])
         d_ctrl[d] = kr_distance(e1, spec)
     ctrl = uniqueness_drive(d_ctrl, lq_norm(e1, 1), p["radius"])
     for d, b in zip(ctrl.deltas, ctrl.bounds_dr):
@@ -588,7 +586,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
     report = stability_rate(p["rs"], sup_w)
     for i, r in enumerate(p["rs"]):
         t = report.schedule_terms[i]
-        rec.row("schedule", r=r, sqrt_r=t[0], eps_term=t[1], log_term=t[2],
+        rec.row("schedule", r=r, sqrt_r=float(t[0]), eps_term=float(t[1]), log_term=float(t[2]),
                 total=float(t.sum()), measured=sup_w[i], dominated=bool(report.dominated[i]),
                 r_star=float(report.r_star[i]))
     rec.add("stability-c-growth", report.c_growth, p["c_growth_max"],

@@ -1,5 +1,4 @@
-"""Velocity fields, maximal functions and the superlinear integrability
-modulus.
+"""Velocity fields and the superlinear integrability modulus.
 
 Field families:
 
@@ -51,7 +50,7 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import minimize_scalar
 
-from .measures import Grid, periodic_wrap
+from .measures import periodic_wrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,13 +131,6 @@ class VelocityField:
     def exact_flow(self, t: float, pos: np.ndarray) -> np.ndarray | None:
         return None
 
-    def exact_flow_jacobian(self, t: float, pos: np.ndarray) -> np.ndarray | None:
-        """d=1: d(phi)/dx; d=2 families here are volume preserving (det = 1)."""
-        return None
-
-    def grad_magnitude(self, t: float, pos: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def derivative_at(self, x: float) -> float:
         """Point form of u' for a 1-d field (see the module docstring)."""
         raise NotImplementedError(
@@ -214,9 +206,6 @@ class OscillatoryField(VelocityField):
         if p == math.inf:
             return 1.0
         return (TWO_PI * _abs_cos_lp_factor(p)) ** (1.0 / p)
-
-    def grad_magnitude(self, t, pos):
-        return np.abs(np.cos(self.k * np.asarray(pos, dtype=float)))
 
     def exact_flow(self, t, pos):
         y, _ = _flow_unit_circle(t, self.k * np.asarray(pos, dtype=float))
@@ -301,9 +290,6 @@ class PowerCuspField(VelocityField):
     def divergence(self, t, pos):
         return self.derivative(pos)
 
-    def grad_magnitude(self, t, pos):
-        return np.abs(self.derivative(pos))
-
     def singular_points(self):
         return [self.x0]
 
@@ -345,18 +331,10 @@ class SmoothShear2D(VelocityField):
             return TWO_PI * self.amp
         return TWO_PI * self.amp * _abs_cos_lp_factor(p) ** (1.0 / p)
 
-    def grad_magnitude(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return TWO_PI * self.amp * np.abs(np.cos(TWO_PI * p[..., 1]))
-
     def exact_flow(self, t, pos):
         p = np.asarray(pos, dtype=float).copy()
         p[..., 0] = p[..., 0] + t * self._u1(p[..., 1])
         return p
-
-    def exact_flow_jacobian(self, t, pos):
-        p = np.asarray(pos, dtype=float)
-        return np.ones(p.shape[:-1])
 
 
 class ConstantField(VelocityField):
@@ -378,45 +356,8 @@ class ConstantField(VelocityField):
     def grad_norm_lp(self, p):
         return 0.0
 
-    def grad_magnitude(self, t, pos):
-        return np.zeros_like(np.asarray(pos, dtype=float))
-
     def exact_flow(self, t, pos):
         return np.asarray(pos, dtype=float) + t * self.velocity[0]
-
-    def exact_flow_jacobian(self, t, pos):
-        return np.ones_like(np.asarray(pos, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# maximal function
-
-def maximal_function(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Discrete Hardy-Littlewood maximal function over dyadic radii.
-
-    For each cell the supremum over r in {h, 2h, 4h, ..., length/2} of the
-    average of |f| over the periodic ball of radius r (cells at center
-    distance strictly below r).  r = h reproduces |f| itself.
-    """
-    v = np.abs(np.asarray(values, dtype=float))
-    if v.shape != grid.shape:
-        raise ValueError("values shape does not match the grid")
-    n = grid.n
-    fhat = np.fft.rfftn(v)
-    out = np.zeros_like(v)
-    m = 1
-    offs = np.arange(n)
-    offs = np.minimum(offs, n - offs)  # periodic |offset| in cells
-    while m <= n // 2:
-        if grid.dim == 1:
-            kernel = (offs < m).astype(float)
-        else:
-            kernel = ((offs[:, None] ** 2 + offs[None, :] ** 2) < m * m).astype(float)
-        axes = tuple(range(grid.dim))
-        avg = np.fft.irfftn(fhat * np.fft.rfftn(kernel), s=grid.shape, axes=axes) / kernel.sum()
-        np.maximum(out, avg, out=out)
-        m *= 2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +392,11 @@ _PSI_LOG_GRID = np.linspace(math.log(1e-12), math.log(1e10), 3001)  # log M scan
 
 def _psi_one_scan(modulus: IntegrabilityModulus, L: float) -> np.ndarray:
     """M + M/e(M) * L at each M = exp(_PSI_LOG_GRID), with e applied once to
-    the whole grid: bit for bit the objective psi_one minimizes."""
+    the whole grid.  It is bit for bit the objective psi_one minimizes only
+    where ``modulus.at`` equals ``fn`` on the grid, as for a point form that
+    is bit for bit ``fn`` (``default_modulus``'s); without a point form,
+    ``at`` is ``fn`` on one float, which can round differently from ``fn`` on
+    the array (numpy's scalar ``**`` against its array loop)."""
     ms = np.array([math.exp(g) for g in _PSI_LOG_GRID])
     return ms + ms / np.asarray(modulus.fn(ms), dtype=float) * L
 

@@ -1,9 +1,10 @@
 """Two solvers for the Cauchy problem of the continuity equation
-d_t rho + div(u rho) = f on the periodic torus.
+d_t rho + div(u rho) = f on the periodic torus, with a source f that is None
+or one constant-in-time value per cell.
 
-* ``lagrangian_solve`` pushes cell-center particles along characteristics
-  (closed-form flow when the family has one, adaptive ODE integration
-  otherwise), accumulates the source along trajectories, and deposits the
+* ``lagrangian_solve`` solves problems without a source.  It pushes
+  cell-center particles along characteristics (closed-form flow when the
+  family has one, adaptive ODE integration otherwise) and deposits the
   transported cell masses conservatively: in 1-d each moved cell becomes the
   interval between the midpoints of neighboring trajectories and its mass is
   split among grid cells by overlap length; in 2-d the moved cell keeps its
@@ -13,13 +14,13 @@ d_t rho + div(u rho) = f on the periodic torus.
   over the pieces.
 
 * ``eulerian_solve`` is the first-order upwind finite-volume scheme in flux
-  form, so the discrete mass balance telescopes exactly on the torus.  It
-  updates the density in place, sweeping blocks of whole rows that fit in
-  cache; the axis-0 flux row at each block's lower edge is carried over from
-  the block before, which computed it from rows not yet updated.  Where exactly
-  one axis moves and h is a power of two, ``/ h`` and ``* dt`` fold into one
-  exact multiply by ``dt / h``.  An axis whose face velocities are all zero
-  adds no flux.
+  form, so the discrete mass balance telescopes exactly on the torus, and it
+  adds the source, if there is one, at every step.  It updates the density in
+  place, sweeping blocks of whole rows that fit in cache; the axis-0 flux row
+  at each block's lower edge is carried over from the block before, which
+  computed it from rows not yet updated.  Where exactly one axis moves and h
+  is a power of two, ``/ h`` and ``* dt`` fold into one exact multiply by
+  ``dt / h``.  An axis whose face velocities are all zero adds no flux.
 
 Both solvers emit snapshots at a shared uniform time grid, which is what the
 stability harness diffs.  Fields with discontinuous characteristics
@@ -42,26 +43,38 @@ from .measures import Grid, SignedDensity, lq_norm
 
 @dataclass
 class CauchyData:
-    """Velocity, source and initial datum for the continuity equation.
+    """Velocity, source and initial datum for the continuity equation on
+    [0, horizon].
 
-    ``source`` may be None, a constant-in-time cell array, or a callable
-    t -> cell array.
+    ``source`` is None or one constant-in-time value per cell of the initial
+    datum's grid, stored as a float array; only ``eulerian_solve`` integrates
+    a source.  The horizon is finite and positive.
     """
 
     velocity: VelocityField
-    source: object
+    source: np.ndarray | None
     initial: SignedDensity
     horizon: float
 
-    def source_at(self, t: float, grid: Grid) -> np.ndarray | None:
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.source is None:
-            return None
+            return
+        shape = self.initial.grid.shape
         if callable(self.source):
-            return np.asarray(self.source(t), dtype=float)
-        arr = np.asarray(self.source, dtype=float)
-        if arr.ndim == 0:
-            return np.full(grid.shape, float(arr))
-        return arr
+            raise ValueError("a source is constant in time: pass its value per cell, an "
+                             f"array of shape {shape}, not a callable")
+        source = np.asarray(self.source, dtype=float)
+        if source.shape != shape:
+            raise ValueError(f"a source has one value per cell: expected shape {shape}, "
+                             f"got {source.shape}")
+        self.source = source
+
+    def source_at(self, t: float, grid: Grid) -> np.ndarray | None:
+        """The source at time t, the same at every t.  ``eulerian_solve`` asks
+        for it once per step, which is how the benchmark tracer counts steps."""
+        return self.source
 
 
 @dataclass
@@ -69,7 +82,6 @@ class SolutionTrajectory:
     grid: Grid
     times: np.ndarray
     frames: np.ndarray  # (n_times, *grid.shape)
-    scheme: str
     meta: dict = field(default_factory=dict)
 
     def frame(self, k: int) -> SignedDensity:
@@ -150,36 +162,6 @@ def _deposit_cic_2d(pos: np.ndarray, masses: np.ndarray, grid: Grid) -> np.ndarr
     return out.reshape(n, n) / grid.cell_volume
 
 
-def det_grad_flow(positions: np.ndarray, grid: Grid) -> np.ndarray:
-    """det(grad phi) by centered differences of neighbor trajectories.
-
-    ``positions`` holds unwrapped particle positions in grid shape
-    (n,) for d=1 or (n, n, 2) for d=2; the periodic neighbor on the seam is
-    shifted by one period.
-    """
-    h, L = grid.h, grid.length
-    if grid.dim == 1:
-        p = positions
-        fwd = np.roll(p, -1)
-        bwd = np.roll(p, 1)
-        fwd[-1] += L
-        bwd[0] -= L
-        return (fwd - bwd) / (2 * h)
-    p = positions
-    jac = np.empty(grid.shape + (2, 2))
-    for axis in (0, 1):
-        fwd = np.roll(p, -1, axis=axis)
-        bwd = np.roll(p, 1, axis=axis)
-        if axis == 0:
-            fwd[-1, :, 0] += L
-            bwd[0, :, 0] -= L
-        else:
-            fwd[:, -1, 1] += L
-            bwd[:, 0, 1] -= L
-        jac[..., :, axis] = (fwd - bwd) / (2 * h)
-    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-
-
 def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarray,
                                rtol: float, atol: float,
                                use_exact_flow: bool = True) -> np.ndarray:
@@ -201,71 +183,36 @@ def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarr
 def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
                      ode_rtol: float = 1e-10, ode_atol: float = 1e-12,
                      use_exact_flow: bool = True) -> SolutionTrajectory:
-    """Characteristics solver implementing the push-forward formula."""
+    """Characteristics solver implementing the push-forward formula, for a
+    problem without a source."""
     u = data.velocity
     _check_advectable(u)
+    if data.source is not None:
+        raise ValueError("lagrangian_solve transports the initial datum only; solve a "
+                         "problem with a source with eulerian_solve")
     store = _store_times(data.horizon, n_frames)
-    # with a source, 4 substeps per stored interval for its trapezoid quadrature
-    nsub = 4 if data.source is not None else 1
-    t_int = np.unique(np.concatenate([
-        np.linspace(store[i], store[i + 1], nsub + 1) for i in range(len(store) - 1)
-    ])) if len(store) > 1 else store
-
     if grid.dim == 1:
         x0 = grid.axis_centers()
     else:
         c = grid.axis_centers()
         X, Y = np.meshgrid(c, c, indexing="ij")
         x0 = np.stack([X, Y], axis=-1)
-    traj = _integrate_characteristics(u, x0, t_int, ode_rtol, ode_atol, use_exact_flow)
+    traj = _integrate_characteristics(u, x0, store, ode_rtol, ode_atol, use_exact_flow)
 
-    hv = grid.cell_volume
-    masses = np.full(grid.shape, 1.0) * data.initial.values * hv
+    masses = data.initial.values * grid.cell_volume
     frames = []
-    store_set = {round(float(t), 12) for t in store}
-    acc = np.zeros(grid.shape)
-
-    def detj(k):
-        if use_exact_flow:
-            jac_exact = u.exact_flow_jacobian(t_int[k], x0)
-            if jac_exact is not None:
-                return np.asarray(jac_exact)
-        return det_grad_flow(traj[k], grid)
-
-    def source_term(k):
-        f = data.source_at(t_int[k], grid)
-        if f is None:
-            return None
-        # f evaluated along the characteristic, weighted by the volume factor
-        pos = np.mod(traj[k], grid.length)
+    for pos in traj:
         if grid.dim == 1:
-            idx = np.minimum((pos / grid.h).astype(np.int64), grid.n - 1)
-            fvals = f[idx]
+            nxt = np.roll(pos, -1)
+            nxt[-1] += grid.length
+            prv = np.roll(pos, 1)
+            prv[0] -= grid.length
+            left = 0.5 * (prv + pos)
+            right = 0.5 * (pos + nxt)
+            frames.append(_deposit_intervals_1d(left, right, masses, grid))
         else:
-            ij = np.minimum((pos / grid.h).astype(np.int64), grid.n - 1)
-            fvals = f[ij[..., 0], ij[..., 1]]
-        return fvals * detj(k)
-
-    prev = source_term(0)
-    for k, t in enumerate(t_int):
-        if k > 0 and prev is not None:
-            cur = source_term(k)
-            acc += 0.5 * (t_int[k] - t_int[k - 1]) * (prev + cur) * hv
-            prev = cur
-        if round(float(t), 12) in store_set:
-            m = masses + acc
-            if grid.dim == 1:
-                centers = traj[k]
-                nxt = np.roll(centers, -1).copy()
-                nxt[-1] += grid.length
-                prv = np.roll(centers, 1).copy()
-                prv[0] -= grid.length
-                left = 0.5 * (prv + centers)
-                right = 0.5 * (centers + nxt)
-                frames.append(_deposit_intervals_1d(left, right, m, grid))
-            else:
-                frames.append(_deposit_cic_2d(traj[k].reshape(-1, 2), m.ravel(), grid))
-    return SolutionTrajectory(grid, store, np.stack(frames), "lagrangian",
+            frames.append(_deposit_cic_2d(pos.reshape(-1, 2), masses.ravel(), grid))
+    return SolutionTrajectory(grid, store, np.stack(frames),
                               meta={"ode_rtol": ode_rtol, "field": u.name})
 
 
@@ -397,15 +344,11 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
         sweep.append((slice(i0, i1), d, ops))
     t = 0.0
     steps = 0
-    added = 0.0  # the integral of a callable source's total
-    f = None
     for k in range(1, len(store)):
         target = store[k]
         while t < target - 1e-14:
             dt = min(dt_max, target - t)
             f = data.source_at(t, grid)
-            if callable(data.source):
-                added += np.sum(f) * dt
             scale[...] = dt / h if fold else dt
             for r, d, ops in sweep:
                 for op in ops:
@@ -416,17 +359,12 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
             t += dt
             steps += 1
         frames[k] = rho
-    # exact discrete mass balance bookkeeping; a constant-in-time source is
-    # the one the last step added, so each step keeps a single source_at call
+    # exact discrete mass balance bookkeeping
     total_source = 0.0
-    if callable(data.source):
-        total_source = float(added * grid.cell_volume)
-    elif data.source is not None:
-        if f is None:  # no step was taken
-            f = data.source_at(0.0, grid)
-        total_source = float(np.sum(f) * grid.cell_volume * store[-1])
+    if data.source is not None:
+        total_source = float(np.sum(data.source) * grid.cell_volume * store[-1])
     mass_defect = float(frames[-1].sum() - frames[0].sum()) * grid.cell_volume - total_source
-    return SolutionTrajectory(grid, store, frames, "eulerian",
+    return SolutionTrajectory(grid, store, frames,
                               meta={"cfl": cfl, "field": u.name, "steps": steps,
                                     "dt_max": float(dt_max), "mass_defect": mass_defect})
 
@@ -458,8 +396,7 @@ def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float) -> Ap
     div_l1 = div_sup * data.horizon
     fnorm = 0.0
     if data.source is not None:
-        f0 = data.source_at(0.0, grid)
-        fnorm = lq_norm(SignedDensity(grid, f0), q) * data.horizon
+        fnorm = lq_norm(SignedDensity(grid, data.source), q) * data.horizon
     rho0 = lq_norm(SignedDensity(grid, traj.frames[0]), q)
     rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
     slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)

@@ -41,6 +41,7 @@ from numpy._core._multiarray_umath import __cpu_features__
 import krlab.experiments
 from krlab.cli import RunConfig
 from krlab.experiments import EXPERIMENTS, run_experiment
+from krlab.records import ExperimentRecord
 
 CONFIGS = Path(__file__).parent / "byte_oracle"
 TABLE = CONFIGS / "sha256.json"
@@ -59,21 +60,21 @@ def simd_level() -> str:
                 "baseline")
 
 
-def run_configs(out: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+def run_configs(out: Path) -> tuple[dict[str, str], dict[str, ExperimentRecord]]:
     """Run every config, then every experiment at its defaults, into ``out``.
     Returns the sha256 of each verdict.txt and CSV by its path under ``out``,
-    and the verdict names of the configs by experiment."""
-    names = {}
+    and the records of the configs by experiment."""
+    records = {}
     for cfg in sorted(CONFIGS.glob("*.yaml")):
         config = RunConfig.from_file(cfg)
         rec = run_experiment(config.experiment, config.params)
         rec.write(out / config.experiment)
-        names[config.experiment] = [v.name for v in rec.verdicts]
+        records[config.experiment] = rec
     for name in sorted(EXPERIMENTS):
         run_experiment(name).write(out / "defaults" / name)
     digests = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted(out.rglob("*")) if f.suffix in (".txt", ".csv")}
-    return digests, names
+    return digests, records
 
 
 def moved_files(table: dict[str, str], digests: dict[str, str]) -> list[str]:
@@ -86,7 +87,7 @@ def run(tmp_path_factory):
 
 
 def test_configs_cover_every_experiment_and_verdict(run):
-    _, names = run
+    names = {name: [v.name for v in rec.verdicts] for name, rec in run[1].items()}
     assert sorted(names) == sorted(EXPERIMENTS)
     produced = {n for v in names.values() for n in v}
     # the literal name, or the part before the first field of an f-string name
@@ -94,6 +95,17 @@ def test_configs_cover_every_experiment_and_verdict(run):
     assert source
     missing = [s for s in source if not any(n.startswith(s) for n in produced)]
     assert not missing, f"no config produces the verdicts {missing}"
+
+
+def test_table_cells_are_plain_python_values(run):
+    # a numpy scalar in a table writes its CSV cell through _fmt and its JSON
+    # through default=float: np.float64 formats like a float only because it
+    # subclasses one, and np.float32 or np.int64 would not
+    plain = (int, float, bool, str, type(None))
+    odd = sorted({f"{name} {table}.{col}: {type(value).__name__}"
+                  for name, rec in run[1].items() for table, rows in rec.tables.items()
+                  for row in rows for col, value in row.items() if type(value) not in plain})
+    assert not odd
 
 
 def test_outputs_match_the_table(run):

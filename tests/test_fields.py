@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from krlab.fields import (ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField,
-                          PowerCuspField, SmoothShear2D, default_modulus, maximal_function,
+                          PowerCuspField, SmoothShear2D, default_modulus,
                           modulus_gradient_integral, psi_one)
-from krlab.measures import Grid, SignedDensity, lq_norm, periodic_wrap
+from krlab.measures import Grid
 
 TWO_PI = 2 * math.pi
 
@@ -164,92 +164,6 @@ def test_shear_and_rotation_are_divergence_free():
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     f = SmoothShear2D()
     assert np.abs(np.asarray(f.divergence(0.0, pts))).max() == 0.0
-    # exact flow preserves area: jacobian identically one
-    assert np.allclose(np.asarray(f.exact_flow_jacobian(0.3, pts)), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# maximal function
-
-def test_maximal_constant():
-    g = Grid(1, 64)
-    out = maximal_function(np.full(64, -2.5), g)
-    assert np.allclose(out, 2.5, atol=1e-12)
-
-
-def _dyadic_oracle_at(values, grid, cell):
-    """Direct evaluation of the dyadic-radius sup at one cell."""
-    n = grid.n
-    offs = np.abs(np.arange(n) - cell)
-    offs = np.minimum(offs, n - offs)
-    best = 0.0
-    m = 1
-    while m <= n // 2:
-        mask = offs < m
-        best = max(best, np.abs(values[mask]).mean())
-        m *= 2
-    return best
-
-
-def test_maximal_indicator_oracle():
-    g = Grid(1, 256)
-    f = (g.axis_centers() < 0.25).astype(float)
-    out = maximal_function(f, g)
-    for cell in (128, 0, 32, 200):
-        assert out[cell] == pytest.approx(_dyadic_oracle_at(f, g, cell), abs=1e-12)
-    # dyadic sup is within a factor ~2 of the exhaustive all-radii scan
-    n = g.n
-    for cell in (128, 200):
-        offs = np.abs(np.arange(n) - cell)
-        offs = np.minimum(offs, n - offs)
-        all_radii = max(np.abs(f[offs < m]).mean() for m in range(1, n // 2 + 1))
-        assert out[cell] <= all_radii + 1e-12
-        assert all_radii <= 2.2 * out[cell] + 1e-12
-
-
-def test_maximal_dominates_function(rng):
-    g = Grid(1, 128)
-    for _ in range(50):
-        f = rng.standard_normal(128)
-        out = maximal_function(f, g)
-        assert np.all(out >= np.abs(f) - 1e-12)
-
-
-def test_maximal_2d_and_lp_continuity(rng):
-    g = Grid(2, 32)
-    f = rng.standard_normal((32, 32))
-    out = maximal_function(f, g)
-    assert np.all(out >= np.abs(f) - 1e-12)
-    # empirical L^2 operator ratio stays far below the criterion constant
-    g1 = Grid(1, 256)
-    ratios = []
-    for _ in range(50):
-        f1 = rng.standard_normal(256)
-        num = lq_norm(SignedDensity(g1, maximal_function(f1, g1)), 2)
-        den = lq_norm(SignedDensity(g1, f1), 2)
-        ratios.append(num / den)
-    assert max(ratios) < 10.0
-
-
-def test_difference_quotient_bound(rng):
-    # |u(x)-u(y)| / dist <= C (M|grad u|(x) + M|grad u|(y)) with C <= 3
-    # across the smooth 1-d suite
-    fields = [OscillatoryField(1), OscillatoryField(3), PowerCuspField(0.6, x0=0.5, amp=0.4)]
-    worst = 0.0
-    for f in fields:
-        n = 512
-        g = Grid(1, n, length=f.length)
-        centers = g.axis_centers()
-        m_grad = maximal_function(np.asarray(f.grad_magnitude(0.0, centers)), g)
-        u = np.asarray(f(0.0, centers))
-        idx = rng.integers(0, n, size=(500, 2))
-        idx = idx[idx[:, 0] != idx[:, 1]]
-        x, y = idx[:, 0], idx[:, 1]
-        dist = np.abs(periodic_wrap(centers[x] - centers[y], g.length))
-        quot = np.abs(u[x] - u[y]) / dist
-        denom = m_grad[x] + m_grad[y]
-        worst = max(worst, float((quot / denom).max()))
-    assert worst <= 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from krlab import pde
 from krlab.fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                           SmoothShear2D, VelocityField)
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm
-from krlab.pde import CauchyData, _face_velocities, apriori_lq_check, det_grad_flow, \
-    eulerian_solve, lagrangian_solve
+from krlab.pde import CauchyData, _face_velocities, apriori_lq_check, eulerian_solve, \
+    lagrangian_solve
 
 TWO_PI = 2 * math.pi
 
@@ -36,7 +36,7 @@ def test_zero_field_zero_source(solver):
         assert np.abs(traj.frames[k] - rho0.values).max() < 1e-13
 
 
-@pytest.mark.parametrize("solver", [lagrangian_solve, eulerian_solve])
+@pytest.mark.parametrize("solver", [eulerian_solve])  # lagrangian_solve refuses a source
 def test_zero_field_constant_source(solver):
     g = Grid(1, 64)
     rho0 = smooth_1d(g)
@@ -44,6 +44,30 @@ def test_zero_field_constant_source(solver):
     traj = solver(data, g)
     for k, t in enumerate(traj.times):
         assert np.abs(traj.frames[k] - (rho0.values + t)).max() < 1e-12
+
+
+def test_lagrangian_refuses_a_source():
+    g = Grid(1, 64)
+    data = CauchyData(ConstantField([0.0]), np.ones(64), smooth_1d(g), 1.0)
+    with pytest.raises(ValueError, match="eulerian_solve"):
+        lagrangian_solve(data, g)
+
+
+@pytest.mark.parametrize("source, horizon, message", [
+    (lambda t: np.ones(64), 1.0, "not a callable"),
+    (np.ones(32), 1.0, r"expected shape \(64,\), got \(32,\)"),
+    (1.0, 1.0, r"expected shape \(64,\), got \(\)"),
+    (None, math.inf, "horizon must be finite and > 0, got inf"),
+    (None, math.nan, "horizon must be finite and > 0, got nan"),
+    (None, 0.0, "horizon must be finite and > 0, got 0.0"),
+    (None, -1.0, "horizon must be finite and > 0, got -1.0"),
+], ids=["callable-source", "source-shape", "scalar-source", "inf", "nan", "zero", "negative"])
+def test_cauchy_data_refuses_what_no_solver_can_step(source, horizon, message):
+    # an infinite horizon would step forever, and one <= 0 or NaN would give
+    # frames after 0 steps
+    g = Grid(1, 64)
+    with pytest.raises(ValueError, match=message):
+        CauchyData(ConstantField([1.0]), source, smooth_1d(g), horizon)
 
 
 def test_step_field_refused():
@@ -172,16 +196,6 @@ def test_deposits_are_the_add_at_loops_bit_for_bit(length):
     assert span.max() >= 3  # some interval covers four cells or more
     assert np.array_equal(bits(pde._deposit_intervals_1d(left, right, masses1, g1)),
                           bits(add_at_intervals(left, right, masses1, g1)))
-
-
-def test_det_grad_flow_matches_analytic():
-    g = Grid(1, 256, length=TWO_PI)
-    field = OscillatoryField(2)
-    x0 = g.axis_centers()
-    pos = np.asarray(field.exact_flow(0.8, x0))
-    numeric = det_grad_flow(pos, g)
-    analytic = np.asarray(field.exact_flow_jacobian(0.8, x0))
-    assert np.abs(numeric - analytic).max() < 5e-3  # centered differences, O(h^2)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +340,6 @@ def reference_eulerian(data, grid, cfl, n_frames):
     frames = [rho.copy()]
     t = 0.0
     steps = 0
-    added = 0.0  # the integral of the source's total
     for k in range(1, len(store)):
         target = store[k]
         while t < target - 1e-14:
@@ -344,14 +357,11 @@ def reference_eulerian(data, grid, cfl, n_frames):
             f = data.source_at(t, grid)
             if f is not None:
                 rho = rho + dt * f
-                added += np.sum(f) * dt
             t += dt
             steps += 1
         frames.append(rho.copy())
     total_source = 0.0
-    if callable(data.source):
-        total_source = float(added * grid.cell_volume)
-    elif data.source is not None:
+    if data.source is not None:
         total_source = float(np.sum(data.source_at(0.0, grid)) * grid.cell_volume * store[-1])
     mass_defect = float(frames[-1].sum() - frames[0].sum()) * grid.cell_volume - total_source
     return np.stack(frames), steps, mass_defect
@@ -428,7 +438,6 @@ def stepper_cases():
     return {
         "cusp-1d": (g, CountingData(cusp, None, rho0, 0.5)),
         "cusp-1d-constant-source": (g, CountingData(cusp, f, rho0, 0.5)),
-        "cusp-1d-callable-source": (g, CountingData(cusp, lambda t: (1.0 + t) * f, rho0, 0.5)),
         "oscillatory-1d-2pi": (g_osc, CountingData(OscillatoryField(3), None, rho_osc, 0.5)),
         "shear-2d": (g2, CountingData(SmoothShear2D(), None, rho2, 0.5)),
         "swirl-2d": (g2, CountingData(SwirlField(), None, rho2, 0.5)),
@@ -467,18 +476,6 @@ def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
     blocked = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
     assert np.array_equal(bits(blocked.frames), bits(whole.frames))
     assert bits(blocked.meta["mass_defect"]) == bits(whole.meta["mass_defect"])
-
-
-def test_mass_defect_with_a_callable_source():
-    # the source adds mass (nonzero mean) and the defect excludes it
-    g = Grid(1, 256)
-    rho0 = smooth_1d(g)
-    f = 0.3 + np.cos(2 * np.pi * g.axis_centers())
-    data = CauchyData(PowerCuspField(0.6, x0=0.31, amp=0.4), lambda t: (1.0 + t) * f, rho0, 1.0)
-    traj = eulerian_solve(data, g, cfl=0.5, n_frames=9)
-    gained = (traj.frames[-1].sum() - traj.frames[0].sum()) * g.cell_volume
-    assert gained > 0.4  # 0.3 * (1 + 1/2) in the continuum
-    assert abs(traj.meta["mass_defect"]) <= 1e-11 * (1 + lq_norm(rho0, 1))
 
 
 def test_stepper_meta_reports_steps_and_dt_max():

@@ -50,7 +50,7 @@ def _old_grad_norm_lp(field, p, as_array=False):
 
 
 def _old_modulus_gradient_integral(field, modulus):
-    return _dyadic_quad(lambda x: float(modulus.fn(float(field.grad_magnitude(0.0, x)))), field)
+    return _dyadic_quad(lambda x: float(modulus.fn(float(np.abs(field.derivative(x))))), field)
 
 
 def _dyadic_quad(f, field):

@@ -96,8 +96,7 @@ def jump_at_t1(monkeypatch):
         c = np.full(traj2.n_frames, 0.5)
         c[:2] = (0.0, 1.0)
         frames = traj2.frames + c[:, None] * bump
-        return grid, field, inst, SolutionTrajectory(grid, traj2.times, frames, "hand-built",
-                                                     {}), traj2
+        return grid, field, inst, SolutionTrajectory(grid, traj2.times, frames), traj2
     monkeypatch.setattr(experiments, "_twin_cusp_instance", twin)
 
 
