@@ -43,7 +43,8 @@ PARAM_RANGES = {
     "seed": (lambda x: x >= 0, ">= 0"),
     **dict.fromkeys(("n_instances", "n_triples", "n_sandwich", "trials", "ks", "apriori_k"),
                     (lambda x: x >= 1, ">= 1")),
-    **dict.fromkeys(("deltas", "radius", "horizon", "horizon_2d"), (lambda x: x > 0, "> 0")),
+    **dict.fromkeys(("deltas", "radius", "horizon", "horizon_2d"),
+                    (lambda x: 0 < x < math.inf, "finite and > 0")),
     **dict.fromkeys(("cfl", "rs"), (lambda x: 0 < x < 1, "in (0, 1)")),
     "n_frames": (lambda x: 2 <= x <= 65, "in [2, 65]"),
 }
@@ -366,7 +367,7 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     eta = report.eta
     for d, s in zip(report.deltas, report.sup_d):
         rec.row("twin_sweep", delta=float(d), sup_d=float(s))
-    rec.meta.update(upwind_steps=traj2.meta["steps"],
+    rec.meta.update(upwind_steps=traj2.meta["steps"], ode_nfev=traj1.meta["nfev"],
                     twin_slope=report.log_slope, twin_r2=report.r2,
                     twin_ratio=report.ratio, c1_joint=report.c1_joint,
                     c2_joint=report.c2_joint, r=report.r,
@@ -508,6 +509,7 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
         rec.row("twin_drive", delta=float(d), d_value=d_by_delta[float(d)],
                 bound_dr=float(b), bound_w=float(bw))
     rec.meta["eta_l1"] = eta_l1
+    rec.meta["ode_nfev"] = t1.meta["nfev"] + t2.meta["nfev"]
     rec.add("uniqueness-bound-monotone", drive.worst_rise, 1e-12,
             detail="lemma-4 combination decreases along delta -> 0")
     rec.add("uniqueness-bound-reduction", drive.reduction, p["min_reduction"],

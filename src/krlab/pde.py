@@ -16,11 +16,15 @@ or one constant-in-time value per cell.
 * ``eulerian_solve`` is the first-order upwind finite-volume scheme in flux
   form, so the discrete mass balance telescopes exactly on the torus, and it
   adds the source, if there is one, at every step.  It updates the density in
-  place, sweeping blocks of whole rows that fit in cache; the axis-0 flux row
-  at each block's lower edge is carried over from the block before, which
-  computed it from rows not yet updated.  Where exactly one axis moves and h
-  is a power of two, ``/ h`` and ``* dt`` fold into one exact multiply by
-  ``dt / h``.  An axis whose face velocities are all zero adds no flux.
+  place, sweeping blocks of whole rows that fit in cache, and keeps the
+  axis-0 flux in a buffer of one block's faces: the flux row at each block's
+  lower edge is carried over from the block before, which computed it from
+  rows not yet updated, and the wrap-around row of face 0 = face n, computed
+  before any block updates the density, is the last block's upper edge.  The
+  face velocities are evaluated one block of rows at a time too.  Where
+  exactly one axis moves and h is a power of two, ``/ h`` and ``* dt`` fold
+  into one exact multiply by ``dt / h``.  An axis whose face velocities are
+  all zero adds no flux.
 
 Both solvers emit snapshots at a shared uniform time grid, which is what the
 stability harness diffs.  Fields with discontinuous characteristics
@@ -114,7 +118,9 @@ def _deposit_intervals_1d(left: np.ndarray, right: np.ndarray, masses: np.ndarra
 
     The pieces are scattered with one ``bincount`` over their concatenation,
     piece k = 0..span in turn, so each cell adds its shares in that order; a
-    ``bincount`` per piece would reassociate the sums.
+    ``bincount`` per piece would reassociate the sums.  n is a power of two
+    (``Grid`` checks it), so ``& (n - 1)`` wraps a cell index as ``% n``
+    does, negative ones included.
     """
     n, h, L = grid.n, grid.h, grid.length
     a = np.mod(left, L)
@@ -129,7 +135,7 @@ def _deposit_intervals_1d(left: np.ndarray, right: np.ndarray, masses: np.ndarra
         lo = np.maximum(a, cell * h)
         hi = np.minimum(b, (cell + 1) * h)
         w = np.clip(hi - lo, 0.0, None)
-        cells.append(cell % n)
+        cells.append(cell & (n - 1))
         weights.append(masses * (w / width))
     return np.bincount(np.concatenate(cells), np.concatenate(weights), minlength=n) / h
 
@@ -140,19 +146,20 @@ def _deposit_cic_2d(pos: np.ndarray, masses: np.ndarray, grid: Grid) -> np.ndarr
     The four corners' shares are scattered with one ``bincount`` over their
     concatenation, corners (dx, dy) in the order (0, 0), (0, 1), (1, 0),
     (1, 1), so each cell adds its shares in that order; a ``bincount`` per
-    corner would reassociate the sums.
+    corner would reassociate the sums.  Row and column indices wrap with
+    ``& (n - 1)``, which is ``% n`` for the power of two n.
     """
     n, h, L = grid.n, grid.h, grid.length
     frac = np.mod(pos, L) / h - 0.5
     base = np.floor(frac).astype(np.int64)
     frac -= base
-    cols = (base[:, 1] % n, (base[:, 1] + 1) % n)
+    cols = (base[:, 1] & (n - 1), (base[:, 1] + 1) & (n - 1))
     wy = (1.0 - frac[:, 1], frac[:, 1])
     m = len(masses)
     cells = np.empty(4 * m, dtype=np.int64)
     weights = np.empty(4 * m)
     for dx in (0, 1):
-        row = (base[:, 0] + dx) % n * n
+        row = ((base[:, 0] + dx) & (n - 1)) * n
         mx = masses * (frac[:, 0] if dx else 1.0 - frac[:, 0])
         for dy in (0, 1):
             part = slice((2 * dx + dy) * m, (2 * dx + dy + 1) * m)
@@ -164,10 +171,11 @@ def _deposit_cic_2d(pos: np.ndarray, masses: np.ndarray, grid: Grid) -> np.ndarr
 
 def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarray,
                                rtol: float, atol: float,
-                               use_exact_flow: bool = True) -> np.ndarray:
-    """Positions at the requested times, shape (n_times, *x0.shape)."""
+                               use_exact_flow: bool = True) -> tuple[np.ndarray, int]:
+    """Positions at the requested times, shape (n_times, *x0.shape), and the
+    number of right-hand-side evaluations DOP853 made (0 for an exact flow)."""
     if use_exact_flow and u.exact_flow(0.0, x0) is not None:
-        return np.stack([np.asarray(u.exact_flow(t, x0)) for t in times])
+        return np.stack([np.asarray(u.exact_flow(t, x0)) for t in times]), 0
     shape = x0.shape
 
     def rhs(t, y):
@@ -177,14 +185,16 @@ def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarr
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"characteristic integration failed: {sol.message}")
-    return sol.y.T.reshape((len(times),) + shape)
+    return sol.y.T.reshape((len(times),) + shape), int(sol.nfev)
 
 
 def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
                      ode_rtol: float = 1e-10, ode_atol: float = 1e-12,
                      use_exact_flow: bool = True) -> SolutionTrajectory:
     """Characteristics solver implementing the push-forward formula, for a
-    problem without a source."""
+    problem without a source.  ``meta`` records ``nfev``, the right-hand-side
+    evaluations of the DOP853 integration, or 0 where the field's exact flow
+    was used."""
     u = data.velocity
     _check_advectable(u)
     if data.source is not None:
@@ -197,7 +207,7 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
         c = grid.axis_centers()
         X, Y = np.meshgrid(c, c, indexing="ij")
         x0 = np.stack([X, Y], axis=-1)
-    traj = _integrate_characteristics(u, x0, store, ode_rtol, ode_atol, use_exact_flow)
+    traj, nfev = _integrate_characteristics(u, x0, store, ode_rtol, ode_atol, use_exact_flow)
 
     masses = data.initial.values * grid.cell_volume
     frames = []
@@ -213,35 +223,55 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
         else:
             frames.append(_deposit_cic_2d(pos.reshape(-1, 2), masses.ravel(), grid))
     return SolutionTrajectory(grid, store, np.stack(frames),
-                              meta={"ode_rtol": ode_rtol, "field": u.name})
+                              meta={"ode_rtol": ode_rtol, "field": u.name, "nfev": nfev})
 
 
 # ---------------------------------------------------------------------------
 # Eulerian solver
 
-# cells per block of rows in the upwind sweep.  A block's rows of rho, of the
-# face velocities and of the axis-0 flux, and its axis-1 flux, div and term
-# buffers, are 256 KiB each at this size, so the ufuncs of one block pass over
-# a working set that stays in one core's 2 MiB L2 cache instead of streaming
-# each full-grid array through memory once per operation.  The 512^2 shear
-# solve took 0.19-0.20 s at 2^14 to 2^16 cells and 0.21 s at 2^13 or 2^17
-# (2-CPU x86-64 host)
+# cells per block of rows in the upwind sweep.  A block's rows of rho and of
+# the face velocities, its axis-1 flux, div and term buffers, and the axis-0
+# flux buffer (a block's faces and the wrap row) are about 256 KiB each at
+# this size, so the ufuncs of one block pass over a working set that stays
+# in one core's 2 MiB L2 cache instead of streaming each full-grid array
+# through memory once per operation; the face velocities are evaluated one
+# block of rows at a time for the same reason.  The 512^2 shear solve was
+# fastest at 2^14 and 2^15 cells, 10-30% slower at 2^13 or 2^16 and 40-50%
+# at 2^12 or 2^17 (2-CPU x86-64 host)
 BLOCK_CELLS = 1 << 15
+
+
+def _row_blocks(grid: Grid) -> list:
+    """The (first, stop) rows of the blocks a sweep takes in turn: whole rows,
+    at most ``BLOCK_CELLS`` cells each, of a 2-d grid; a 1-d grid is one
+    block."""
+    n = grid.n
+    rows = max(1, BLOCK_CELLS // n) if grid.dim == 2 else n
+    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def _face_velocities(u: VelocityField, grid: Grid):
     """Velocity normal to each cell's lower face; fields are autonomous.  The
-    2-d components are contiguous copies, so a solve keeps no (n, n, 2) field
-    output alive."""
+    2-d field is evaluated at one block of rows of faces at a time, and each
+    component is written straight into its contiguous (n, n) array, so no
+    full-grid points or (n, n, 2) field output is built."""
     n, h = grid.n, grid.h
     edges = np.arange(n) * h
     if grid.dim == 1:
         return (np.asarray(u(0.0, edges)),)
     c = grid.axis_centers()
-    EX, CY = np.meshgrid(edges, c, indexing="ij")
-    ux = np.ascontiguousarray(np.asarray(u(0.0, np.stack([EX, CY], axis=-1)))[..., 0])
-    CX, EY = np.meshgrid(c, edges, indexing="ij")
-    uy = np.ascontiguousarray(np.asarray(u(0.0, np.stack([CX, EY], axis=-1)))[..., 1])
+    ux, uy = np.empty((n, n)), np.empty((n, n))
+    blocks = _row_blocks(grid)
+    pts = np.empty((blocks[0][1], n, 2))
+    for i0, i1 in blocks:
+        p = pts[:i1 - i0]
+        # x-faces at (edges[i], c[j]), y-faces at (c[i], edges[j])
+        p[..., 0] = edges[i0:i1, None]
+        p[..., 1] = c
+        ux[i0:i1] = np.asarray(u(0.0, p))[..., 0]
+        p[..., 0] = c[i0:i1, None]
+        p[..., 1] = edges
+        uy[i0:i1] = np.asarray(u(0.0, p))[..., 1]
     return ux, uy
 
 
@@ -268,16 +298,23 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     Each step sweeps axis 0 in blocks of whole rows, at most ``BLOCK_CELLS``
     cells each (a 1-d grid is one block), and updates ``rho`` in place
     through buffers, and ufunc calls bound to views of them, made once per
-    solve.  The axis-0 flux has n + 1 rows: row 0, from the old rows n - 1
-    and 0, is computed before any block updates ``rho`` and written also as
-    row n.  A block computes the fluxes of its rows i0 + 1..i1 from rows not
-    yet updated, reuses row i0's from the block before, and then updates its
-    own rows; the axis-1 flux stays within them.  With exactly one moving
-    axis and h a power of two, ``/ h`` and
-    ``* dt`` are one multiply by ``dt / h``: dividing by a power of two only
-    rescales (short of overflow or the subnormal range), so both forms round
-    the same real number once.  With two moving axes, or any other h, the
-    step divides and then multiplies, as folding would change the rounding.
+    solve.  The axis-0 flux is kept in a buffer of one block's faces and one
+    wrap row on top; with one block, the n + 1 faces 0..n are the whole
+    buffer.  The flux of face 0, from the old rows n - 1 and 0, is computed
+    before any block updates ``rho`` and written to the buffer's row 0 and
+    to its top row: face n is face 0 on the torus.  A block computes the
+    fluxes of its faces i0 + 1..i1 from rows not yet updated, reads face
+    i0's from the row the block before carried it to, updates its own rows
+    and carries face i1's flux to the row where the next block reads it.
+    The last block's faces sit so that its face n is the top row.  The
+    axis-1 flux stays within a block's rows.  The blocks change only where
+    values are stored: each cell gets the same ufunc calls on the same
+    operands.  With exactly one moving axis and h a power of two, ``/ h``
+    and ``* dt`` are one multiply by ``dt / h``: dividing by a power of two
+    only rescales (short of overflow or the subnormal range), so both forms
+    round the same real number once.  With two moving axes, or any other h,
+    the step divides and then multiplies, as folding would change the
+    rounding.
 
     ``meta`` records the number of ``steps``, ``dt_max`` and the discrete
     ``mass_defect``: the mass change less the mass the source added.
@@ -299,33 +336,40 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     moving = {axis: (uf, uf <= 0 if np.any(uf <= 0) else None)
               for axis, uf in enumerate(faces) if np.any(uf)}
     fold = len(moving) == 1 and math.frexp(h)[0] == 0.5
-    rows = max(1, BLOCK_CELLS // n) if grid.dim == 2 else n
-    blocks = [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
-    block_shape = (min(rows, n),) + grid.shape[1:]
+    blocks = _row_blocks(grid)
+    rows = blocks[0][1]
+    block_shape = (rows,) + grid.shape[1:]
+    # the axis-0 flux buffer's row of each block's face i0: 0, but the last
+    # block's sits so that its face n is the top row
+    top = min(rows + 1, n)
+    lows = [top - (i1 - i0) if i1 == n else 0 for i0, i1 in blocks]
     frames = np.empty((len(store),) + grid.shape)
     frames[0] = data.initial.values
     rho = frames[0].copy()
     div = np.empty(block_shape)
-    flux0 = np.empty((n + 1,) + grid.shape[1:]) if 0 in moving else None
+    flux0 = np.empty((top + 1,) + grid.shape[1:]) if 0 in moving else None
     flux1 = np.empty(block_shape) if 1 in moving else None
     term = np.empty(block_shape) if len(moving) > 1 else None
     # each step's calls that depend on neither dt nor the source, bound once
-    # per solve: per block its fluxes (the first block's begin with row 0,
-    # written also as row n), their difference and the update of its rows
+    # per solve: per block its fluxes (the first block's begin with face 0,
+    # written to rows 0 and top), their difference, the update of its rows
+    # and the carry of its face i1
     scale = np.empty(())  # dt / h when folded, else dt
     sweep = []
-    for i0, i1 in blocks:
+    for b, (i0, i1) in enumerate(blocks):
         d = div[:i1 - i0]
+        lo = lows[b]
         ops = []
         if i0 == 0 and 0 in moving:
-            ops = _flux_ops(*moving[0], rho, slice(0, 1), slice(n - 1, n), flux0[::n])
+            ops = _flux_ops(*moving[0], rho, slice(0, 1), slice(n - 1, n), flux0[::top])
         for i, (axis, (uf, own)) in enumerate(moving.items()):
             out = d if i == 0 else term[:i1 - i0]
             if axis == 0:
                 stop = min(i1 + 1, n)
                 ops += _flux_ops(uf, own, rho, slice(i0 + 1, stop), slice(i0, stop - 1),
-                                 flux0[i0 + 1:stop])
-                ops.append(partial(np.subtract, flux0[i0 + 1:i1 + 1], flux0[i0:i1], out=out))
+                                 flux0[lo + 1:lo + stop - i0])
+                ops.append(partial(np.subtract, flux0[lo + 1:lo + i1 - i0 + 1],
+                                   flux0[lo:lo + i1 - i0], out=out))
             else:
                 fl = flux1[:i1 - i0]
                 r = slice(i0, i1)
@@ -341,6 +385,8 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
         if moving:
             ops.append(partial(np.multiply, d, scale, out=d))
             ops.append(partial(np.subtract, rho[i0:i1], d, out=rho[i0:i1]))
+        if 0 in moving and i1 < n and lows[b + 1] != lo + i1 - i0:
+            ops.append(partial(np.copyto, flux0[lows[b + 1]], flux0[lo + i1 - i0]))
         sweep.append((slice(i0, i1), d, ops))
     t = 0.0
     steps = 0

@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from krlab import transport
+from krlab import pde, transport
 from krlab.cli import main
 from krlab.experiments import EXPERIMENTS, PARAM_RANGES, run_experiment
 
@@ -108,6 +109,23 @@ def test_every_experiment_passes_shrunk(name):
     rec = run_experiment(name, SMOKE[name])
     assert [v.name for v in rec.verdicts] == VERDICTS[name]
     assert rec.ok, rec.verdict_text()
+
+
+@pytest.mark.parametrize("name, solves", [("prop1-sweep", 1), ("uniqueness-drive", 2)])
+def test_ode_nfev_sums_the_dop853_evaluations(monkeypatch, name, solves):
+    # the benchmark tracer wraps krlab.pde.solve_ivp and counts the same nfev
+    nfevs = []
+    solve_ivp = pde.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(pde, "solve_ivp", spy)
+    rec = run_experiment(name, SMOKE[name])
+    assert len(nfevs) == solves
+    assert rec.meta["ode_nfev"] == sum(nfevs) > 0
 
 
 def test_e1_example_at_its_defaults():
@@ -227,16 +245,23 @@ def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
 
 @pytest.mark.parametrize("experiment, params, message", [
     ("pde-convergence", {"cfl": 1.5}, "cfl = 1.5: must be in (0, 1)"),
-    ("uniqueness-drive", {"radius": 0.0}, "radius = 0.0: must be > 0"),
-    ("e1-example", {"deltas": [0.1, -0.01]}, "deltas = [0.1, -0.01]: every entry must be > 0"),
+    ("uniqueness-drive", {"radius": 0.0}, "radius = 0.0: must be finite and > 0"),
+    ("e1-example", {"deltas": [0.1, -0.01]},
+     "deltas = [0.1, -0.01]: every entry must be finite and > 0"),
     ("stability-rate", {"rs": [1.0, 0.1]}, "rs = [1.0, 0.1]: every entry must be in (0, 1)"),
     ("prop1-sweep", {"n_frames": 1}, "n_frames = 1: must be in [2, 65]"),
     ("stability-rate", {"n_frames": 66}, "n_frames = 66: must be in [2, 65]"),
     ("oscillatory-example", {"ks": [0, 4]}, "ks = [0, 4]: every entry must be >= 1"),
     ("pde-convergence", {"apriori_k": 0}, "apriori_k = 0: must be >= 1"),
-    ("prop1-sweep", {"horizon": 0.0}, "horizon = 0.0: must be > 0"),
-    ("pde-convergence", {"horizon_2d": 0.0}, "horizon_2d = 0.0: must be > 0"),
+    ("prop1-sweep", {"horizon": 0.0}, "horizon = 0.0: must be finite and > 0"),
+    ("pde-convergence", {"horizon_2d": 0.0}, "horizon_2d = 0.0: must be finite and > 0"),
     ("lemma4-suite", {"seed": -1}, "seed = -1: must be >= 0"),
+    # YAML's .inf and .nan: an infinite horizon ended in CauchyData's traceback
+    ("uniqueness-drive", {"horizon": math.inf}, "horizon = inf: must be finite and > 0"),
+    ("pde-convergence", {"horizon_2d": math.nan}, "horizon_2d = nan: must be finite and > 0"),
+    ("uniqueness-drive", {"radius": math.inf}, "radius = inf: must be finite and > 0"),
+    ("prop1-sweep", {"deltas": [0.1, math.nan]},
+     "deltas = [0.1, nan]: every entry must be finite and > 0"),
 ])
 def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        experiment, params, message):

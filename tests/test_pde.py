@@ -131,6 +131,23 @@ def test_lagrangian_mass_conservation_2d():
         assert traj.frames[k].sum() * g.cell_volume == pytest.approx(m0, abs=1e-12)
 
 
+def test_lagrangian_meta_counts_the_ode_evaluations(monkeypatch):
+    g = Grid(1, 64, length=TWO_PI)
+    data = CauchyData(OscillatoryField(1), None, density_from_function(g, np.cos), 0.5)
+    assert lagrangian_solve(data, g, n_frames=3).meta["nfev"] == 0  # the exact flow
+    nfevs = []
+    solve_ivp = pde.solve_ivp
+
+    def spy(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(pde, "solve_ivp", spy)
+    traj = lagrangian_solve(data, g, n_frames=3, use_exact_flow=False)
+    assert [traj.meta["nfev"]] == nfevs and nfevs[0] > 0
+
+
 def add_at_intervals(left, right, masses, grid):
     """The np.add.at loop that _deposit_intervals_1d replaced."""
     n, h, L = grid.n, grid.h, grid.length
@@ -403,6 +420,9 @@ Y_ONLY = PlaneField("y-only", lambda x, y: 0.0 * x, lambda x, y: 0.25 + 0.1 * np
 MIXED_X = PlaneField("mixed-x",
                      lambda x, y: 0.3 * np.sin(TWO_PI * y + 0.1) + 0.1 * np.cos(TWO_PI * x),
                      lambda x, y: 0.0 * x)
+# both components vary along both axes
+CROSS = PlaneField("cross", lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y),
+                   lambda x, y: 0.1 + 0.2 * np.sin(TWO_PI * y) * np.cos(TWO_PI * x))
 
 
 class CountingData(CauchyData):
@@ -464,11 +484,12 @@ def test_in_place_stepper_is_bit_identical(case):
     assert data.calls == steps
 
 
-@pytest.mark.parametrize("rows", [1, 3, 4])
+@pytest.mark.parametrize("rows", [1, 3, 4, 16, 32])
 @pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X],
                          ids=lambda fld: fld.name)
 def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
-    # blocks of 1, 3 (a shorter last block) or 4 rows of 32 cells
+    # blocks of 1, 3 (a shorter last block), 4 or n/2 = 16 rows of 32 cells,
+    # or n = 32 rows: one block
     grid, rho0 = _blob_2d()
     data = CauchyData(field, 0.1 * rho0.values, rho0, 0.25)
     whole = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
@@ -476,6 +497,33 @@ def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
     blocked = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
     assert np.array_equal(bits(blocked.frames), bits(whole.frames))
     assert bits(blocked.meta["mass_defect"]) == bits(whole.meta["mass_defect"])
+
+
+def meshgrid_face_velocities(u, grid):
+    """The full-grid meshgrid and stack form that _face_velocities replaced."""
+    n, h = grid.n, grid.h
+    edges = np.arange(n) * h
+    c = grid.axis_centers()
+    EX, CY = np.meshgrid(edges, c, indexing="ij")
+    ux = np.asarray(u(0.0, np.stack([EX, CY], axis=-1)))[..., 0]
+    CX, EY = np.meshgrid(c, edges, indexing="ij")
+    uy = np.asarray(u(0.0, np.stack([CX, EY], axis=-1)))[..., 1]
+    return ux, uy
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X, CROSS],
+                         ids=lambda fld: fld.name)
+def test_face_velocities_by_row_blocks_are_the_full_grid_ones(monkeypatch, field, rows):
+    # blocks of 1 or 3 rows (a shorter last block) of 256 cells, or the
+    # default BLOCK_CELLS, which 256^2 cells exceed
+    grid = Grid(2, 256)
+    if rows is not None:
+        monkeypatch.setattr(pde, "BLOCK_CELLS", rows * grid.n)
+    assert grid.ncells > pde.BLOCK_CELLS
+    for got, want in zip(_face_velocities(field, grid), meshgrid_face_velocities(field, grid)):
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_stepper_meta_reports_steps_and_dt_max():
