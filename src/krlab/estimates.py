@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import bounded_log
-from .fields import IntegrabilityModulus, VelocityField, default_modulus, psi_one
+from .fields import VelocityField, psi_one
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
 from .transport import TransportPlan, potential_gradient_on_support, solve_primal
@@ -78,30 +78,6 @@ class StabilityInstance:
         return (0.0 if f1 is None else f1) - (0.0 if f2 is None else f2)
 
 
-@dataclass
-class EtaTrajectory:
-    """Frames of eta(t) = P(rho1(t) - rho2(t) - int_0^t (f1 - f2)), with P the
-    mean-zero projection, plus the magnitudes |mass| that P removed.
-
-    eta measures the distance between the two solutions, so eta(0) =
-    P(rho0_1 - rho0_2): the initial perturbation, which ``perturbation_size``
-    charges to r, is part of what is measured.  The constant P removes is the
-    initial mass difference, the same at every frame.
-    """
-
-    grid: Grid
-    times: np.ndarray
-    frames: np.ndarray
-    projection_magnitudes: np.ndarray
-
-    def frame(self, k: int) -> SignedDensity:
-        return SignedDensity(self.grid, self.frames[k])
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.times)
-
-
 def _source_integral(instance: StabilityInstance, t: float):
     """int_0^t (f1 - f2) ds = (f1 - f2) t per cell, the sources being
     constant in time; the scalar 0.0 when neither problem has a source."""
@@ -110,9 +86,16 @@ def _source_integral(instance: StabilityInstance, t: float):
 
 
 def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
-              traj2: SolutionTrajectory) -> EtaTrajectory:
-    """eta(t) = P(rho1(t) - rho2(t) - int_0^t (f1 - f2)) at every stored frame;
-    see ``EtaTrajectory``."""
+              traj2: SolutionTrajectory) -> SolutionTrajectory:
+    """The frames of eta(t) = P(rho1(t) - rho2(t) - int_0^t (f1 - f2)) at every
+    stored time, with P the mean-zero projection; ``meta["projection_magnitudes"]``
+    holds the magnitudes |mass| that P removed.
+
+    eta measures the distance between the two solutions, so eta(0) =
+    P(rho0_1 - rho0_2): the initial perturbation, which ``perturbation_size``
+    charges to r, is part of what is measured.  The constant P removes is the
+    initial mass difference, the same at every frame.
+    """
     if traj1.grid != traj2.grid:
         raise ValueError("trajectories live on different grids")
     if len(traj1.times) != len(traj2.times) or np.max(np.abs(traj1.times - traj2.times)) > 1e-12:
@@ -124,10 +107,11 @@ def build_eta(instance: StabilityInstance, traj1: SolutionTrajectory,
         eta = SignedDensity(grid, raw)
         projections.append(abs(mass(eta)))
         frames.append(mean_zero_projection(eta).values)
-    return EtaTrajectory(grid, traj1.times.copy(), np.stack(frames), np.asarray(projections))
+    return SolutionTrajectory(grid, traj1.times.copy(), np.stack(frames),
+                              {"projection_magnitudes": np.asarray(projections)})
 
 
-def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
+def eta_flux(instance: StabilityInstance, eta: SolutionTrajectory,
              traj2: SolutionTrajectory, k: int) -> np.ndarray:
     """The flux j with d_t eta + div j = 0, on the cells of a 1-d grid:
     j = u1*eta + (u1-u2)*rho2 + u1*(mean(drho0) + int_0^t (f1-f2)).
@@ -146,7 +130,7 @@ def eta_flux(instance: StabilityInstance, eta: EtaTrajectory,
     return u1 * eta.frames[k] + (u1 - u2) * traj2.frames[k] + u1 * offset
 
 
-def frame_plans(eta: EtaTrajectory, delta: float, radius: float) -> list[TransportPlan]:
+def frame_plans(eta: SolutionTrajectory, delta: float, radius: float) -> list[TransportPlan]:
     """The optimal plan of every stored frame for D_{delta,R}: one exact
     solve per frame.  A zero frame gets the empty plan, of value 0."""
     spec = bounded_log(delta, radius)
@@ -170,7 +154,7 @@ class DerivativeIdentityReport:
     rel_gap: float           # time-integrated |lhs-rhs| / |rhs|
 
 
-def check_derivative_identity(instance: StabilityInstance, eta: EtaTrajectory,
+def check_derivative_identity(instance: StabilityInstance, eta: SolutionTrajectory,
                               traj2: SolutionTrajectory, delta: float,
                               radius: float) -> DerivativeIdentityReport:
     """Centered-difference dD/dt against the plan-support pairing.
@@ -232,7 +216,6 @@ class RateBoundsReport:
 
 
 def check_rate_bounds(plan: TransportPlan, u: VelocityField, p: float, q: float,
-                      modulus: IntegrabilityModulus | None = None,
                       modulus_integral: float | None = None) -> RateBoundsReport:
     """The rate-of-change chain on ``plan``, an optimal plan of a frame of
     eta for D_{delta,R}; the frame and delta are the plan's."""
@@ -251,14 +234,12 @@ def check_rate_bounds(plan: TransportPlan, u: VelocityField, p: float, q: float,
         denom = lq_norm(eta_frame, q) * u.grad_norm_lp(p)
         if 0 < denom < math.inf:
             c_l3 = over_d / denom
-    else:
-        modulus = modulus or default_modulus()
-        if modulus_integral is not None and modulus_integral < math.inf:
-            psi1 = psi_one(modulus, delta)
-            denom = psi1 * (lq_norm(eta_frame, 1)
-                            + lq_norm(eta_frame, math.inf) * modulus_integral)
-            if denom > 0:
-                c_l5 = quotient / denom
+    elif modulus_integral is not None and modulus_integral < math.inf:
+        psi1 = psi_one(delta)
+        denom = psi1 * (lq_norm(eta_frame, 1)
+                        + lq_norm(eta_frame, math.inf) * modulus_integral)
+        if denom > 0:
+            c_l5 = quotient / denom
     return RateBoundsReport(delta, lhs, quotient, lhs - quotient, over_d, c_l3, c_l5, psi1)
 
 
@@ -277,7 +258,7 @@ class Prop1Report:
     c2_joint: float
     ratio: float               # max/min of sup_d across the sweep
     short_time_excess: float   # worst |D(t1)-D(t0)| - 2 x extrapolated; -inf if no rise
-    eta: EtaTrajectory
+    eta: SolutionTrajectory
     plans: dict[float, list[TransportPlan]]  # frame_plans(eta, delta) by delta
 
 
@@ -309,8 +290,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     slope, intercept, r2 = linear_fit(np.log(1.0 / deltas), sup_d)
     psi = np.ones_like(deltas)
     if instance.p == 1:
-        modulus = default_modulus()
-        psi = np.array([psi_one(modulus, d) for d in deltas])
+        psi = np.array([psi_one(d) for d in deltas])
     if sup_d.max() == 0.0:
         c1_joint = c2_joint = 0.0
     elif r > 0:

@@ -19,8 +19,8 @@ from .cost import bounded_log, cost_eval, cost_sup, truncated_linear
 from .estimates import (CHAIN_SLACK_TOL, SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
                         check_prop1, check_rate_bounds, lemma4_combine, linear_fit,
                         stability_rate, uniqueness_drive)
-from .fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
-                     SmoothShear2D, default_modulus, modulus_gradient_integral)
+from .fields import (TWO_PI, ConstantField, E1StepField, OscillatoryField, PowerCuspField,
+                     SmoothShear2D, _bump_f, modulus_gradient_integral)
 from .measures import (Grid, SignedDensity, check_grid_size, density_from_function, lq_norm,
                        mean_zero_projection)
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
@@ -28,8 +28,6 @@ from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solv
 from .records import ExperimentRecord
 from .transport import (SOLVER_COUNTS, duality_gap, kr_distance, solve_dual, solve_primal,
                         w_neg11_norm)
-
-TWO_PI = 2.0 * math.pi
 
 
 # parameters that size a Grid, one size or a list of sizes
@@ -402,12 +400,11 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
 
     # W^{1,1}-route constants for a p = 1 cusp on a frozen frame
     l5field = PowerCuspField(p["l5_alpha"], x0=p["x0"], amp=p["amp"])
-    modulus = default_modulus()
-    e_int = modulus_gradient_integral(l5field, modulus)
+    e_int = modulus_gradient_integral(l5field)
     c5_sweep = []
     for d in p["deltas"]:
         rb = check_rate_bounds(report.plans[d][-1], l5field, p=1.0, q=math.inf,
-                               modulus=modulus, modulus_integral=e_int)
+                               modulus_integral=e_int)
         if rb.c_l5 is not None:
             c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
@@ -546,20 +543,13 @@ STABILITY_DEFAULTS = {
 }
 
 
-def _bump(x):
-    s = (x - math.pi) / 1.0
-    out = np.zeros_like(x)
-    inside = np.abs(s) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s[inside] ** 2))
-    return out
-
-
 def run_stability_rate(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("stability-rate", p)
     grid = Grid(1, p["n"], length=TWO_PI)
     field = OscillatoryField(1)
     base = density_from_function(grid, lambda x: 1.0 + 0.3 * np.sin(x))
-    g = _bump(grid.axis_centers())
+    s = grid.axis_centers() - math.pi
+    g = _bump_f(1.0 - s ** 2)  # exp(-1/(1 - s^2)) for |s| < 1, else 0
     g_density = SignedDensity(grid, g)
     g = g / lq_norm(g_density, 2)  # unit L^2 so r is exactly the coefficient
     sup_w, c2s = [], []
@@ -674,9 +664,8 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     fieldk = OscillatoryField(p["apriori_k"])
     datak = CauchyData(fieldk, None, density_from_function(gridk, lambda x: np.ones_like(x)), 1.0)
     trajk = eulerian_solve(datak, gridk, cfl=p["cfl"], n_frames=9)
-    for q in (1.0, 2.0):
-        rep = apriori_lq_check(trajk, datak, q)
-        rec.row("apriori", instance="oscillatory", q=q, lhs=rep.lhs, rhs=rep.rhs,
+    for rep in apriori_lq_check(trajk, datak, (1.0, 2.0)):
+        rec.row("apriori", instance="oscillatory", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
         worst_slack = max(worst_slack, rep.slack)
     grids = Grid(2, p["apriori_n"])
@@ -685,9 +674,8 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     datas = CauchyData(field, None, rho0s, p["horizon_2d"])
     trajs = eulerian_solve(datas, grids, cfl=p["cfl"], n_frames=5)
     rec.meta["upwind_steps"] = upwind_steps + trajk.meta["steps"] + trajs.meta["steps"]
-    for q in (1.0, 2.0):
-        rep = apriori_lq_check(trajs, datas, q)
-        rec.row("apriori", instance="shear2d", q=q, lhs=rep.lhs, rhs=rep.rhs,
+    for rep in apriori_lq_check(trajs, datas, (1.0, 2.0)):
+        rec.row("apriori", instance="shear2d", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
         worst_slack = max(worst_slack, rep.slack)
     rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],

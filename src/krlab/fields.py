@@ -24,7 +24,7 @@ one Python float, and wrapping that float in an array to run 15-40 small
 numpy operations costs far more than the arithmetic.  So the fields and the
 modulus that feed a ``quad`` integral also have a point form that takes and
 returns one float: ``PowerCuspField.derivative_at``,
-``OscillatoryField.jacobian_point(t)`` and ``IntegrabilityModulus.at``.
+``OscillatoryField.jacobian_point(t)`` and ``modulus_at``.
 A point form must stay bit-identical to its array form: the same IEEE
 operations in the same order, with exp, log, tan and power taken from the
 numpy ufuncs (``math.exp`` and the scalar ``**`` round differently), every
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -363,45 +362,29 @@ class ConstantField(VelocityField):
 # ---------------------------------------------------------------------------
 # integrability modulus and the psi_1 rate
 
-@dataclass(frozen=True)
-class IntegrabilityModulus:
-    """Superlinear function e with e(xi)/xi nondecreasing and -> infinity."""
-
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    point: Callable[[float], float] | None = None  # fn at one float, bit for bit
-
-    def at(self, x: float) -> float:
-        """e(x) at one float: the point form, else ``fn`` on a 0-d array."""
-        return self.point(x) if self.point is not None else float(self.fn(x))
+def modulus(xi):
+    """The superlinear integrability modulus e(xi) = xi (1 + log+ xi), with
+    e(xi)/xi nondecreasing and -> infinity, elementwise."""
+    x = np.asarray(xi, dtype=float)
+    return x * (1.0 + np.maximum(np.log(np.maximum(x, 1e-300)), 0.0))
 
 
-def default_modulus() -> IntegrabilityModulus:
-    def e(xi):
-        x = np.asarray(xi, dtype=float)
-        return x * (1.0 + np.maximum(np.log(np.maximum(x, 1e-300)), 0.0))
-
-    def e_at(x: float) -> float:
-        return x * (1.0 + max(float(np.log(max(x, 1e-300))), 0.0))
-
-    return IntegrabilityModulus("xi*(1+log+xi)", e, e_at)
+def modulus_at(x: float) -> float:
+    """``modulus`` at one float, bit for bit."""
+    return x * (1.0 + max(float(np.log(max(x, 1e-300))), 0.0))
 
 
 _PSI_LOG_GRID = np.linspace(math.log(1e-12), math.log(1e10), 3001)  # log M scanned by psi_one
 
 
-def _psi_one_scan(modulus: IntegrabilityModulus, L: float) -> np.ndarray:
+def _psi_one_scan(L: float) -> np.ndarray:
     """M + M/e(M) * L at each M = exp(_PSI_LOG_GRID), with e applied once to
-    the whole grid.  It is bit for bit the objective psi_one minimizes only
-    where ``modulus.at`` equals ``fn`` on the grid, as for a point form that
-    is bit for bit ``fn`` (``default_modulus``'s); without a point form,
-    ``at`` is ``fn`` on one float, which can round differently from ``fn`` on
-    the array (numpy's scalar ``**`` against its array loop)."""
+    the whole grid: bit for bit the objective psi_one minimizes."""
     ms = np.array([math.exp(g) for g in _PSI_LOG_GRID])
-    return ms + ms / np.asarray(modulus.fn(ms), dtype=float) * L
+    return ms + ms / modulus(ms) * L
 
 
-def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
+def psi_one(delta: float) -> float:
     """inf over M > 0 of  M + M/e(M) * (|log delta| + 1).
 
     Scanned on a log-spaced M grid and refined by golden-section around the
@@ -413,10 +396,10 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
 
     def obj(logm: float) -> float:
         m = math.exp(logm)
-        return m + m / modulus.at(m) * L
+        return m + m / modulus_at(m) * L
 
     grid = _PSI_LOG_GRID
-    vals = _psi_one_scan(modulus, L)
+    vals = _psi_one_scan(L)
     i = int(np.argmin(vals))
     best = vals[i]
     if 0 < i < len(grid) - 1:
@@ -426,10 +409,10 @@ def psi_one(modulus: IntegrabilityModulus, delta: float) -> float:
     return float(best)
 
 
-def modulus_gradient_integral(field: VelocityField, modulus: IntegrabilityModulus) -> float:
+def modulus_gradient_integral(field: VelocityField) -> float:
     """|| e(|grad u|) ||_{L^1} over one period of a 1-d field.
 
-    The integrand is the point forms ``derivative_at`` and ``modulus.at``.
+    The integrand is the point forms ``derivative_at`` and ``modulus_at``.
     Integrable gradient blow-ups at the field's singular points are handled
     by dyadic subdivision towards the singularity.  Evaluation works in
     absolute coordinates, so the resolved neighborhood of a singular point
@@ -441,7 +424,7 @@ def modulus_gradient_integral(field: VelocityField, modulus: IntegrabilityModulu
         raise ValueError("implemented for 1-d fields")
 
     def f(x):
-        return modulus.at(abs(field.derivative_at(x)))
+        return modulus_at(abs(field.derivative_at(x)))
 
     sing = sorted(s for s in field.singular_points() if 0.0 < s < field.length)
     edges = [0.0] + sing + [field.length]

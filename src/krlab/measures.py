@@ -78,6 +78,14 @@ class Grid:
     def axis_centers(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.h
 
+    def centers(self) -> np.ndarray:
+        """Cell centers: shape (n,) on the circle, (n, n, 2) on the torus."""
+        c = self.axis_centers()
+        if self.dim == 1:
+            return c
+        X, Y = np.meshgrid(c, c, indexing="ij")
+        return np.stack([X, Y], axis=-1)
+
 
 def periodic_wrap(d, length: float) -> np.ndarray:
     """Displacements d wrapped to [-length/2, length/2] per axis: the

@@ -201,13 +201,8 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
         raise ValueError("lagrangian_solve transports the initial datum only; solve a "
                          "problem with a source with eulerian_solve")
     store = _store_times(data.horizon, n_frames)
-    if grid.dim == 1:
-        x0 = grid.axis_centers()
-    else:
-        c = grid.axis_centers()
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        x0 = np.stack([X, Y], axis=-1)
-    traj, nfev = _integrate_characteristics(u, x0, store, ode_rtol, ode_atol, use_exact_flow)
+    traj, nfev = _integrate_characteristics(u, grid.centers(), store, ode_rtol, ode_atol,
+                                            use_exact_flow)
 
     masses = data.initial.values * grid.cell_volume
     frames = []
@@ -427,23 +422,22 @@ class AprioriReport:
     div_l1_linf: float
 
 
-def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, q: float) -> AprioriReport:
+def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, qs) -> list[AprioriReport]:
     """Both sides of the growth bound
-    ||rho||_{L^inf(L^q)} <= exp^{1-1/q}(||div u||_{L^1(L^inf)}) (||rho0||_q + ||f||_{L^1(L^q)})."""
+    ||rho||_{L^inf(L^q)} <= exp^{1-1/q}(||div u||_{L^1(L^inf)}) (||rho0||_q + ||f||_{L^1(L^q)})
+    for each exponent q of ``qs``, one report per q; the field's divergence
+    is evaluated once."""
     grid = traj.grid
-    lhs = max(lq_norm(traj.frame(k), q) for k in range(traj.n_frames))
-    c = grid.axis_centers()
-    if grid.dim == 1:
-        pts = c
-    else:
-        X, Y = np.meshgrid(c, c, indexing="ij")
-        pts = np.stack([X, Y], axis=-1)
-    div_sup = float(np.abs(np.asarray(data.velocity.divergence(0.0, pts))).max())
+    div_sup = float(np.abs(np.asarray(data.velocity.divergence(0.0, grid.centers()))).max())
     div_l1 = div_sup * data.horizon
-    fnorm = 0.0
-    if data.source is not None:
-        fnorm = lq_norm(SignedDensity(grid, data.source), q) * data.horizon
-    rho0 = lq_norm(SignedDensity(grid, traj.frames[0]), q)
-    rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
-    slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)
-    return AprioriReport(q, lhs, float(rhs), float(slack), div_l1)
+    reports = []
+    for q in qs:
+        lhs = max(lq_norm(traj.frame(k), q) for k in range(traj.n_frames))
+        fnorm = 0.0
+        if data.source is not None:
+            fnorm = lq_norm(SignedDensity(grid, data.source), q) * data.horizon
+        rho0 = lq_norm(SignedDensity(grid, traj.frames[0]), q)
+        rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
+        slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+        reports.append(AprioriReport(q, lhs, float(rhs), float(slack), div_l1))
+    return reports

@@ -46,7 +46,8 @@ The potential is built from the plan and never from a second solve:
 plan's residual graph and extends them to the whole grid by the metric
 envelope ``phi(z) = min_j (c(dist(z, y_j)) - v_j)``, which is c-Lipschitz
 by construction and attains the dual optimum, hence saturates the
-constraint on the support of every optimal plan.  A plan that is not
+constraint on the support of every optimal plan.  Both read one matrix,
+the costs from every cell to every target.  A plan that is not
 optimal has a negative cycle there, and ``solve_dual`` raises.
 
 A plan carries the density and the cost it was solved for, so a check that
@@ -307,30 +308,27 @@ def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, flo
     return plan, value
 
 
-def _plan_duals(plan: TransportPlan) -> np.ndarray:
-    """Target duals of ``plan``.
+def _plan_duals(plan: TransportPlan, costs: np.ndarray) -> np.ndarray:
+    """Target duals of ``plan``, given ``costs``, the cost from every grid cell
+    to every target.
 
-    They are the shortest-path distances from a zero source over the arcs
-    j -> j' of length min over the sources i that the plan sends to j of
-    C[i, j'] - C[i, j] (the residual-graph optimality condition of the
-    transportation LP), found by Jacobi Bellman-Ford.  A plan that is not
-    optimal has a negative cycle, and the distances do not settle within n
-    rounds.
+    They are the shortest-path distances from a zero source in the plan's
+    residual graph (the optimality condition of the transportation LP): a
+    plan entry e = (i, j) gives the arcs j -> j' of length C[i, j'] - C[i, j].
+    Each Jacobi Bellman-Ford round relaxes every entry into every target at
+    once, v_j' = min(v_j', min_e (v_j + C[i, j'] - C[i, j])).  That is
+    exactly the round over the shortest arc j -> j' alone: rounding is
+    monotone, so min_e fl(v_j + x_e) = fl(v_j + min_e x_e) over the entries
+    e into j.  A plan that is not optimal has a negative cycle, and the
+    distances do not settle within n rounds.
     """
     n = len(plan.dst_mass)
-    by_dst = np.argsort(plan.dst_idx, kind="stable")
-    si, dj = plan.src_idx[by_dst], plan.dst_idx[by_dst]
-    rows = cost_matrix(plan.cost, plan.src_pos[si], plan.dst_pos, plan.grid.length)
-    scale = np.abs(rows).max()
-    rows -= rows[np.arange(len(dj)), dj][:, None]
-    heads = np.flatnonzero(np.diff(dj, prepend=-1))
-    arcs = np.full((n, n), np.inf)
-    arcs[dj[heads]] = np.minimum.reduceat(rows, heads, axis=0)
-    np.fill_diagonal(arcs, 0.0)  # a target that the plan does not reach keeps its dual
-    tol = DUAL_DROP_TOL * scale
+    rows = costs[plan.src_cells[plan.src_idx]]  # a source atom sits at its cell's center
+    tol = DUAL_DROP_TOL * np.abs(rows).max()
+    rows -= rows[np.arange(plan.n_entries), plan.dst_idx][:, None]
     v = np.zeros(n)
     for _ in range(n):
-        nxt = (v[:, None] + arcs).min(axis=0)
+        nxt = np.minimum(v, (v[plan.dst_idx][:, None] + rows).min(axis=0))
         drop = (v - nxt).max()
         v = nxt
         if drop <= tol:
@@ -344,15 +342,16 @@ def solve_dual(plan: TransportPlan) -> tuple[Potential, float]:
     value (= primal value).
 
     The potential is the metric envelope of ``plan``'s target duals, the
-    shortest-path duals of its residual graph.
+    shortest-path duals of its residual graph, over the one matrix of costs
+    from every cell to every target.
     """
     eta, cost = plan.eta, plan.cost
     if plan.n_entries == 0:
         return Potential(plan, np.zeros(eta.grid.shape)), 0.0
-    v = _plan_duals(plan)
+    costs = cost_matrix(cost, eta.grid.axis_centers(), plan.dst_pos, eta.grid.length)
+    v = _plan_duals(plan, costs)
     # metric envelope from the target duals; c-Lipschitz and optimal
-    d = periodic_distance_matrix(eta.grid.axis_centers(), plan.dst_pos, eta.grid.length)
-    phi = (cost_eval(cost, d) - v[None, :]).min(axis=1)
+    phi = (costs - v).min(axis=1)
     phi -= (phi.max() + phi.min()) / 2.0
     value = float((phi * eta.values).sum() * eta.grid.cell_volume)
     return Potential(plan, phi), value

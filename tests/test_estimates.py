@@ -9,7 +9,7 @@ from krlab.estimates import (SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
                              check_derivative_identity, check_prop1, check_rate_bounds,
                              frame_plans, lemma4_combine, linear_fit, stability_rate, track_kr,
                              uniqueness_drive)
-from krlab.fields import ConstantField, OscillatoryField, default_modulus
+from krlab.fields import ConstantField, OscillatoryField
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
 from krlab.pde import CauchyData, eulerian_solve
@@ -51,7 +51,7 @@ def test_build_eta_constant_source_difference():
     inst = StabilityInstance(d1, d2, p=2.0, q=2.0)
     eta = build_eta(inst, t1, t2)
     assert np.abs(eta.frames).max() < 1e-13
-    assert eta.projection_magnitudes.max() < 1e-13
+    assert eta.meta["projection_magnitudes"].max() < 1e-13
 
 
 def test_build_eta_initial_perturbation_triangle():

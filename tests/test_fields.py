@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from krlab.fields import (ConstantField, E1StepField, IntegrabilityModulus, OscillatoryField,
-                          PowerCuspField, SmoothShear2D, default_modulus,
-                          modulus_gradient_integral, psi_one)
+from krlab.fields import (ConstantField, E1StepField, OscillatoryField, PowerCuspField,
+                          SmoothShear2D, modulus, modulus_gradient_integral, psi_one)
 from krlab.measures import Grid
 
 TWO_PI = 2 * math.pi
@@ -170,36 +169,32 @@ def test_shear_and_rotation_are_divergence_free():
 # integrability modulus
 
 def test_psi_one_examples():
-    mod = default_modulus()
     # objective at M = 1 equals 2, and the infimum (at M -> 0) is 1
-    assert psi_one(mod, 1.0) <= 2.0
-    assert psi_one(mod, 1.0) == pytest.approx(1.0, abs=1e-6)
+    assert psi_one(1.0) <= 2.0
+    assert psi_one(1.0) == pytest.approx(1.0, abs=1e-6)
     # frozen from the direct minimization of M + M/e(M) (|log d| + 1)
-    assert psi_one(mod, 1e-2) == pytest.approx(5.31027, abs=1e-4)
-    assert psi_one(mod, 1e-8) == pytest.approx(12.11307, abs=1e-4)
+    assert psi_one(1e-2) == pytest.approx(5.31027, abs=1e-4)
+    assert psi_one(1e-8) == pytest.approx(12.11307, abs=1e-4)
 
 
 def test_psi_one_monotone_as_delta_shrinks():
-    mod = default_modulus()
-    vals = [psi_one(mod, d) for d in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)]
+    vals = [psi_one(d) for d in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_psi_one_sublogarithmic_decay():
     # psi(delta)/|log delta| decays; the factor from 1e-2 to 1e-8 is 1.7536
     # for e(xi) = xi (1 + log+ xi) (the acceptance wants 2; see the ledger)
-    mod = default_modulus()
-    r2 = psi_one(mod, 1e-2) / abs(math.log(1e-2))
-    r8 = psi_one(mod, 1e-8) / abs(math.log(1e-8))
+    r2 = psi_one(1e-2) / abs(math.log(1e-2))
+    r8 = psi_one(1e-8) / abs(math.log(1e-8))
     assert r8 < r2
     assert r2 / r8 == pytest.approx(1.7536, abs=2e-3)
 
 
 def test_modulus_integral_against_graded_riemann():
-    mod = default_modulus()
     f = PowerCuspField(0.25, x0=0.31, amp=0.4)
-    val = modulus_gradient_integral(f, mod)
-    oracle = _graded_cusp_integral(f, lambda d: mod.fn(np.abs(d)))
+    val = modulus_gradient_integral(f)
+    oracle = _graded_cusp_integral(f, lambda d: modulus(np.abs(d)))
     # the x-coordinate evaluation floors at ulp(x0) next to the cusp, an
     # intrinsic ~1e-3 relative tail for the steepest admissible cusp; the
     # integral only feeds fitted-constant denominators
@@ -224,10 +219,3 @@ def test_power_cusp_lp_norm_integrates_once_per_p(monkeypatch):
     assert len(calls) == 2
     assert PowerCuspField(0.6, x0=0.31, amp=0.4).grad_norm_lp(2.0) == first
     assert len(calls) == 3
-
-
-def test_custom_modulus_changes_psi():
-    stronger = IntegrabilityModulus(
-        "xi*(1+log+xi)^2",
-        lambda x: np.asarray(x) * (1 + np.maximum(np.log(np.maximum(np.asarray(x), 1e-300)), 0)) ** 2)
-    assert psi_one(stronger, 1e-8) < psi_one(default_modulus(), 1e-8)

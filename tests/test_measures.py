@@ -24,6 +24,16 @@ def test_grid_invariants():
     assert np.sqrt((d * d).sum(axis=-1)).max() <= math.sqrt(2) / 2 + 1e-15
 
 
+def test_grid_centers_are_the_axis_centers_per_axis():
+    g1 = Grid(1, 16, length=2 * math.pi)
+    assert np.array_equal(g1.centers(), g1.axis_centers())
+    g2 = Grid(2, 8)
+    c, pts = g2.axis_centers(), g2.centers()
+    assert pts.shape == (8, 8, 2)
+    assert np.array_equal(pts[..., 0], np.repeat(c[:, None], 8, axis=1))
+    assert np.array_equal(pts[..., 1], np.repeat(c[None, :], 8, axis=0))
+
+
 def test_grid_validation():
     for dim in (3, "1", 1.5):
         with pytest.raises(ValueError, match=f"^{re.escape(f'dim must be 1 or 2, got {dim!r}')}$"):

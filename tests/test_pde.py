@@ -123,7 +123,7 @@ def test_lagrangian_oscillatory_jacobian_formula():
 
 def test_lagrangian_mass_conservation_2d():
     g = Grid(2, 32)
-    rho0 = density_from_function(g, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * np.cos(2 * np.pi * Y))
+    rho0 = density_from_function(g, lambda X, Y: 1.0 + 0.5 * np.sin(TWO_PI * X) * np.cos(Y))
     data = CauchyData(SmoothShear2D(), None, rho0, 0.7)
     traj = lagrangian_solve(data, g, n_frames=5)
     m0 = rho0.values.sum() * g.cell_volume
@@ -315,12 +315,12 @@ def test_apriori_trivial_cases():
     # divergence-free (constant) field, q = 1: L1 never grows
     data = CauchyData(ConstantField([1.0]), None, rho0, 1.0)
     traj = eulerian_solve(data, g, cfl=0.5, n_frames=5)
-    rep = apriori_lq_check(traj, data, 1.0)
+    [rep] = apriori_lq_check(traj, data, (1.0,))
     assert rep.slack <= 0.05 and rep.lhs <= rep.rhs + 1e-12
     # u = 0, f = 1, T = 1, q = 1: the bound ||rho0||_1 + 1 is attained
     data2 = CauchyData(ConstantField([0.0]), np.ones(128), rho0, 1.0)
     traj2 = eulerian_solve(data2, g, cfl=0.5, n_frames=5)
-    rep2 = apriori_lq_check(traj2, data2, 1.0)
+    [rep2] = apriori_lq_check(traj2, data2, (1.0,))
     assert rep2.lhs == pytest.approx(rep2.rhs, rel=1e-12)
     assert rep2.slack <= 0.05
 
@@ -330,8 +330,28 @@ def test_apriori_oscillatory_q2():
     field = OscillatoryField(4)
     data = CauchyData(field, None, density_from_function(g, lambda x: np.ones_like(x)), 1.0)
     traj = eulerian_solve(data, g, cfl=0.5, n_frames=9)
-    rep = apriori_lq_check(traj, data, 2.0)
+    [rep] = apriori_lq_check(traj, data, (2.0,))
     assert rep.slack <= 0.05
+
+
+def test_apriori_evaluates_the_divergence_once_for_every_q(monkeypatch):
+    g = Grid(2, 32)
+    rho0 = density_from_function(g, lambda X, Y: 1.0 + 0.5 * np.sin(TWO_PI * X) * np.cos(Y))
+    data = CauchyData(SmoothShear2D(), None, rho0, 0.5)
+    traj = eulerian_solve(data, g, cfl=0.5, n_frames=5)
+    single = [apriori_lq_check(traj, data, (q,))[0] for q in (1.0, 2.0)]
+    calls = []
+    divergence = SmoothShear2D.divergence
+
+    def counted(self, t, pos):
+        calls.append(np.shape(pos))
+        return divergence(self, t, pos)
+
+    monkeypatch.setattr(SmoothShear2D, "divergence", counted)
+    reports = apriori_lq_check(traj, data, (1.0, 2.0))
+    assert calls == [(32, 32, 2)]
+    assert [r.q for r in reports] == [1.0, 2.0]
+    assert reports == single
 
 
 @pytest.mark.parametrize("solver", [lagrangian_solve, eulerian_solve])

@@ -14,16 +14,16 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize_scalar
 
 from krlab.experiments import _oscillatory_l1
-from krlab.fields import (ConstantField, IntegrabilityModulus, OscillatoryField, PowerCuspField,
-                          _bump_at, _bump_f, _bump_fprime, _psi_one_scan, _smoothstep_down_at,
-                          default_modulus, modulus_gradient_integral, psi_one, smoothstep_down,
+from krlab.fields import (ConstantField, OscillatoryField, PowerCuspField, _bump_at, _bump_f,
+                          _bump_fprime, _psi_one_scan, _smoothstep_down_at, modulus, modulus_at,
+                          modulus_gradient_integral, psi_one, smoothstep_down,
                           smoothstep_down_prime)
 
 TWO_PI = 2.0 * math.pi
 
-STRONGER_MODULUS = IntegrabilityModulus(
-    "xi*(1+log+xi)^2",
-    lambda x: np.asarray(x) * (1 + np.maximum(np.log(np.maximum(np.asarray(x), 1e-300)), 0)) ** 2)
+# the oracles below evaluate the array form of the modulus on each float;
+# the cases that use it name it in their ids
+ARRAY_MODULUS = [pytest.param(modulus, id="xi*(1+log+xi)")]
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +49,8 @@ def _old_grad_norm_lp(field, p, as_array=False):
     return val ** (1.0 / p)
 
 
-def _old_modulus_gradient_integral(field, modulus):
-    return _dyadic_quad(lambda x: float(modulus.fn(float(np.abs(field.derivative(x))))), field)
+def _old_modulus_gradient_integral(field):
+    return _dyadic_quad(lambda x: float(modulus(float(np.abs(field.derivative(x))))), field)
 
 
 def _dyadic_quad(f, field):
@@ -72,24 +72,24 @@ def _dyadic_quad(f, field):
     return total
 
 
-def _old_psi_one_obj(modulus, L, logm):
+def _old_psi_one_obj(e, L, logm):
     m = math.exp(logm)
-    return m + m / float(modulus.fn(m)) * L
+    return m + m / float(e(m)) * L
 
 
-def _old_psi_one_scan(modulus, L):
+def _old_psi_one_scan(e, L):
     grid = np.linspace(math.log(1e-12), math.log(1e10), 3001)
-    return np.array([_old_psi_one_obj(modulus, L, g) for g in grid])
+    return np.array([_old_psi_one_obj(e, L, g) for g in grid])
 
 
-def _old_psi_one(modulus, delta):
+def _old_psi_one(e, delta):
     L = abs(math.log(delta)) + 1.0
 
     def obj(logm):
-        return _old_psi_one_obj(modulus, L, logm)
+        return _old_psi_one_obj(e, L, logm)
 
     grid = np.linspace(math.log(1e-12), math.log(1e10), 3001)
-    vals = _old_psi_one_scan(modulus, L)
+    vals = _old_psi_one_scan(e, L)
     i = int(np.argmin(vals))
     best = vals[i]
     if 0 < i < len(grid) - 1:
@@ -139,8 +139,8 @@ def _per_node_grad_norm_lp(f, p):
     return val ** (1.0 / p)
 
 
-def _per_node_modulus_gradient_integral(field, modulus):
-    return _dyadic_quad(lambda x: float(modulus.fn(abs(_full_derivative_at(field, x)))), field)
+def _per_node_modulus_gradient_integral(field, e):
+    return _dyadic_quad(lambda x: float(e(abs(_full_derivative_at(field, x)))), field)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +222,9 @@ MODULUS_POINTS = np.concatenate([np.logspace(-320, 300, 20001),
 
 
 def test_modulus_point_form_is_bit_identical():
-    modulus = default_modulus()
     with np.errstate(over="ignore"):
-        expected = modulus.fn(MODULUS_POINTS)
-    assert _same_bits(_at_points(modulus.at, MODULUS_POINTS), expected)
-
-
-def test_modulus_without_a_point_form_calls_fn_on_each_float():
-    xs = MODULUS_POINTS.tolist()
-    with np.errstate(over="ignore"):
-        expected = [float(STRONGER_MODULUS.fn(x)) for x in xs]
-    assert _same_bits(_at_points(STRONGER_MODULUS.at, xs), expected)
+        expected = modulus(MODULUS_POINTS)
+    assert _same_bits(_at_points(modulus_at, MODULUS_POINTS), expected)
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
@@ -285,8 +277,7 @@ def test_grad_norm_lp_matches_the_array_integrand(alpha, p):
 @pytest.mark.parametrize("alpha, x0", [(0.25, 0.31), (0.6, 0.5)])
 def test_modulus_gradient_integral_matches_the_old_integrand(alpha, x0):
     f = PowerCuspField(alpha, x0=x0, amp=0.4)
-    mod = default_modulus()
-    assert modulus_gradient_integral(f, mod) == _old_modulus_gradient_integral(f, mod)
+    assert modulus_gradient_integral(f) == _old_modulus_gradient_integral(f)
 
 
 @pytest.mark.parametrize("k, T", [(1, 1.0), (4, 1.0), (16, 1.0), (4, 0.37)])
@@ -301,29 +292,26 @@ def test_grad_norm_lp_matches_the_per_node_integrand(alpha, x0, p):
     assert f.grad_norm_lp(p) == _per_node_grad_norm_lp(f, p)
 
 
-@pytest.mark.parametrize("modulus", [default_modulus(), STRONGER_MODULUS],
-                         ids=lambda m: m.name)
+@pytest.mark.parametrize("e", ARRAY_MODULUS)
 @pytest.mark.parametrize("alpha, x0", [(0.25, 0.31), (0.6, 0.31), (0.6, 0.0)])
-def test_modulus_gradient_integral_matches_the_per_node_integrand(alpha, x0, modulus):
+def test_modulus_gradient_integral_matches_the_per_node_integrand(alpha, x0, e):
     f = PowerCuspField(alpha, x0=x0, amp=0.4)
-    assert modulus_gradient_integral(f, modulus) == _per_node_modulus_gradient_integral(f, modulus)
+    assert modulus_gradient_integral(f) == _per_node_modulus_gradient_integral(f, e)
 
 
-@pytest.mark.parametrize("modulus", [default_modulus(), STRONGER_MODULUS],
-                         ids=lambda m: m.name)
-def test_psi_one_matches_the_pointwise_scan(modulus):
+@pytest.mark.parametrize("e", ARRAY_MODULUS)
+def test_psi_one_matches_the_pointwise_scan(e):
     for delta in (0.9, 0.5, 1e-1, 1e-2, 1e-4, 1e-8, 1e-12):
-        assert psi_one(modulus, delta) == _old_psi_one(modulus, delta), delta
+        assert psi_one(delta) == _old_psi_one(e, delta), delta
 
 
-@pytest.mark.parametrize("modulus", [default_modulus(), STRONGER_MODULUS],
-                         ids=lambda m: m.name)
-def test_psi_one_scan_is_bit_identical_to_the_pointwise_scan(modulus):
+@pytest.mark.parametrize("e", ARRAY_MODULUS)
+def test_psi_one_scan_is_bit_identical_to_the_pointwise_scan(e):
     for delta in (0.9, 1e-2, 1e-8):
         L = abs(math.log(delta)) + 1.0
-        assert _same_bits(_psi_one_scan(modulus, L), _old_psi_one_scan(modulus, L))
+        assert _same_bits(_psi_one_scan(L), _old_psi_one_scan(e, L))
 
 
 def test_field_without_a_point_form_names_the_fix():
     with pytest.raises(NotImplementedError, match="derivative_at"):
-        modulus_gradient_integral(ConstantField([1.0]), default_modulus())
+        modulus_gradient_integral(ConstantField([1.0]))

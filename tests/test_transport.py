@@ -8,7 +8,7 @@ from scipy import optimize, sparse
 
 from krlab import transport
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
-from krlab.experiments import PROP1_DEFAULTS, _twin_cusp_instance
+from krlab.experiments import PROP1_DEFAULTS, TRANSPORT_SELFTEST_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
                             lq_norm, mean_zero_projection, periodic_distance_matrix,
                             periodic_wrap)
@@ -890,3 +890,81 @@ def test_level_plan_is_the_reference_bit_for_bit(kind, length):
         for got, want in [(plan.plan_mass, pm), (mine[0][2], pm), (mine[1], costs)]:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
         assert value == float((costs * pm).sum()) == plan.value, trial
+
+
+# ---------------------------------------------------------------------------
+# the plan duals relaxed from the plan's entries, against the arc-matrix form
+
+def reference_plan_duals(plan):
+    """Target duals by Jacobi Bellman-Ford over an n x n matrix of arcs, each
+    the shortest of the arcs that the entries into one target give."""
+    n = len(plan.dst_mass)
+    by_dst = np.argsort(plan.dst_idx, kind="stable")
+    si, dj = plan.src_idx[by_dst], plan.dst_idx[by_dst]
+    rows = cost_matrix(plan.cost, plan.src_pos[si], plan.dst_pos, plan.grid.length)
+    scale = np.abs(rows).max()
+    rows -= rows[np.arange(len(dj)), dj][:, None]
+    heads = np.flatnonzero(np.diff(dj, prepend=-1))
+    arcs = np.full((n, n), np.inf)
+    arcs[dj[heads]] = np.minimum.reduceat(rows, heads, axis=0)
+    np.fill_diagonal(arcs, 0.0)  # a target that the plan does not reach keeps its dual
+    tol = transport.DUAL_DROP_TOL * scale
+    v = np.zeros(n)
+    for _ in range(n):
+        nxt = (v[:, None] + arcs).min(axis=0)
+        drop = (v - nxt).max()
+        v = nxt
+        if drop <= tol:
+            return v
+    raise ValueError(f"the transport plan is not optimal: its duals still drop by "
+                     f"{drop:.3e} after {n} Bellman-Ford rounds (a negative cycle)")
+
+
+def reference_envelope(plan, v):
+    """The potential as the metric envelope over a second distance matrix."""
+    g = plan.grid
+    d = periodic_distance_matrix(g.axis_centers(), plan.dst_pos, g.length)
+    phi = (cost_eval(plan.cost, d) - v[None, :]).min(axis=1)
+    phi -= (phi.max() + phi.min()) / 2.0
+    return phi
+
+
+def dual_oracle_instances(kind):
+    """(eta, cost) of the 50 transport-selftest instances at their defaults,
+    of random and clustered instances for the truncated-linear cost, of
+    instances on L = 2 pi for both costs, or of the e1 step at n = 1024."""
+    if kind == "transport-selftest":
+        p = TRANSPORT_SELFTEST_DEFAULTS
+        rng = np.random.default_rng(p["seed"])
+        for i in range(p["n_instances"]):
+            grid = Grid(1, p["sizes"][i % len(p["sizes"])])
+            eta = random_mean_zero(grid, rng)
+            yield eta, bounded_log(p["deltas"][i % len(p["deltas"])], p["radius"])
+    elif kind == "e1-step":
+        yield step(1024), bounded_log(0.01, 0.5)
+    else:
+        length = 1.0 if kind == "truncated-linear" else 2 * math.pi
+        rng = np.random.default_rng(11 if kind == "truncated-linear" else 12)
+        for n in (16, 64, 256):
+            g = Grid(1, n, length)
+            yield random_mean_zero(g, rng), truncated_linear(length * rng.uniform(0.02, 1.0))
+            yield SignedDensity(g, circle_signs(rng, n, "clustered")), truncated_linear(length / 3)
+            if kind == "L2pi":
+                yield random_mean_zero(g, rng), bounded_log(10.0 ** rng.uniform(-4, 0), length / 2)
+
+
+@pytest.mark.parametrize("kind, cases", [("transport-selftest", 50), ("truncated-linear", 6),
+                                         ("L2pi", 9), ("e1-step", 1)])
+def test_plan_duals_are_the_arc_matrix_duals_bit_for_bit(kind, cases):
+    done = 0
+    for eta, spec in dual_oracle_instances(kind):
+        plan, _ = solve_primal(eta, spec)
+        costs = cost_matrix(spec, eta.grid.axis_centers(), plan.dst_pos, eta.grid.length)
+        v = transport._plan_duals(plan, costs)
+        ref = reference_plan_duals(plan)
+        assert np.array_equal(v.view(np.uint64), ref.view(np.uint64)), done
+        pot, _ = solve_dual(plan)
+        want = reference_envelope(plan, ref)
+        assert np.array_equal(pot.values.view(np.uint64), want.view(np.uint64)), done
+        done += 1
+    assert done == cases
