@@ -21,7 +21,7 @@ from .cost import bounded_log
 from .fields import VelocityField, psi_one
 from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
-from .transport import TransportPlan, potential_gradient_on_support, solve_primal
+from .transport import TransportPlan, potential_gradient_on_support, solve_batch
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -132,9 +132,11 @@ def eta_flux(instance: StabilityInstance, eta: SolutionTrajectory,
 
 def frame_plans(eta: SolutionTrajectory, delta: float, radius: float) -> list[TransportPlan]:
     """The optimal plan of every stored frame for D_{delta,R}: one exact
-    solve per frame.  A zero frame gets the empty plan, of value 0."""
+    solve per frame, all in one batch.  A zero frame gets the empty plan, of
+    value 0."""
     spec = bounded_log(delta, radius)
-    return [solve_primal(eta.frame(k), spec)[0] for k in range(eta.n_frames)]
+    return [plan for plan, _ in solve_batch([(eta.frame(k), spec)
+                                             for k in range(eta.n_frames)])]
 
 
 def track_kr(plans: list[TransportPlan]) -> np.ndarray:

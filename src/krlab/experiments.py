@@ -26,8 +26,11 @@ from .measures import (Grid, SignedDensity, check_grid_size, density_from_functi
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
     lagrangian_solve
 from .records import ExperimentRecord
-from .transport import (SOLVER_COUNTS, duality_gap, kr_distance, solve_dual, solve_primal,
-                        w_neg11_norm)
+from .transport import (SOLVER_COUNTS, duality_gap, kr_distances, solve_batch, solve_dual,
+                        w_neg11_norms)
+# bound here too: the benchmark's tracer tests (perfbench/test_perfbench.py)
+# call them through this module
+from .transport import kr_distance, solve_primal  # noqa: F401
 
 
 # parameters that size a Grid, one size or a list of sizes
@@ -171,13 +174,11 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("transport-selftest", p)
 
     max_gap = max_sat = max_phi_excess = max_slope_excess = 0.0
-    for i in range(p["n_instances"]):
-        n = p["sizes"][i % len(p["sizes"])]
-        delta = p["deltas"][i % len(p["deltas"])]
-        grid = Grid(1, n)
-        eta = random_mean_zero(grid, rng)
-        spec = bounded_log(delta, p["radius"])
-        plan, primal = solve_primal(eta, spec)
+    instances = [(random_mean_zero(Grid(1, p["sizes"][i % len(p["sizes"])]), rng),
+                  bounded_log(p["deltas"][i % len(p["deltas"])], p["radius"]))
+                 for i in range(p["n_instances"])]
+    for (eta, spec), (plan, primal) in zip(instances, solve_batch(instances)):
+        grid, n, delta = eta.grid, eta.grid.n, spec.delta
         pot, dual = solve_dual(plan)
         gap = duality_gap(pot) / (1.0 + abs(primal))
         phi = pot.values.ravel()
@@ -204,13 +205,16 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     grid3 = Grid(1, p["triple_n"])
     worst_tri = -math.inf
     worst_sym = 0.0
+    kinds, pairs = [], []
     for i in range(p["n_triples"]):
         a, b, c = (random_mean_zero(grid3, rng) for _ in range(3))
-        kind = bounded_log(0.05, p["radius"]) if i % 2 == 0 else truncated_linear(p["radius"])
-        dab = kr_distance(SignedDensity(grid3, a.values - b.values), kind)
-        dbc = kr_distance(SignedDensity(grid3, b.values - c.values), kind)
-        dac = kr_distance(SignedDensity(grid3, a.values - c.values), kind)
-        dba = kr_distance(SignedDensity(grid3, b.values - a.values), kind)
+        kinds.append(bounded_log(0.05, p["radius"]) if i % 2 == 0
+                     else truncated_linear(p["radius"]))
+        pairs += [(SignedDensity(grid3, x.values - y.values), kinds[-1])
+                  for x, y in ((a, b), (b, c), (a, c), (b, a))]
+    d = kr_distances(pairs)
+    for i, kind in enumerate(kinds):
+        dab, dbc, dac, dba = d[4 * i:4 * i + 4]
         worst_tri = max(worst_tri, dac - dab - dbc)
         worst_sym = max(worst_sym, abs(dab - dba))
         rec.row("triples", i=i, kind=kind.kind.value, d_ab=dab, d_bc=dbc, d_ac=dac,
@@ -220,10 +224,9 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
 
     gridw = Grid(1, p["sandwich_n"])
     lo_ok, hi_worst = math.inf, -math.inf
-    for i in range(p["n_sandwich"]):
-        eta = random_mean_zero(gridw, rng)
-        d1 = kr_distance(eta, truncated_linear(1.0))
-        w = w_neg11_norm(eta)
+    etas = [random_mean_zero(gridw, rng) for _ in range(p["n_sandwich"])]
+    d1s = kr_distances([(eta, truncated_linear(1.0)) for eta in etas])
+    for i, (d1, w) in enumerate(zip(d1s, w_neg11_norms(etas))):
         lo_ok = min(lo_ok, w - d1)
         hi_worst = max(hi_worst, w - 2.0 * d1)
         rec.row("sandwich", i=i, d1=d1, w_neg11=w)
@@ -251,9 +254,8 @@ def run_e1_example(p: dict) -> ExperimentRecord:
     eta = step_density(grid)
     worst_chain = 0.0
     dvals = []
-    for delta in deltas:
-        spec = bounded_log(delta, p["radius"])
-        plan, value = solve_primal(eta, spec)
+    solved = solve_batch([(eta, bounded_log(delta, p["radius"])) for delta in deltas])
+    for delta, (plan, value) in zip(deltas, solved):
         report = check_rate_bounds(plan, E1StepField(), p=1.0, q=math.inf)
         integral, chain_slack = report.difference_quotient, report.chain_slack
         closed = 2.0 * math.log(1.0 / (2.0 * delta) + 1.0)
@@ -303,18 +305,17 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
     T = p["horizon"]
     grid = Grid(1, p["n_grid"], length=TWO_PI)
     centers = grid.axis_centers()
-    l1s, wnorms = [], []
-    for k in p["ks"]:
-        field = OscillatoryField(k)
+    l1s = []
+    fields = [OscillatoryField(k) for k in p["ks"]]
+    wnorms = w_neg11_norms([
+        mean_zero_projection(SignedDensity(grid, np.asarray(field.exact_flow_jacobian(-T, centers))
+                                           - 1.0)) for field in fields])
+    for k, field, w in zip(p["ks"], fields, wnorms):
         l1 = _oscillatory_l1(k, T)
-        rho = np.asarray(field.exact_flow_jacobian(-T, centers))
-        eta = mean_zero_projection(SignedDensity(grid, rho - 1.0))
-        w = w_neg11_norm(eta)
         sup_dev = float(np.abs(np.asarray(field.exact_flow(T, centers)) - centers).max())
         rec.row("sweep", k=k, l1_norm=l1, w_neg11=w, sup_flow_deviation=sup_dev,
                 k_times_dev=k * sup_dev)
         l1s.append(l1)
-        wnorms.append(w)
     spread = max(l1s) - min(l1s)
     rec.add("l1-scaling-agreement", spread, p["l1_agree_tol"],
             detail=f"||rho_k(T)-1||_L1 across k={p['ks']}")
@@ -414,14 +415,12 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
                 detail="max/min fitted W^{1,1}-route constant across the delta sweep")
 
     # negative control: the static BV construction
-    e1grid = Grid(1, p["e1_control_n"])
-    e1 = step_density(e1grid)
-    dvals = []
-    for d in sorted(p["deltas"], reverse=True):
-        spec = bounded_log(d, p["radius"])
-        dvals.append(kr_distance(e1, spec))
-        rec.row("e1_control", delta=d, sup_d=dvals[-1])
-    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(sorted(p["deltas"], reverse=True))), dvals)
+    e1 = step_density(Grid(1, p["e1_control_n"]))
+    control = sorted(p["deltas"], reverse=True)
+    dvals = kr_distances([(e1, bounded_log(d, p["radius"])) for d in control])
+    for d, value in zip(control, dvals):
+        rec.row("e1_control", delta=d, sup_d=value)
+    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(control)), dvals)
     rec.meta["e1_slope"] = slope
     rec.meta["e1_r2"] = r2
     rec.add("bv-control-slope", slope, 0.3, comparator=">=",
@@ -449,13 +448,16 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
     grid = Grid(1, p["n"])
     R = p["radius"]
     worst = math.inf
+    trials = []
     for i in range(p["trials"]):
         eta = random_mean_zero(grid, rng, smooth=bool(i % 2))
         delta = math.exp(rng.uniform(math.log(p["delta_range"][0]),
                                      math.log(p["delta_range"][1])))
-        eps = rng.uniform(*p["eps_range"])
-        d_log = kr_distance(eta, bounded_log(delta, R))
-        d_trunc = kr_distance(eta, truncated_linear(R))
+        trials.append((eta, delta, rng.uniform(*p["eps_range"])))
+    d = kr_distances([(eta, spec) for eta, delta, _ in trials
+                      for spec in (bounded_log(delta, R), truncated_linear(R))])
+    for i, (eta, delta, eps) in enumerate(trials):
+        d_log, d_trunc = d[2 * i:2 * i + 2]
         eta_l1 = lq_norm(eta, 1)
         bound = lemma4_combine(d_log, eta_l1, eps, delta, R)
         slack = bound - d_trunc
@@ -497,10 +499,10 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     eta = build_eta(inst, t1, t2)
     frame = eta.frame(eta.n_frames - 1)
     eta_l1 = lq_norm(frame, 1)
-    d_by_delta = {}
-    for d in p["deltas"]:
-        spec = bounded_log(d, p["radius"])
-        d_by_delta[d] = kr_distance(frame, spec) if eta_l1 > 0 else 0.0
+    d_by_delta = dict.fromkeys(p["deltas"], 0.0)
+    if eta_l1 > 0:
+        d_by_delta = dict(zip(p["deltas"], kr_distances(
+            [(frame, bounded_log(d, p["radius"])) for d in p["deltas"]])))
     drive = uniqueness_drive(d_by_delta, eta_l1, p["radius"])
     for d, b, bw in zip(drive.deltas, drive.bounds_dr, drive.bounds_w):
         rec.row("twin_drive", delta=float(d), d_value=d_by_delta[float(d)],
@@ -515,10 +517,8 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     # negative control: BV-scale eta defeats the combination
     cgrid = Grid(1, p["control_n"])
     e1 = step_density(cgrid)
-    d_ctrl = {}
-    for d in p["deltas"]:
-        spec = bounded_log(d, p["radius"])
-        d_ctrl[d] = kr_distance(e1, spec)
+    d_ctrl = dict(zip(p["deltas"], kr_distances(
+        [(e1, bounded_log(d, p["radius"])) for d in p["deltas"]])))
     ctrl = uniqueness_drive(d_ctrl, lq_norm(e1, 1), p["radius"])
     for d, b in zip(ctrl.deltas, ctrl.bounds_dr):
         rec.row("control_drive", delta=float(d), d_value=d_ctrl[float(d)], bound_dr=float(b))
@@ -563,7 +563,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         traj2 = eulerian_solve(data2, grid, cfl=p["cfl"], n_frames=p["n_frames"])
         upwind_steps += traj1.meta["steps"] + traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
-        norms = [w_neg11_norm(eta.frame(k)) for k in range(eta.n_frames)]
+        norms = w_neg11_norms([eta.frame(k) for k in range(eta.n_frames)])
         sup_w.append(max(norms))
         r_measured = inst.perturbation_size(grid)
         prop1 = check_prop1(inst, _thin(traj1, 4), _thin(traj2, 4),

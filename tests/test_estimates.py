@@ -13,7 +13,7 @@ from krlab.fields import ConstantField, OscillatoryField
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
 from krlab.pde import CauchyData, eulerian_solve
-from krlab.transport import SOLVER_COUNTS, kr_distance, solve_primal
+from krlab.transport import SOLVER_COUNTS, kr_distance, solve_batch, solve_primal
 
 TWO_PI = 2 * math.pi
 
@@ -226,11 +226,11 @@ def test_derivative_identity_solves_each_frame_once(monkeypatch):
     inst, eta, t2 = _upwind_twin()
     calls = []
 
-    def counted(frame, spec):
-        calls.append(spec)
-        return solve_primal(frame, spec)
+    def counted(batch):
+        calls.extend(spec for _, spec in batch)
+        return solve_batch(batch)
 
-    monkeypatch.setattr(krlab.estimates, "solve_primal", counted)
+    monkeypatch.setattr(krlab.estimates, "solve_batch", counted)
     rep = check_derivative_identity(inst, eta, t2, delta=0.05, radius=math.pi)
     nonzero = sum(bool(np.abs(eta.frames[k]).max() > 0) for k in range(eta.n_frames))
     assert nonzero == eta.n_frames

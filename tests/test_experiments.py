@@ -20,18 +20,21 @@ SHRUNK_PROP1 = {"n": 64, "n_frames": 5, "deltas": [0.1, 0.01], "chain_frames": [
 
 def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     solves = []
-    level_plan = transport._level_plan
+    level_plans = transport._level_plans
 
-    def spy(cost, length, pos_p, mass_p, *args):
-        out = level_plan(cost, length, pos_p, mass_p, *args)
-        solves.append((bool(np.ptp(mass_p) > 0), *out[2:]))  # (unequal masses, levels, Σk²)
-        return out
+    def spy(atoms, specs):
+        for i, plan in level_plans(atoms, specs):  # (unequal masses, levels, Σk²)
+            solves.append((bool(np.ptp(atoms.instance(i)[1]) > 0), plan.levels, plan.entries))
+            yield i, plan
 
-    monkeypatch.setattr(transport, "_level_plan", spy)
+    monkeypatch.setattr(transport, "_level_plans", spy)
     blocks = []
     assignment = transport.linear_sum_assignment
     monkeypatch.setattr(transport, "linear_sum_assignment",
                         lambda c: blocks.append(c.shape) or assignment(c))
+    small = []
+    best_orders = transport._best_orders
+    monkeypatch.setattr(transport, "_best_orders", lambda c: small.append(len(c)) or best_orders(c))
     cfg = tmp_path / "prop1.yaml"
     cfg.write_text(yaml.safe_dump({"experiment": "prop1-sweep", "params": SHRUNK_PROP1}))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
@@ -56,16 +59,19 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     # the BV control, one per delta
     counts = json.loads((out / "record.json").read_text())["meta"]["transport"]
     assert set(counts) == {"instances", "levels", "assignment_vars", "assignment_calls",
-                           "worst_marginal_defect"}
+                           "enumerated_blocks", "worst_marginal_defect"}
     assert counts["instances"] == 10 == len(solves)
     assert [s[0] for s in solves].count(True) == 8
     # the control is the step on 64 cells: 32 levels of one atom pair each
     assert [s[1:] for s in solves if not s[0]] == [(32, 32)] * 2
     assert counts["levels"] == sum(s[1] for s in solves)
     assert counts["assignment_vars"] == sum(s[2] for s in solves)
-    # one linear_sum_assignment call per level of two or more pairs
+    # every linear_sum_assignment call is counted: one per level of five or
+    # more pairs, and one per tied level of two to four pairs; the other
+    # levels of two to four pairs are solved by trying every order
     assert counts["assignment_calls"] == len(blocks) > 0
     assert all(k == j > 1 for k, j in blocks)
+    assert counts["enumerated_blocks"] + sum(k <= 4 for k, _ in blocks) == sum(small) > 0
     assert 0.0 < counts["worst_marginal_defect"] <= 1e-13
 
 

@@ -10,13 +10,14 @@ from krlab import transport
 from krlab.cost import CostKind, CostSpec, bounded_log, cost_eval, cost_sup, truncated_linear
 from krlab.experiments import PROP1_DEFAULTS, TRANSPORT_SELFTEST_DEFAULTS, _twin_cusp_instance
 from krlab.measures import (Grid, SignedDensity, density_from_function, jordan_decompose,
-                            lq_norm, mean_zero_projection, periodic_distance_matrix,
-                            periodic_wrap)
+                            lq_norm, periodic_distance_matrix)
 from krlab.estimates import build_eta, check_rate_bounds
 from krlab.fields import OscillatoryField
-from krlab.transport import (SOLVER_COUNTS, _prepare_instance, cost_matrix, duality_gap,
-                             kr_distance, potential_gradient_on_support, solve_dual,
-                             solve_primal, w_neg11_norm)
+from krlab.transport import (SOLVER_COUNTS, cost_matrix, duality_gap, kr_distance,
+                             potential_gradient_on_support, solve_dual, solve_primal,
+                             w_neg11_norm)
+from reference_transport import (oracle_density, random_mean_zero, reference_level_plan,
+                                 reference_prepare_instance)
 
 
 def step(n):
@@ -32,8 +33,9 @@ def two_atoms(n=64, i=10, j=29, m=1.0):
     return SignedDensity(g, v), g.axis_centers()[i], g.axis_centers()[j]
 
 
-def random_mean_zero(grid, rng):
-    return mean_zero_projection(SignedDensity(grid, rng.standard_normal(grid.shape)))
+def prepare(eta):
+    """The atoms of eta's instance: (pos_p, mass_p, cells_p, pos_n, mass_n, cells_n)."""
+    return transport._prepare([eta]).instance(0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def test_transport_rejects_a_2d_density(rng, solve):
 def dense_assignment(eta, spec):
     """The dense oracle: each source's target and the value, summed in
     source order as solve_primal sums it."""
-    pos_p, mass_p, _, pos_n, _, _ = _prepare_instance(eta)
+    pos_p, mass_p, _, pos_n, _, _ = prepare(eta)
     C = cost_matrix(spec, pos_p, pos_n, eta.grid.length)
     rows, cols = optimize.linear_sum_assignment(C)
     return cols, float((C[rows, cols] * np.full(len(rows), mass_p.mean())).sum())
@@ -459,6 +461,10 @@ def test_level_assignment_of_the_step_is_the_dense_one(n):
 @pytest.mark.parametrize("pattern, blocks", [("step", [1] * 32), ("alternating", [32])])
 def test_every_level_of_two_or_more_pairs_is_one_linear_sum_assignment(monkeypatch, pattern,
                                                                        blocks):
+    """The levels of one pair and of five or more pairs: a level of k = 1
+    takes no call and one of k = 32 is one ``linear_sum_assignment`` call.
+    The levels of two to four pairs are enumerated, and reach
+    ``linear_sum_assignment`` only on a tie: tests/test_batch.py."""
     sizes = []
 
     def spy(C):
@@ -469,7 +475,8 @@ def test_every_level_of_two_or_more_pairs_is_one_linear_sum_assignment(monkeypat
     eta = step(64) if pattern == "step" else SignedDensity(Grid(1, 64), np.tile([1.0, -1.0], 32))
     before = dict(SOLVER_COUNTS)
     solve_primal(eta, bounded_log(0.01, 0.5))
-    # a level of one atom pair pairs its atoms without a call
+    # a level of one atom pair pairs its atoms without a call, and one of 32
+    # pairs is one call (the blocks of two to four pairs: tests/test_batch.py)
     assert sizes == [(k, k) for k in blocks if k > 1]
     assert SOLVER_COUNTS["levels"] == before["levels"] + len(blocks)
     entries = sum(k * k for k in blocks)
@@ -497,7 +504,7 @@ def linprog_value(eta, spec, presolve=False):
     (status, value), the value None unless the status is 0.  By default
     without presolve, which can call these LPs infeasible, and at tight
     tolerances."""
-    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    pos_p, mass_p, _, pos_n, mass_n, _ = prepare(eta)
     C = cost_matrix(spec, pos_p, pos_n, eta.grid.length)
     res = optimize.linprog(C.ravel(), A_eq=transport_a_eq(*C.shape),
                            b_eq=np.concatenate([mass_p, mass_n]) / mass_p.sum(),
@@ -559,7 +566,7 @@ def test_transport_lp_is_linprog_bit_for_bit(m, n, spec):
     v[cells[:m]], v[cells[m:]] = a / g.h, -b / g.h
     eta = SignedDensity(g, v)
     plan, value = solve_primal(eta, spec)
-    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    pos_p, mass_p, _, pos_n, mass_n, _ = prepare(eta)
     assert (len(mass_p), len(mass_n)) == (m, n)
     mine = np.zeros((m, n))
     mine[plan.src_idx, plan.dst_idx] = plan.plan_mass / mass_p.sum()
@@ -581,7 +588,7 @@ def sliver_brute_force(eta, spec):
     assignment of source slivers to target slivers.  The transportation LP
     with integer marginals has an integer optimal plan, so this is its
     value."""
-    pos_p, mass_p, _, pos_n, mass_n, _ = _prepare_instance(eta)
+    pos_p, mass_p, _, pos_n, mass_n, _ = prepare(eta)
     xs = np.repeat(pos_p, np.rint(mass_p).astype(int))
     ys = np.repeat(pos_n, np.rint(mass_n).astype(int))
     C = cost_eval(spec, periodic_distance_matrix(xs, ys, eta.grid.length))
@@ -639,7 +646,7 @@ def test_plan_with_entries_of_two_levels_swapped_is_not_optimal(rng):
     spec = bounded_log(0.01, 0.5)
     plan, _ = solve_primal(eta, spec)
     # the heights [E, G) each source covers, from the mass prefix sum in cell order
-    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = _prepare_instance(eta)
+    pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = prepare(eta)
     signed = np.zeros(eta.grid.n)
     signed[cells_p], signed[cells_n] = mass_p, -mass_n
     top = np.cumsum(signed)[cells_p]
@@ -740,125 +747,8 @@ def test_runs_of_few_block_entries_give_the_same_solves(monkeypatch, rng):
 
 
 # ---------------------------------------------------------------------------
-# the per-instance path against the one it replaced: reference_prepare_instance
-# and reference_level_plan are the earlier _prepare_instance and _level_plan
-# with their helpers, verbatim but for names and comments, built from
-# np.roll, np.unique, np.diff and jordan_decompose.  The level solver must
-# give the same atoms and plans bit for bit
-
-def reference_atoms(part):
-    """Nonzero cells of a nonnegative density as (positions, masses, cells)."""
-    cells = np.nonzero(part.values > 0.0)[0]
-    return part.grid.axis_centers()[cells], part.values[cells] * part.grid.cell_volume, cells
-
-
-def reference_prune_atoms(pos, masses, cells):
-    if len(masses) == 0:
-        return pos, masses, cells
-    keep = masses > 1e-13 * masses.max()
-    return pos[keep], masses[keep], cells[keep]
-
-
-def reference_prepare_instance(eta):
-    transport._require_valid(eta)
-    pos_part, neg_part = jordan_decompose(eta)
-    pos_p, mass_p, cells_p = reference_prune_atoms(*reference_atoms(pos_part))
-    pos_n, mass_n, cells_n = reference_prune_atoms(*reference_atoms(neg_part))
-    if len(mass_p) and len(mass_n):
-        # remove the residual float imbalance exactly
-        mass_n = mass_n * (mass_p.sum() / mass_n.sum())
-    return pos_p, mass_p, cells_p, pos_n, mass_n, cells_n
-
-
-def reference_level_members(lo, hi):
-    span = hi - lo
-    atom = np.repeat(np.arange(len(lo)), span)
-    level = np.arange(span.sum()) + np.repeat(lo - (np.cumsum(span) - span), span)
-    order = np.argsort(level, kind="stable")
-    return atom[order], level[order]
-
-
-def reference_level_plan(cost, length, pos_p, mass_p, cells_p, pos_n, mass_n, cells_n):
-    m, n = len(mass_p), len(mass_n)
-    order = np.argsort(np.concatenate([cells_p, cells_n]))
-    G = np.cumsum(np.concatenate([mass_p, -mass_n])[order])
-    G[-1] = 0.0  # the atoms balance, so G closes at 0: roundoff goes to the last atom
-    E = np.roll(G, 1)
-    heights = np.unique(G)
-    lo, hi = np.empty(m + n, dtype=np.intp), np.empty(m + n, dtype=np.intp)
-    lo[order] = np.searchsorted(heights, np.minimum(E, G))
-    hi[order] = np.searchsorted(heights, np.maximum(E, G))
-    src, lvl = reference_level_members(lo[:m], hi[:m])
-    dst, _ = reference_level_members(lo[m:], hi[m:])
-    starts = np.flatnonzero(np.diff(lvl, prepend=-1))
-    ks = np.diff(starts, append=len(lvl))
-    kk = ks * ks
-    ends = np.cumsum(kk)
-    first = ends - kk  # where each level's block starts in the entries
-    row = np.arange(len(lvl)) - starts[lvl]
-    dst_pos = pos_n[dst]
-    bounds = np.append(starts, len(lvl))
-    col = np.zeros(len(lvl), dtype=np.intp)
-    picked = np.empty(len(lvl))  # the cost of each member's pair
-    a = 0
-    while a < len(ks):
-        b = max(int(np.searchsorted(ends, first[a] + transport.BLOCK_RUN_ENTRIES,
-                                    side="right")), a + 1)
-        run = slice(bounds[a], bounds[b])
-        lr = lvl[run]
-        kr = ks[lr]
-        at = first[lr] - first[a] + row[run] * kr  # where each member's row starts
-        tgt = np.arange(kr.sum()) - np.repeat(at - starts[lr], kr)
-        costs = cost_eval(cost, np.abs(periodic_wrap(np.repeat(pos_p[src[run]], kr)
-                                                     - dst_pos[tgt], length)))
-        big = np.flatnonzero(ks[a:b] > 1) + a
-        for s0, e0, k in zip(starts[big].tolist(), (first[big] - first[a]).tolist(),
-                             ks[big].tolist()):
-            col[s0:s0 + k] = optimize.linear_sum_assignment(costs[e0:e0 + k * k].reshape(k, k))[1]
-        picked[run] = costs[at + col[run]]
-        a = b
-    # merge the pairs that several levels repeat
-    key = src * n + dst[starts[lvl] + col]
-    by_pair = np.argsort(key, kind="stable")
-    pairs = np.flatnonzero(np.diff(key[by_pair], prepend=-1))
-    si, dj = np.divmod(key[by_pair][pairs], n)
-    pm = np.add.reduceat(np.diff(heights)[lvl][by_pair], pairs)
-    return (si, dj, pm), picked[by_pair][pairs], len(ks), int(ends[-1])
-
-
-def oracle_density(rng, g, kind):
-    """A mean-zero density of one of the shapes the oracle test covers."""
-    n = g.n
-    if kind == "step":
-        return density_from_function(g, lambda x: np.where(x < g.length / 2, 1.0, -1.0))
-    if kind == "random":
-        return random_mean_zero(g, rng)
-    v = np.zeros(n)
-    if kind == "quantized":
-        # small integers and their negatives in random cells, so the prefix
-        # sum revisits its heights, and -0.0 in the empty cells
-        k = int(rng.integers(1, n // 2 + 1))
-        q = rng.integers(1, 4, k) * rng.choice([0.25, 1.0, 3.0])
-        cells = rng.choice(n, size=2 * k, replace=False)
-        v[cells] = np.concatenate([q, -rng.permutation(q)])
-        v[v == 0.0] = -0.0
-        return SignedDensity(g, v)
-    # atoms at the pruning threshold, in the empty cells of sparse atoms:
-    # exactly 1e-13 of the largest atom of their side (pruned, and exact in
-    # the masses when h is a power of two) and one ulp either way of it
-    cells = rng.permutation(n)
-    k = int(rng.integers(2, n // 2 + 1))
-    v[cells[:k]] = rng.uniform(0.1, 2.0, k) * rng.permutation(np.arange(k) % 2 * 2 - 1)
-    v[cells[:k]] -= v[cells[:k]].mean()
-    tiny = cells[k:k + max(1, n // 8)]
-    side = rng.choice([-1.0, 1.0], len(tiny))
-    at = 1e-13 * np.where(side > 0, v.max(), -v.min())
-    shift = rng.integers(3, size=len(tiny))
-    v[tiny] = side * np.choose(shift, [np.nextafter(at, 0.0), at, np.nextafter(at, np.inf)])
-    if rng.random() < 0.5:
-        v[cells[k + len(tiny):]] = -0.0
-    return SignedDensity(g, v)
-
+# the level solver against the per-instance path it replaced
+# (reference_transport.py): the same atoms and plans bit for bit
 
 @pytest.mark.parametrize("length", [1.0, 2 * math.pi], ids=["L1", "L2pi"])
 @pytest.mark.parametrize("kind", list(CostKind), ids=[k.value for k in CostKind])
@@ -873,7 +763,8 @@ def test_level_plan_is_the_reference_bit_for_bit(kind, length):
         else:
             spec = truncated_linear(length * rng.uniform(0.02, 1.0))
         ref_inst = reference_prepare_instance(eta)
-        inst = _prepare_instance(eta)
+        atoms = transport._prepare([eta])
+        inst = atoms.instance(0)
         for mine, ref in zip(inst, ref_inst):
             assert mine.dtype == ref.dtype and np.array_equal(mine, ref), trial
             assert np.array_equal(mine.view(np.uint64), ref.view(np.uint64)), trial
@@ -882,14 +773,13 @@ def test_level_plan_is_the_reference_bit_for_bit(kind, length):
             assert len(ref_inst[1]) == 0 or len(ref_inst[4]) == 0
             continue
         (si, dj, pm), costs, levels, entries = reference_level_plan(spec, length, *ref_inst)
-        mine = transport._level_plan(spec, length, *inst)
-        assert mine[2:] == (levels, entries), trial
-        for got, want in [(plan.src_idx, si), (plan.dst_idx, dj), (mine[0][0], si),
-                          (mine[0][1], dj)]:
+        ((_, mine),) = transport._level_plans(atoms, [(spec, length)])
+        assert (mine.levels, mine.entries) == (levels, entries), trial
+        for got, want in [(plan.src_idx, si), (plan.dst_idx, dj), (mine.si, si), (mine.dj, dj)]:
             assert got.dtype == want.dtype and np.array_equal(got, want), trial
-        for got, want in [(plan.plan_mass, pm), (mine[0][2], pm), (mine[1], costs)]:
+        for got, want in [(plan.plan_mass, pm), (mine.pm, pm), (mine.costs, costs)]:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trial
-        assert value == float((costs * pm).sum()) == plan.value, trial
+        assert value == float((costs * pm).sum()) == plan.value == mine.value, trial
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,17 @@ def rising_series(monkeypatch):
 def norms_above_schedule(monkeypatch):
     """Every W^{-1,1} norm of eta 1000 times too large: above the schedule
     total, with the decay in r (and so c_growth) unchanged."""
-    real = experiments.w_neg11_norm
-    monkeypatch.setattr(experiments, "w_neg11_norm", lambda eta: 1e3 * real(eta))
+    real = experiments.w_neg11_norms
+    monkeypatch.setattr(experiments, "w_neg11_norms", lambda etas: [1e3 * w for w in real(etas)])
 
 
 def scaled_w_neg11(factor):
     """Every W^{-1,1} norm ``factor`` times the real one: at 0.5 below the
     truncated-linear distance d1 (R = 1), at 3 above twice d1."""
     def patch(monkeypatch):
-        real = experiments.w_neg11_norm
-        monkeypatch.setattr(experiments, "w_neg11_norm", lambda eta: factor * real(eta))
+        real = experiments.w_neg11_norms
+        monkeypatch.setattr(experiments, "w_neg11_norms",
+                            lambda etas: [factor * w for w in real(etas)])
     return patch
 
 
