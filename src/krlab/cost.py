@@ -55,12 +55,12 @@ def truncated_linear(radius: float) -> CostSpec:
     return CostSpec(CostKind.TRUNCATED_LINEAR, radius=radius)
 
 
-def _validate_arg(z, name: str = "z"):
+def _validate_arg(z):
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("z must be finite")
     if (z < 0).any():
-        raise ValueError(f"{name} must be nonnegative")
+        raise ValueError("z must be nonnegative")
     return z
 
 

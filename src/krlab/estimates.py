@@ -130,13 +130,15 @@ def eta_flux(instance: StabilityInstance, eta: SolutionTrajectory,
     return u1 * eta.frames[k] + (u1 - u2) * traj2.frames[k] + u1 * offset
 
 
-def frame_plans(eta: SolutionTrajectory, delta: float, radius: float) -> list[TransportPlan]:
-    """The optimal plan of every stored frame for D_{delta,R}: one exact
-    solve per frame, all in one batch.  A zero frame gets the empty plan, of
-    value 0."""
-    spec = bounded_log(delta, radius)
-    return [plan for plan, _ in solve_batch([(eta.frame(k), spec)
-                                             for k in range(eta.n_frames)])]
+def frame_plans(eta: SolutionTrajectory, deltas, radius: float) -> dict[float, list[TransportPlan]]:
+    """The optimal plan of every stored frame for D_{delta,R}, a list for
+    each delta of ``deltas``: one exact solve per (delta, frame), all in one
+    batch over one density per frame, so that the batch finds each frame's
+    levels once.  A zero frame gets the empty plan, of value 0."""
+    frames = [eta.frame(k) for k in range(eta.n_frames)]
+    solved = solve_batch([(frame, bounded_log(d, radius)) for d in deltas for frame in frames])
+    n = len(frames)
+    return {float(d): [plan for plan, _ in solved[i * n:(i + 1) * n]] for i, d in enumerate(deltas)}
 
 
 def track_kr(plans: list[TransportPlan]) -> np.ndarray:
@@ -171,7 +173,7 @@ def check_derivative_identity(instance: StabilityInstance, eta: SolutionTrajecto
     """
     if eta.n_frames < 5:
         raise ValueError("need at least 5 stored frames")
-    plans = frame_plans(eta, delta, radius)
+    plans = frame_plans(eta, [delta], radius)[delta]
     D = track_kr(plans)
     hv = eta.grid.cell_volume
     times, lhs, rhs = [], [], []
@@ -254,14 +256,13 @@ class Prop1Report:
     sup_d: np.ndarray          # sup_t D_{delta,R}(eta(t)) per delta
     r: float
     log_slope: float           # growth of sup_d against log(1/delta)
-    log_intercept: float
     r2: float
     c1_joint: float            # minimal constants with the r/delta term
     c2_joint: float
     ratio: float               # max/min of sup_d across the sweep
     short_time_excess: float   # worst |D(t1)-D(t0)| - 2 x extrapolated; -inf if no rise
     eta: SolutionTrajectory
-    plans: dict[float, list[TransportPlan]]  # frame_plans(eta, delta) by delta
+    plans: dict[float, list[TransportPlan]]  # frame_plans(eta, deltas, radius)
 
 
 def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
@@ -275,9 +276,8 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     sup_d = np.zeros(len(deltas))
     short_excess = -math.inf
-    plans = {}
+    plans = frame_plans(eta, deltas, radius)
     for i, d in enumerate(deltas):
-        plans[float(d)] = frame_plans(eta, d, radius)
         series = track_kr(plans[float(d)])
         sup_d[i] = series.max()
         # the change of D from its initial value (zero for equal initial
@@ -287,9 +287,9 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
             if rise2 > 0:
                 t0, t1, t2 = eta.times[0], eta.times[1], eta.times[2]
                 extrapolated = rise2 * ((t1 - t0) / (t2 - t0))
-                short_excess = max(short_excess, rise1 - 2.0 * extrapolated)
+                short_excess = np.maximum(short_excess, rise1 - 2.0 * extrapolated)
     r = instance.perturbation_size(traj1.grid)
-    slope, intercept, r2 = linear_fit(np.log(1.0 / deltas), sup_d)
+    slope, _, r2 = linear_fit(np.log(1.0 / deltas), sup_d)
     psi = np.ones_like(deltas)
     if instance.p == 1:
         psi = np.array([psi_one(d) for d in deltas])
@@ -312,7 +312,7 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
     else:
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
     ratio = float(sup_d.max() / sup_d.min()) if sup_d.min() > 0 else math.inf
-    return Prop1Report(deltas, sup_d, r, slope, intercept, r2, c1_joint, c2_joint,
+    return Prop1Report(deltas, sup_d, r, slope, r2, c1_joint, c2_joint,
                        ratio, short_excess, eta, plans)
 
 
@@ -368,9 +368,7 @@ SCHEDULE_SLACK_TOL = 1e-12  # the schedule dominates a norm up to float rounding
 
 @dataclass
 class StabilityRateReport:
-    rs: np.ndarray
     sup_w: np.ndarray
-    fitted_c: np.ndarray        # sup_w * |log r|
     r_star: np.ndarray          # exp(-C_0 / sup_w): the r the calibrated rate needs
     c_growth: float             # max r_star / r; <= 1 under the 1/|log r| rate
     schedule_terms: np.ndarray  # (len(rs), 3): sqrt(r), eps, 1/log(1/r+1)
@@ -401,5 +399,5 @@ def stability_rate(rs, sup_w) -> StabilityRateReport:
         eps = 1.0 / abs(math.log(math.sqrt(r)))
         terms[i] = (r * math.exp(1.0 / eps), eps, 1.0 / math.log(1.0 / r + 1.0))
     dominated = sup_w <= terms.sum(axis=1) + SCHEDULE_SLACK_TOL
-    return StabilityRateReport(rs, sup_w, fitted, r_star, c_growth, terms, dominated,
+    return StabilityRateReport(sup_w, r_star, c_growth, terms, dominated,
                                float((terms.sum(axis=1) - sup_w).min()))

@@ -191,10 +191,10 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         rec.row("instances", n=n, delta=delta, primal=primal, dual=dual,
                 rel_gap=gap, saturation=sat, phi_sup_excess=phi_excess,
                 slope_excess=slope_excess)
-        max_gap = max(max_gap, gap)
-        max_sat = max(max_sat, sat)
-        max_phi_excess = max(max_phi_excess, phi_excess)
-        max_slope_excess = max(max_slope_excess, slope_excess)
+        max_gap = np.maximum(max_gap, gap)
+        max_sat = np.maximum(max_sat, sat)
+        max_phi_excess = np.maximum(max_phi_excess, phi_excess)
+        max_slope_excess = np.maximum(max_slope_excess, slope_excess)
     rec.add("duality-gap-relative", max_gap, 1e-8)
     rec.add("plan-saturates-potential", max_sat, 1e-8)
     rec.add("potential-sup-bound", max_phi_excess, 1e-12,
@@ -215,8 +215,8 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     d = kr_distances(pairs)
     for i, kind in enumerate(kinds):
         dab, dbc, dac, dba = d[4 * i:4 * i + 4]
-        worst_tri = max(worst_tri, dac - dab - dbc)
-        worst_sym = max(worst_sym, abs(dab - dba))
+        worst_tri = np.maximum(worst_tri, dac - dab - dbc)
+        worst_sym = np.maximum(worst_sym, abs(dab - dba))
         rec.row("triples", i=i, kind=kind.kind.value, d_ab=dab, d_bc=dbc, d_ac=dac,
                 violation=dac - dab - dbc)
     rec.add("triangle-inequality", worst_tri, 1e-9)
@@ -227,8 +227,8 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     etas = [random_mean_zero(gridw, rng) for _ in range(p["n_sandwich"])]
     d1s = kr_distances([(eta, truncated_linear(1.0)) for eta in etas])
     for i, (d1, w) in enumerate(zip(d1s, w_neg11_norms(etas))):
-        lo_ok = min(lo_ok, w - d1)
-        hi_worst = max(hi_worst, w - 2.0 * d1)
+        lo_ok = np.minimum(lo_ok, w - d1)
+        hi_worst = np.maximum(hi_worst, w - 2.0 * d1)
         rec.row("sandwich", i=i, d1=d1, w_neg11=w)
     rec.add("d1-lower-bounds-w", lo_ok, -1e-9, comparator=">=")
     rec.add("w-below-twice-d1", hi_worst, 1e-9)
@@ -264,7 +264,7 @@ def run_e1_example(p: dict) -> ExperimentRecord:
         rec.row("sweep", delta=delta, measured_integral=integral, closed_form=closed,
                 rel_error=rel, kr_value=value, kr_continuum=exact_d,
                 chain_lhs=report.lhs_pairing, chain_slack=chain_slack)
-        worst_chain = max(worst_chain, chain_slack)
+        worst_chain = np.maximum(worst_chain, chain_slack)
         dvals.append(value)
         if delta in p["report_deltas"]:
             rec.add(f"e1-closed-form-delta={delta:g}", abs(rel), p["rel_tol"],
@@ -316,7 +316,7 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
         rec.row("sweep", k=k, l1_norm=l1, w_neg11=w, sup_flow_deviation=sup_dev,
                 k_times_dev=k * sup_dev)
         l1s.append(l1)
-    spread = max(l1s) - min(l1s)
+    spread = np.max(l1s) - np.min(l1s)
     rec.add("l1-scaling-agreement", spread, p["l1_agree_tol"],
             detail=f"||rho_k(T)-1||_L1 across k={p['ks']}")
     decay = wnorms[0] / wnorms[-1] if wnorms[-1] > 0 else math.inf
@@ -387,15 +387,15 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
             continue
         for d in p["deltas"]:
             rb = check_rate_bounds(report.plans[d][k], field, p=2.0, q=2.0)
-            worst_chain = max(worst_chain, rb.chain_slack)
+            worst_chain = np.maximum(worst_chain, rb.chain_slack)
             if rb.c_l3 is not None:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
             rec.row("chain", frame=k, delta=d, lhs=rb.lhs_pairing,
                     quotient=rb.difference_quotient, slack=rb.chain_slack, c_l3=rb.c_l3)
     rec.add("rate-chain-slack", worst_chain, CHAIN_SLACK_TOL)
-    c3_sweep = [max(v) for v in c3_by_delta.values()]
+    c3_sweep = [np.max(v) for v in c3_by_delta.values()]
     if c3_sweep:
-        c3_ratio = max(c3_sweep) / min(c3_sweep)
+        c3_ratio = np.max(c3_sweep) / np.min(c3_sweep)
         rec.add("sobolev-route-uniformity", c3_ratio, 2.0,
                 detail="max/min fitted L^2-route constant across the delta sweep")
 
@@ -410,7 +410,7 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
             c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
     if c5_sweep:
-        c5_ratio = max(c5_sweep) / min(c5_sweep)
+        c5_ratio = np.max(c5_sweep) / np.min(c5_sweep)
         rec.add("w11-route-uniformity", c5_ratio, 3.0,
                 detail="max/min fitted W^{1,1}-route constant across the delta sweep")
 
@@ -461,7 +461,7 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
         eta_l1 = lq_norm(eta, 1)
         bound = lemma4_combine(d_log, eta_l1, eps, delta, R)
         slack = bound - d_trunc
-        worst = min(worst, slack)
+        worst = np.minimum(worst, slack)
         rec.row("trials", i=i, delta=delta, eps=eps, d_log=d_log, d_trunc=d_trunc,
                 eta_l1=eta_l1, bound=bound, slack=slack)
     rec.add("truncated-distance-bound", worst, -1e-9, comparator=">=",
@@ -564,7 +564,7 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         upwind_steps += traj1.meta["steps"] + traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
         norms = w_neg11_norms([eta.frame(k) for k in range(eta.n_frames)])
-        sup_w.append(max(norms))
+        sup_w.append(float(np.max(norms)))
         r_measured = inst.perturbation_size(grid)
         prop1 = check_prop1(inst, _thin(traj1, 4), _thin(traj2, 4),
                             p["prop1_deltas"], p["radius"])
@@ -586,8 +586,8 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
                    "at the largest r")
     rec.add("schedule-dominates-norm", report.min_slack, -SCHEDULE_SLACK_TOL, comparator=">=",
             detail="sqrt(r) + eps + 1/log(1/r+1) dominates the measured norm")
-    if min(c2s) > 0:
-        c2_ratio = max(c2s) / min(c2s)
+    if not np.min(c2s) <= 0:  # a NaN C2 goes on to FAIL the verdict
+        c2_ratio = np.max(c2s) / np.min(c2s)
         rec.add("c2-stability-across-r", c2_ratio, 3.0,
                 detail="joint-fit C2 stable across the r sweep")
     return rec
@@ -625,11 +625,11 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         errs.append(err)
         rec.row("translation", n=n, l1_error=err,
                 mass_defect=abs(traj.meta["mass_defect"]))
-    worst_ratio = max(errs[i + 1] / errs[i] for i in range(len(errs) - 1))
+    worst_ratio = np.max([errs[i + 1] / errs[i] for i in range(len(errs) - 1)])
     rec.add("translation-error-monotone", worst_ratio, 1.0, comparator="<")
     ns = p["translation_ns"]
     h23 = [e / (1.0 / n) ** (2.0 / 3.0) for e, n in zip(errs, ns)]
-    rec.add("translation-h23-envelope", max(h23), h23[ns.index(min(ns))] * (1 + 1e-12),
+    rec.add("translation-h23-envelope", np.max(h23), h23[ns.index(min(ns))] * (1 + 1e-12),
             detail="L1 error <= C h^{2/3} with C fixed by the coarsest run")
 
     # 2-d Lagrangian/Eulerian agreement under refinement
@@ -647,12 +647,12 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
         upwind_steps += eul.meta["steps"]
         diff = lq_norm(SignedDensity(grid, lag.frames[-1] - eul.frames[-1]), 1)
         agree.append(diff)
-        worst_mass = max(worst_mass, abs(eul.meta["mass_defect"])
-                         / (1.0 + lq_norm(rho0, 1)))
-        min_rho = min(min_rho, float(eul.frames[-1].min()))
+        worst_mass = np.maximum(worst_mass, abs(eul.meta["mass_defect"])
+                                / (1.0 + lq_norm(rho0, 1)))
+        min_rho = np.minimum(min_rho, float(eul.frames[-1].min()))
         rec.row("agreement2d", n=n, l1_gap=diff)
     ratios = [agree[i + 1] / agree[i] for i in range(len(agree) - 1)]
-    rec.add("lagrangian-eulerian-ratio", max(ratios), p["error_ratio_max"],
+    rec.add("lagrangian-eulerian-ratio", np.max(ratios), p["error_ratio_max"],
             detail="successive L1 gaps on smooth 2-d data")
     rec.add("eulerian-mass-balance", worst_mass, p["mass_tol_scale"],
             detail="|mass change - integrated source| / (1+||rho0||_1)")
@@ -667,7 +667,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     for rep in apriori_lq_check(trajk, datak, (1.0, 2.0)):
         rec.row("apriori", instance="oscillatory", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
-        worst_slack = max(worst_slack, rep.slack)
+        worst_slack = np.maximum(worst_slack, rep.slack)
     grids = Grid(2, p["apriori_n"])
     rho0s = density_from_function(
         grids, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)))
@@ -677,7 +677,7 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     for rep in apriori_lq_check(trajs, datas, (1.0, 2.0)):
         rec.row("apriori", instance="shear2d", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                 slack=rep.slack, div_l1_linf=rep.div_l1_linf)
-        worst_slack = max(worst_slack, rep.slack)
+        worst_slack = np.maximum(worst_slack, rep.slack)
     rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],
             detail="growth bound with q in {1,2}")
     return rec

@@ -112,12 +112,11 @@ class SignedDensity:
 
 
 def density_from_function(grid: Grid, fn) -> SignedDensity:
-    """Sample a function of position at the cell centers (midpoint rule)."""
-    c = grid.axis_centers()
-    if grid.dim == 1:
-        return SignedDensity(grid, np.asarray(fn(c), dtype=float))
-    X, Y = np.meshgrid(c, c, indexing="ij")
-    return SignedDensity(grid, np.asarray(fn(X, Y), dtype=float))
+    """Sample a function of position at the cell centers (midpoint rule):
+    ``fn(x)`` on the circle, ``fn(X, Y)`` on the torus."""
+    c = grid.centers()
+    values = fn(c) if grid.dim == 1 else fn(c[..., 0], c[..., 1])
+    return SignedDensity(grid, np.asarray(values, dtype=float))
 
 
 def mass(eta: SignedDensity) -> float:

@@ -81,6 +81,7 @@ level solver gives it exactly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,17 +112,10 @@ BLOCK_RUN_ENTRIES = 1 << 14
 BATCH_ATOMS = 1 << 10
 
 
-def _orders(k: int) -> list[list[int]]:
-    """The k! orders of 0, ..., k - 1, in lexicographic order."""
-    if k == 0:
-        return [[]]
-    return [[head] + [x + (x >= head) for x in tail]
-            for head in range(k) for tail in _orders(k - 1)]
-
-
-# the k! target orders of a block of k = 2, 3 or 4 pairs, one a row: a batch
+# the k! target orders of a block of k = 2, 3 or 4 pairs, one a row, in
+# lexicographic order (argmin keeps the first of two equal totals): a batch
 # solves these blocks by trying every order, one numpy pass per k
-PERMUTATIONS = {k: np.array(_orders(k)) for k in (2, 3, 4)}
+PERMUTATIONS = {k: np.array(list(itertools.permutations(range(k)))) for k in (2, 3, 4)}
 # a tie: a block whose two cheapest orders' totals differ by at most this
 # fraction of its largest cost.  linear_sum_assignment adds the costs in
 # another order than the enumeration, so on a near-tie the two can pick

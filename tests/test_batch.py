@@ -206,6 +206,16 @@ def test_an_instance_whose_level_ties_takes_linear_sum_assignment_order(monkeypa
     assert plan.dst_idx.tolist() == rolled(calls[0]).tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_permutations_list_every_order_lexicographically(k):
+    # argmin keeps the first of two equal totals, so the row order is part
+    # of the plan an exact tie gets
+    rows = [tuple(row) for row in transport.PERMUTATIONS[k].tolist()]
+    assert len(rows) == math.factorial(k)
+    assert all(sorted(row) == list(range(k)) for row in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+
+
 @pytest.mark.parametrize("k", sorted(transport.PERMUTATIONS))
 def test_enumerated_orders_are_linear_sum_assignment_off_ties(monkeypatch, rng, k):
     # random blocks, and blocks of few distinct costs that tie often

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import krlab.estimates
+from krlab import transport
 from krlab.cost import bounded_log, truncated_linear
 from krlab.estimates import (SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
                              check_derivative_identity, check_prop1, check_rate_bounds,
@@ -12,7 +13,7 @@ from krlab.estimates import (SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
 from krlab.fields import ConstantField, OscillatoryField
 from krlab.measures import Grid, SignedDensity, density_from_function, lq_norm, \
     mean_zero_projection
-from krlab.pde import CauchyData, eulerian_solve
+from krlab.pde import CauchyData, SolutionTrajectory, eulerian_solve
 from krlab.transport import SOLVER_COUNTS, kr_distance, solve_batch, solve_primal
 
 TWO_PI = 2 * math.pi
@@ -97,7 +98,7 @@ def test_track_kr_frozen_step():
                                            SignedDensity(g, np.zeros(256)), 1.0),
                              p=2.0, q=2.0)
     eta = build_eta(inst, traj, eulerian_solve(inst.data2, g, n_frames=5))
-    series = track_kr(frame_plans(eta, 0.01, 0.5))
+    series = track_kr(frame_plans(eta, [0.01], 0.5)[0.01])
     direct = kr_distance(mean_zero_projection(step), bounded_log(0.01, 0.5))
     assert np.allclose(series, direct, rtol=1e-12)
 
@@ -237,7 +238,7 @@ def test_derivative_identity_solves_each_frame_once(monkeypatch):
     assert len(calls) == nonzero
     # the same value as when each interior frame was solved a second time
     assert rep.rel_gap == pytest.approx(0.06428890712575, rel=1e-10)
-    D = track_kr(frame_plans(eta, 0.05, math.pi))
+    D = track_kr(frame_plans(eta, [0.05], math.pi)[0.05])
     assert np.array_equal(rep.lhs, (D[2:] - D[:-2]) / (eta.times[2:] - eta.times[:-2]))
 
 
@@ -262,7 +263,7 @@ def test_rate_bounds_reuses_a_matching_plan():
 
 def test_track_kr_reads_values_off_matching_plans():
     _, eta, _ = _upwind_twin()
-    plans = frame_plans(eta, 0.05, math.pi)
+    plans = frame_plans(eta, [0.05], math.pi)[0.05]
     direct = [kr_distance(eta.frame(k), bounded_log(0.05, math.pi))
               for k in range(eta.n_frames)]
     assert np.array_equal(track_kr(plans), direct)
@@ -283,6 +284,40 @@ def test_check_prop1_carries_the_plans_it_solved():
                                   rep.eta.frames[k].view(np.uint64))
             assert plan.cost.delta == d
         assert track_kr(plans).max() == rep.sup_d[i]
+
+
+def spy_densities(monkeypatch):
+    """The number of densities given to each level pass, one entry a pass."""
+    densities = []
+    real = transport._density_levels
+    monkeypatch.setattr(transport, "_density_levels",
+                        lambda *args: densities.append(len(args[4])) or real(*args))
+    return densities
+
+
+def test_check_prop1_finds_each_frames_levels_once(monkeypatch):
+    # one batch over every (delta, frame): the level pass sees each nonzero
+    # frame once, however many deltas it is solved for
+    inst, eta, t2 = _upwind_twin()
+    t1 = eulerian_solve(inst.data1, eta.grid, cfl=0.5, n_frames=17)
+    densities = spy_densities(monkeypatch)
+    check_prop1(inst, t1, t2, [0.1, 0.01, 0.001], math.pi)
+    assert sum(densities) == sum(bool(frame.any()) for frame in eta.frames) == eta.n_frames
+
+
+def test_frame_plans_solve_every_delta_of_the_nonzero_frames(monkeypatch):
+    _, eta, _ = _upwind_twin()
+    frames = eta.frames.copy()
+    frames[[0, 5]] = 0.0
+    eta = SolutionTrajectory(eta.grid, eta.times, frames, eta.meta)
+    densities = spy_densities(monkeypatch)
+    plans = frame_plans(eta, [0.1, 0.01], math.pi)
+    assert sum(densities) == eta.n_frames - 2
+    assert sorted(plans) == [0.01, 0.1]
+    for d, by_frame in plans.items():
+        assert [plan.value for plan in by_frame] == [
+            kr_distance(eta.frame(k), bounded_log(d, math.pi)) for k in range(eta.n_frames)]
+        assert by_frame[0].n_entries == by_frame[5].n_entries == 0
 
 
 def test_check_prop1_zero_twin():

@@ -91,8 +91,6 @@ def test_e1_step_values_and_metadata():
     assert f(0.0, np.array([0.1]))[0] == 1.0
     assert f(0.0, np.array([0.7]))[0] == -1.0
     assert not f.advectable
-    assert f.grad_norm_lp(1) == 4.0
-    assert f.grad_norm_lp(2) == math.inf
 
 
 def test_power_cusp_admissible_range():

@@ -210,12 +210,6 @@ def _oscillatory_points(k):
     return np.concatenate([edges, np.linspace(-TWO_PI, 2 * TWO_PI, 6001)])
 
 
-def test_cusp_cutoff_must_have_width():
-    for cut0, cut1 in [(0.3, 0.3), (0.45, 0.2), (-0.1, 0.45), (math.nan, 0.45)]:
-        with pytest.raises(ValueError, match="0 <= cut0 < cut1"):
-            PowerCuspField(0.6, cut0=cut0, cut1=cut1)
-
-
 MODULUS_POINTS = np.concatenate([np.logspace(-320, 300, 20001),
                                  _with_neighbors([1e-300, 1.0, math.e]),
                                  [0.0, -0.0, math.inf, math.nan]])

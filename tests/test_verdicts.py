@@ -1,6 +1,7 @@
 """The verdict rule and one negative control per verdict whose margin is a
 number derived from a report: a known-bad input on which that verdict FAILs."""
 
+import itertools
 import math
 
 import numpy as np
@@ -160,6 +161,26 @@ def test_negative_control_fails_its_verdict(monkeypatch, verdict, experiment, pa
     (v,) = [v for v in rec.verdicts if v.name == verdict]
     assert not v.passed, v.line()
     assert not rec.ok
+
+
+@pytest.mark.parametrize("verdict, experiment, params, name, table, column", [
+    ("duality-gap-relative", "transport-selftest", SELFTEST_SMALL, "duality_gap",
+     "instances", "rel_gap"),
+    ("truncated-distance-bound", "lemma4-suite", {"n": 16, "trials": 3}, "lemma4_combine",
+     "trials", "slack"),
+], ids=["duality-gap-relative", "truncated-distance-bound"])
+def test_a_nan_row_fails_its_verdict(monkeypatch, verdict, experiment, params, name, table,
+                                     column):
+    """The second value of ``name`` NaN: the verdict reduces its rows to NaN
+    and FAILs, where a running max or min over floats would drop the NaN."""
+    real = getattr(experiments, name)
+    calls = itertools.count()
+    monkeypatch.setattr(experiments, name,
+                        lambda *args: math.nan if next(calls) == 1 else real(*args))
+    rec = run_experiment(experiment, params)
+    assert [math.isnan(row[column]) for row in rec.tables[table]] == [False, True, False]
+    (v,) = [v for v in rec.verdicts if v.name == verdict]
+    assert math.isnan(v.measured) and not v.passed, v.line()
 
 
 def test_shifted_potential_fails_only_the_sup_bound(monkeypatch):
