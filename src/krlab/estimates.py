@@ -19,7 +19,7 @@ import numpy as np
 
 from .cost import bounded_log
 from .fields import VelocityField, psi_one
-from .measures import Grid, SignedDensity, lq_norm, mass, mean_zero_projection
+from .measures import SignedDensity, lq_norm, mass, mean_zero_projection
 from .pde import CauchyData, SolutionTrajectory
 from .transport import TransportPlan, potential_gradient_on_support, solve_batch
 
@@ -33,7 +33,7 @@ def linear_fit(x, y) -> tuple[float, float, float]:
     pred = A @ coef
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - ss_res / ss_tot if not ss_tot <= 0 else 1.0  # a NaN sweep gives a NaN R^2
     return float(coef[0]), float(coef[1]), r2
 
 
@@ -55,9 +55,10 @@ class StabilityInstance:
         if abs(inv - 1.0) > 1e-12:
             raise ValueError(f"exponents must satisfy 1/p + 1/q = 1, got p={self.p} q={self.q}")
 
-    def perturbation_size(self, grid: Grid) -> float:
+    def perturbation_size(self) -> float:
         """r = ||u1-u2||_{L^1(L^p)} + ||f1-f2||_{L^1(L^q)} + ||rho0_1-rho0_2||_q
-        on a 1-d grid."""
+        on the 1-d grid of the initial data."""
+        grid = self.data1.initial.grid
         T = self.data1.horizon
         centers = grid.axis_centers()
         du = np.asarray(self.data1.velocity(0.0, centers)) - \
@@ -213,7 +214,6 @@ class RateBoundsReport:
     lhs_pairing: float        # |int u . grad(phi) eta|
     difference_quotient: float  # iint |u(x)-u(y)|/(delta+|x-y|) dpi
     chain_slack: float        # lhs - quotient; <= CHAIN_SLACK_TOL
-    over_distance: float      # iint |u(x)-u(y)|/|x-y| dpi (p > 1 route)
     c_l3: float | None        # fitted constant of the Sobolev route
     c_l5: float | None        # fitted constant of the W^{1,1} route
     psi1: float | None
@@ -225,26 +225,26 @@ def check_rate_bounds(plan: TransportPlan, u: VelocityField, p: float, q: float,
     eta for D_{delta,R}; the frame and delta are the plan's."""
     eta_frame, delta = plan.eta, plan.cost.delta
     if plan.n_entries == 0:
-        return RateBoundsReport(delta, 0.0, 0.0, 0.0, 0.0, None, None, None)
+        return RateBoundsReport(delta, 0.0, 0.0, 0.0, None, None, None)
     g = potential_gradient_on_support(plan)
     du = np.asarray(u(0.0, plan.src_pos[g.src_idx])) - np.asarray(u(0.0, plan.dst_pos[g.dst_idx]))
     pairing = float((g.mass * du * g.grad).sum())
     du_mag = np.abs(du)
     quotient = float((g.mass * du_mag / (delta + g.dist)).sum())
-    over_d = float((g.mass * du_mag / g.dist).sum())
     lhs = abs(pairing)
     c_l3 = c_l5 = psi1 = None
     if p > 1:
         denom = lq_norm(eta_frame, q) * u.grad_norm_lp(p)
         if 0 < denom < math.inf:
-            c_l3 = over_d / denom
+            # iint |u(x)-u(y)|/|x-y| dpi over the Sobolev-route denominator
+            c_l3 = float((g.mass * du_mag / g.dist).sum()) / denom
     elif modulus_integral is not None and modulus_integral < math.inf:
         psi1 = psi_one(delta)
         denom = psi1 * (lq_norm(eta_frame, 1)
                         + lq_norm(eta_frame, math.inf) * modulus_integral)
         if denom > 0:
             c_l5 = quotient / denom
-    return RateBoundsReport(delta, lhs, quotient, lhs - quotient, over_d, c_l3, c_l5, psi1)
+    return RateBoundsReport(delta, lhs, quotient, lhs - quotient, c_l3, c_l5, psi1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +261,16 @@ class Prop1Report:
     c2_joint: float
     ratio: float               # max/min of sup_d across the sweep
     short_time_excess: float   # worst |D(t1)-D(t0)| - 2 x extrapolated; -inf if no rise
-    eta: SolutionTrajectory
     plans: dict[float, list[TransportPlan]]  # frame_plans(eta, deltas, radius)
 
 
-def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
-                traj2: SolutionTrajectory, deltas, radius: float) -> Prop1Report:
+def check_prop1(instance: StabilityInstance, eta: SolutionTrajectory, deltas,
+                radius: float) -> Prop1Report:
     """Fits the smallest constants in
     sup_t D <= C1 * psi_p(delta) + (C2/delta) * r across the delta sweep and
     regresses the sweep against log(1/delta); the paper's dichotomy is read
     off the regression slope (the |log delta| coefficient equals the mass
-    transported at scale one)."""
-    eta = build_eta(instance, traj1, traj2)
+    transported at scale one).  ``eta`` is the twin's ``build_eta``."""
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     sup_d = np.zeros(len(deltas))
     short_excess = -math.inf
@@ -284,18 +282,16 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
         # data) vanishes at least linearly as t -> t0
         if len(series) > 2:
             rise1, rise2 = abs(series[1] - series[0]), abs(series[2] - series[0])
-            if rise2 > 0:
+            if not rise2 <= 0:  # a NaN series reaches the verdict
                 t0, t1, t2 = eta.times[0], eta.times[1], eta.times[2]
                 extrapolated = rise2 * ((t1 - t0) / (t2 - t0))
                 short_excess = np.maximum(short_excess, rise1 - 2.0 * extrapolated)
-    r = instance.perturbation_size(traj1.grid)
+    r = instance.perturbation_size()
     slope, _, r2 = linear_fit(np.log(1.0 / deltas), sup_d)
     psi = np.ones_like(deltas)
     if instance.p == 1:
         psi = np.array([psi_one(d) for d in deltas])
-    if sup_d.max() == 0.0:
-        c1_joint = c2_joint = 0.0
-    elif r > 0:
+    if r > 0:
         # least max-ratio fit of S <= C1 psi_p + (C2/delta) r: nonnegative
         # least squares for the shape, then inflate to cover every point
         from scipy.optimize import nnls
@@ -307,13 +303,12 @@ def check_prop1(instance: StabilityInstance, traj1: SolutionTrajectory,
         else:
             ok = pred > 0
             factor = float(np.max(sup_d[ok] / pred[ok], initial=1.0))
-            c1_joint, c2_joint = float(coef[0] * max(factor, 1.0)), \
-                float(coef[1] * max(factor, 1.0))
+            c1_joint, c2_joint = float(coef[0] * factor), float(coef[1] * factor)
     else:
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
     ratio = float(sup_d.max() / sup_d.min()) if sup_d.min() > 0 else math.inf
     return Prop1Report(deltas, sup_d, r, slope, r2, c1_joint, c2_joint,
-                       ratio, short_excess, eta, plans)
+                       ratio, short_excess, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +351,7 @@ def uniqueness_drive(d_by_delta: dict[float, float], eta_l1: float,
     bounds_w = 2.0 * bounds
     worst_rise = float(np.max(np.diff(bounds) / np.maximum(bounds[:-1], 1e-300),
                               initial=-math.inf))
-    reduction = float(bounds[0] / bounds[-1]) if bounds[-1] > 0 else math.inf
+    reduction = float(bounds[0] / bounds[-1]) if not bounds[-1] <= 0 else math.inf
     return UniquenessReport(deltas, bounds, bounds_w, worst_rise, reduction)
 
 
@@ -391,7 +386,7 @@ def stability_rate(rs, sup_w) -> StabilityRateReport:
     fitted = sup_w * logs
     c0 = fitted[np.argmax(rs)]
     r_star = np.zeros_like(rs)
-    moved = sup_w > 0
+    moved = ~(sup_w <= 0)  # a NaN norm reaches c_growth
     r_star[moved] = np.exp(-c0 / sup_w[moved])
     c_growth = float((r_star / rs).max())
     terms = np.zeros((len(rs), 3))

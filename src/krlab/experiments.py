@@ -44,9 +44,10 @@ PARAM_RANGES = {
     "seed": (lambda x: x >= 0, ">= 0"),
     **dict.fromkeys(("n_instances", "n_triples", "n_sandwich", "trials", "ks", "apriori_k"),
                     (lambda x: x >= 1, ">= 1")),
-    **dict.fromkeys(("deltas", "radius", "horizon", "horizon_2d"),
+    **dict.fromkeys(("deltas", "prop1_deltas", "delta_range", "eps_range", "radius", "horizon",
+                     "horizon_2d", "ode_rtol", "rtol_coarse", "rtol_fine"),
                     (lambda x: 0 < x < math.inf, "finite and > 0")),
-    **dict.fromkeys(("cfl", "rs"), (lambda x: 0 < x < 1, "in (0, 1)")),
+    **dict.fromkeys(("cfl", "rs", "alpha", "l5_alpha"), (lambda x: 0 < x < 1, "in (0, 1)")),
     "n_frames": (lambda x: 2 <= x <= 65, "in [2, 65]"),
 }
 
@@ -147,10 +148,12 @@ def step_density(grid: Grid) -> SignedDensity:
 
 
 def _thin(traj: SolutionTrajectory, step: int) -> SolutionTrajectory:
+    """Every ``step``-th frame and the last; ``traj.meta`` describes all
+    the frames, so it is not carried."""
     idx = list(range(0, traj.n_frames, step))
     if idx[-1] != traj.n_frames - 1:
         idx.append(traj.n_frames - 1)
-    return SolutionTrajectory(traj.grid, traj.times[idx], traj.frames[idx], dict(traj.meta))
+    return SolutionTrajectory(traj.grid, traj.times[idx], traj.frames[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +272,7 @@ def run_e1_example(p: dict) -> ExperimentRecord:
         if delta in p["report_deltas"]:
             rec.add(f"e1-closed-form-delta={delta:g}", abs(rel), p["rel_tol"],
                     detail=f"measured {integral:.4f} vs 2log(1/(2delta)+1) = {closed:.4f}")
-    slope, intercept, r2 = linear_fit(np.log(1.0 / np.asarray(deltas)), dvals)
-    rec.meta["bv_slope"] = slope
-    rec.meta["bv_r2"] = r2
+    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(deltas)), dvals)
     rec.add("bv-log-growth-slope", slope, 0.3, comparator=">=",
             detail="D_{delta,R}(step) regressed against log(1/delta)")
     rec.add("bv-log-growth-r2", r2, 0.95, comparator=">=")
@@ -319,11 +320,9 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
     spread = np.max(l1s) - np.min(l1s)
     rec.add("l1-scaling-agreement", spread, p["l1_agree_tol"],
             detail=f"||rho_k(T)-1||_L1 across k={p['ks']}")
-    decay = wnorms[0] / wnorms[-1] if wnorms[-1] > 0 else math.inf
+    decay = wnorms[0] / wnorms[-1] if not wnorms[-1] <= 0 else math.inf
     rec.add("w-neg11-decay-factor", decay, p["w_decay_factor"], comparator=">=",
             detail=f"k={p['ks'][0]} vs k={p['ks'][-1]}")
-    rec.meta["l1_values"] = l1s
-    rec.meta["w_values"] = wnorms
     return rec
 
 
@@ -353,7 +352,7 @@ def _twin_cusp_instance(p: dict):
     field = PowerCuspField(p["alpha"], x0=p["x0"], amp=p["amp"])
     rho0 = density_from_function(grid, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
     data = CauchyData(field, None, rho0, p["horizon"])
-    inst = StabilityInstance(data, CauchyData(field, None, rho0, p["horizon"]), p=2.0, q=2.0)
+    inst = StabilityInstance(data, data, p=2.0, q=2.0)
     traj1 = lagrangian_solve(data, grid, n_frames=p["n_frames"], ode_rtol=p["ode_rtol"])
     traj2 = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=p["n_frames"])
     return grid, field, inst, traj1, traj2
@@ -362,13 +361,12 @@ def _twin_cusp_instance(p: dict):
 def run_prop1_sweep(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("prop1-sweep", p)
     grid, field, inst, traj1, traj2 = _twin_cusp_instance(p)
-    report = check_prop1(inst, traj1, traj2, p["deltas"], p["radius"])
-    eta = report.eta
+    eta = build_eta(inst, traj1, traj2)
+    report = check_prop1(inst, eta, p["deltas"], p["radius"])
     for d, s in zip(report.deltas, report.sup_d):
         rec.row("twin_sweep", delta=float(d), sup_d=float(s))
     rec.meta.update(upwind_steps=traj2.meta["steps"], ode_nfev=traj1.meta["nfev"],
-                    twin_slope=report.log_slope, twin_r2=report.r2,
-                    twin_ratio=report.ratio, c1_joint=report.c1_joint,
+                    twin_r2=report.r2, twin_ratio=report.ratio, c1_joint=report.c1_joint,
                     c2_joint=report.c2_joint, r=report.r,
                     eta_l1_sup=max(lq_norm(eta.frame(k), 1) for k in range(eta.n_frames)),
                     div_l1_linf=float(p["horizon"]) * float(np.abs(
@@ -421,8 +419,6 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     for d, value in zip(control, dvals):
         rec.row("e1_control", delta=d, sup_d=value)
     slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(control)), dvals)
-    rec.meta["e1_slope"] = slope
-    rec.meta["e1_r2"] = r2
     rec.add("bv-control-slope", slope, 0.3, comparator=">=",
             detail="static step: D grows affinely in log(1/delta)")
     rec.add("bv-control-r2", r2, 0.95, comparator=">=")
@@ -495,7 +491,7 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
                           ode_atol=p["rtol_coarse"] * 1e-2, use_exact_flow=False)
     t2 = lagrangian_solve(data, grid, n_frames=9, ode_rtol=p["rtol_fine"],
                           ode_atol=p["rtol_fine"] * 1e-2, use_exact_flow=False)
-    inst = StabilityInstance(data, CauchyData(field, None, rho0, p["horizon"]), p=2.0, q=2.0)
+    inst = StabilityInstance(data, data, p=2.0, q=2.0)
     eta = build_eta(inst, t1, t2)
     frame = eta.frame(eta.n_frames - 1)
     eta_l1 = lq_norm(frame, 1)
@@ -522,7 +518,8 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     ctrl = uniqueness_drive(d_ctrl, lq_norm(e1, 1), p["radius"])
     for d, b in zip(ctrl.deltas, ctrl.bounds_dr):
         rec.row("control_drive", delta=float(d), d_value=d_ctrl[float(d)], bound_dr=float(b))
-    growth = float(ctrl.bounds_dr[-1] / ctrl.bounds_dr[0]) if ctrl.bounds_dr[0] > 0 else math.inf
+    growth = float(ctrl.bounds_dr[-1] / ctrl.bounds_dr[0]) if not ctrl.bounds_dr[0] <= 0 \
+        else math.inf
     rec.add("bv-control-bound-grows", growth, 10.0, comparator=">=",
             detail="negative control: bound must NOT decrease for the step")
     return rec
@@ -553,21 +550,20 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
     g_density = SignedDensity(grid, g)
     g = g / lq_norm(g_density, 2)  # unit L^2 so r is exactly the coefficient
     sup_w, c2s = [], []
-    upwind_steps = 0
+    # the unperturbed problem is the same at every r: one solve serves them all
+    data1 = CauchyData(field, None, base, p["horizon"])
+    traj1 = eulerian_solve(data1, grid, cfl=p["cfl"], n_frames=p["n_frames"])
+    upwind_steps = traj1.meta["steps"]
     for r in p["rs"]:
-        rho0_2 = SignedDensity(grid, base.values + r * g)
-        data1 = CauchyData(field, None, base, p["horizon"])
-        data2 = CauchyData(field, None, rho0_2, p["horizon"])
+        data2 = CauchyData(field, None, SignedDensity(grid, base.values + r * g), p["horizon"])
         inst = StabilityInstance(data1, data2, p=2.0, q=2.0)
-        traj1 = eulerian_solve(data1, grid, cfl=p["cfl"], n_frames=p["n_frames"])
         traj2 = eulerian_solve(data2, grid, cfl=p["cfl"], n_frames=p["n_frames"])
-        upwind_steps += traj1.meta["steps"] + traj2.meta["steps"]
+        upwind_steps += traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
         norms = w_neg11_norms([eta.frame(k) for k in range(eta.n_frames)])
         sup_w.append(float(np.max(norms)))
-        r_measured = inst.perturbation_size(grid)
-        prop1 = check_prop1(inst, _thin(traj1, 4), _thin(traj2, 4),
-                            p["prop1_deltas"], p["radius"])
+        r_measured = inst.perturbation_size()
+        prop1 = check_prop1(inst, _thin(eta, 4), p["prop1_deltas"], p["radius"])
         c2s.append(prop1.c2_joint)
         rho2_lq = max(lq_norm(traj2.frame(k), 2) for k in range(traj2.n_frames))
         u1_l1lp = p["horizon"] * math.sqrt(math.pi)  # ||u_1||_{L^1(L^2)} of sin(x)
@@ -632,23 +628,25 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     rec.add("translation-h23-envelope", np.max(h23), h23[ns.index(min(ns))] * (1 + 1e-12),
             detail="L1 error <= C h^{2/3} with C fixed by the coarsest run")
 
+    def shear(n):  # the smooth 2-d datum of the agreement and a-priori runs
+        return CauchyData(SmoothShear2D(), None, density_from_function(
+            Grid(2, n), lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X)
+            * (0.5 + 0.5 * np.cos(2 * np.pi * Y))), p["horizon_2d"])
+
     # 2-d Lagrangian/Eulerian agreement under refinement
-    field = SmoothShear2D()
     agree = []
     worst_mass = 0.0
     min_rho = math.inf
     for n in p["agreement_ns"]:
-        grid = Grid(2, n)
-        rho0 = density_from_function(
-            grid, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)))
-        data = CauchyData(field, None, rho0, p["horizon_2d"])
+        data = shear(n)
+        grid = data.initial.grid
         lag = lagrangian_solve(data, grid, n_frames=5)
         eul = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=5)
         upwind_steps += eul.meta["steps"]
         diff = lq_norm(SignedDensity(grid, lag.frames[-1] - eul.frames[-1]), 1)
         agree.append(diff)
         worst_mass = np.maximum(worst_mass, abs(eul.meta["mass_defect"])
-                                / (1.0 + lq_norm(rho0, 1)))
+                                / (1.0 + lq_norm(data.initial, 1)))
         min_rho = np.minimum(min_rho, float(eul.frames[-1].min()))
         rec.row("agreement2d", n=n, l1_gap=diff)
     ratios = [agree[i + 1] / agree[i] for i in range(len(agree) - 1)]
@@ -660,24 +658,17 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
 
     # a-priori L^q bound on the oscillatory and shear instances
     worst_slack = -math.inf
-    gridk = Grid(1, p["apriori_n"], length=TWO_PI)
-    fieldk = OscillatoryField(p["apriori_k"])
-    datak = CauchyData(fieldk, None, density_from_function(gridk, lambda x: np.ones_like(x)), 1.0)
-    trajk = eulerian_solve(datak, gridk, cfl=p["cfl"], n_frames=9)
-    for rep in apriori_lq_check(trajk, datak, (1.0, 2.0)):
-        rec.row("apriori", instance="oscillatory", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
-                slack=rep.slack, div_l1_linf=rep.div_l1_linf)
-        worst_slack = np.maximum(worst_slack, rep.slack)
-    grids = Grid(2, p["apriori_n"])
-    rho0s = density_from_function(
-        grids, lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)))
-    datas = CauchyData(field, None, rho0s, p["horizon_2d"])
-    trajs = eulerian_solve(datas, grids, cfl=p["cfl"], n_frames=5)
-    rec.meta["upwind_steps"] = upwind_steps + trajk.meta["steps"] + trajs.meta["steps"]
-    for rep in apriori_lq_check(trajs, datas, (1.0, 2.0)):
-        rec.row("apriori", instance="shear2d", q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
-                slack=rep.slack, div_l1_linf=rep.div_l1_linf)
-        worst_slack = np.maximum(worst_slack, rep.slack)
+    oscillatory = CauchyData(OscillatoryField(p["apriori_k"]), None, density_from_function(
+        Grid(1, p["apriori_n"], length=TWO_PI), lambda x: np.ones_like(x)), 1.0)
+    for name, data, n_frames in (("oscillatory", oscillatory, 9),
+                                 ("shear2d", shear(p["apriori_n"]), 5)):
+        traj = eulerian_solve(data, data.initial.grid, cfl=p["cfl"], n_frames=n_frames)
+        upwind_steps += traj.meta["steps"]
+        for rep in apriori_lq_check(traj, data, (1.0, 2.0)):
+            rec.row("apriori", instance=name, q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
+                    slack=rep.slack, div_l1_linf=rep.div_l1_linf)
+            worst_slack = np.maximum(worst_slack, rep.slack)
+    rec.meta["upwind_steps"] = upwind_steps
     rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],
             detail="growth bound with q in {1,2}")
     return rec

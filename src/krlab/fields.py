@@ -142,8 +142,6 @@ def _abs_cos_lp_factor(p: float) -> float:
 class E1StepField(VelocityField):
     """+1 on [0, 1/2), -1 on [1/2, 1); BV seminorm 4 (two jumps of size 2)."""
 
-    dim = 1
-    length = 1.0
     advectable = False
     name = "e1_step"
 
@@ -175,8 +173,6 @@ def _flow_unit_circle(t: float, y):
 
 class OscillatoryField(VelocityField):
     """u_k(x) = sin(k x)/k on the 2*pi circle; converges uniformly to 0."""
-
-    dim = 1
 
     def __init__(self, k: int):
         if k < 1 or k != int(k):
@@ -229,8 +225,6 @@ class PowerCuspField(VelocityField):
     Sobolev-but-not-Lipschitz test bench.
     """
 
-    dim = 1
-    length = 1.0
     cut0, cut1 = 0.2, 0.45  # the cutoff falls from 1 to 0 over cut0 <= |x - x0| <= cut1
 
     def __init__(self, alpha: float, x0: float = 0.5, amp: float = 0.4):
@@ -293,7 +287,6 @@ class SmoothShear2D(VelocityField):
     """u(x, y) = (base + amp*sin(2*pi*y), 0); divergence free, exact flow."""
 
     dim = 2
-    length = 1.0
     name = "shear2d"
     base, amp = 0.3, 0.2
 

@@ -272,24 +272,14 @@ def _face_velocities(u: VelocityField, grid: Grid):
 
 def _flux_ops(uf, own, rho, cells, below, out) -> list:
     """The calls that set ``out = uf[cells] * rho[below]``, the lower
-    neighbor's value, and ``uf[cells] * rho[cells]`` where ``own`` (u <= 0)
-    is set, bound to views of ``rho`` that stay valid as it is updated.  On
-    a 1-d grid the own cells are taken by one multiply per run of them; a
-    step at n = 2048 with one run took 11.4 us against 13.0 us for one
-    multiply masked to them (2-CPU x86-64 host).  A 2-d block keeps the
-    masked multiply."""
+    neighbor's value, and then ``uf[cells] * rho[cells]`` by one multiply
+    masked to the cells where ``own`` (u <= 0) is set, bound to views of
+    ``rho`` that stay valid as it is updated.  Face 0's one row of cells
+    broadcasts to the two rows of ``out`` it is written to."""
     ops = [partial(np.multiply, uf[cells], rho[below], out=out)]
     if own is None:
         return ops
-    where = own[cells]
-    if where.ndim == 2:
-        return ops + [partial(np.multiply, uf[cells], rho[cells], out=out, where=where)]
-    edges = np.diff(where, prepend=False, append=False).nonzero()[0].tolist()
-    # face 0 is one cell broadcast to two rows of ``out``: its run is all of out
-    whole = out.shape != where.shape
-    uf_c, rho_c = uf[cells], rho[cells]
-    return ops + [partial(np.multiply, uf_c[a:b], rho_c[a:b], out=out if whole else out[a:b])
-                  for a, b in zip(edges[::2], edges[1::2])]
+    return ops + [partial(np.multiply, uf[cells], rho[cells], out=out, where=own[cells])]
 
 
 def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,

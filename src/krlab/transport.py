@@ -721,7 +721,6 @@ class GradientSamples:
     mass: np.ndarray
     dist: np.ndarray  # periodic |x - y|, > 0
     grad: np.ndarray  # (k,)
-    magnitude: np.ndarray
 
 
 def potential_gradient_on_support(plan: TransportPlan) -> GradientSamples:
@@ -729,8 +728,7 @@ def potential_gradient_on_support(plan: TransportPlan) -> GradientSamples:
     dist = np.abs(delta)
     keep = dist > 0  # diagonal mass transports at zero cost; skip
     delta, dist = delta[keep], dist[keep]
-    mag = cost_derivative(plan.cost, dist)
-    grad = mag * delta / dist
+    grad = cost_derivative(plan.cost, dist) * delta / dist
     return GradientSamples(plan.src_idx[keep], plan.dst_idx[keep],
                            plan.src_cells[plan.src_idx[keep]], plan.dst_cells[plan.dst_idx[keep]],
-                           plan.plan_mass[keep], dist, grad, mag)
+                           plan.plan_mass[keep], dist, grad)

@@ -38,7 +38,7 @@ def test_build_eta_identical_data():
     inst = StabilityInstance(data, data, p=2.0, q=2.0)
     eta = build_eta(inst, traj, traj)
     assert np.abs(eta.frames).max() == 0.0
-    assert inst.perturbation_size(g) == 0.0
+    assert inst.perturbation_size() == 0.0
 
 
 def test_build_eta_constant_source_difference():
@@ -270,18 +270,16 @@ def test_track_kr_reads_values_off_matching_plans():
 
 
 def test_check_prop1_carries_the_plans_it_solved():
-    inst, eta, t2 = _upwind_twin()
-    t1 = eulerian_solve(inst.data1, eta.grid, cfl=0.5, n_frames=17)
-    rep = check_prop1(inst, t1, t2, [0.1, 0.01], math.pi)
-    assert np.array_equal(rep.eta.frames, eta.frames)
+    inst, eta, _ = _upwind_twin()
+    rep = check_prop1(inst, eta, [0.1, 0.01], math.pi)
     assert sorted(rep.plans) == [0.01, 0.1]
     for i, d in enumerate(rep.deltas):
         plans = rep.plans[d]
-        assert len(plans) == rep.eta.n_frames
+        assert len(plans) == eta.n_frames
         for k, plan in enumerate(plans):
             # each plan carries the frame and the cost it was solved for
             assert np.array_equal(plan.eta.values.view(np.uint64),
-                                  rep.eta.frames[k].view(np.uint64))
+                                  eta.frames[k].view(np.uint64))
             assert plan.cost.delta == d
         assert track_kr(plans).max() == rep.sup_d[i]
 
@@ -298,10 +296,9 @@ def spy_densities(monkeypatch):
 def test_check_prop1_finds_each_frames_levels_once(monkeypatch):
     # one batch over every (delta, frame): the level pass sees each nonzero
     # frame once, however many deltas it is solved for
-    inst, eta, t2 = _upwind_twin()
-    t1 = eulerian_solve(inst.data1, eta.grid, cfl=0.5, n_frames=17)
+    inst, eta, _ = _upwind_twin()
     densities = spy_densities(monkeypatch)
-    check_prop1(inst, t1, t2, [0.1, 0.01, 0.001], math.pi)
+    check_prop1(inst, eta, [0.1, 0.01, 0.001], math.pi)
     assert sum(densities) == sum(bool(frame.any()) for frame in eta.frames) == eta.n_frames
 
 
@@ -326,8 +323,9 @@ def test_check_prop1_zero_twin():
     data = CauchyData(ConstantField([1.0]), None, rho0, 0.5)
     traj = eulerian_solve(data, g, n_frames=9)
     inst = StabilityInstance(data, data, p=2.0, q=2.0)
+    eta = build_eta(inst, traj, traj)
     counts = dict(SOLVER_COUNTS)
-    rep = check_prop1(inst, traj, traj, [1e-1, 1e-2], 0.5)
+    rep = check_prop1(inst, eta, [1e-1, 1e-2], 0.5)
     assert rep.sup_d.max() == 0.0
     assert rep.c1_joint == 0.0 and rep.c2_joint == 0.0
     # every frame is zero: each gets the empty plan, and none is an instance

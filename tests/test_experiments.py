@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from krlab import pde, transport
+from krlab import estimates, experiments, pde, transport
 from krlab.cli import main
 from krlab.experiments import EXPERIMENTS, PARAM_RANGES, run_experiment
 
@@ -268,6 +268,19 @@ def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
     ("uniqueness-drive", {"radius": math.inf}, "radius = inf: must be finite and > 0"),
     ("prop1-sweep", {"deltas": [0.1, math.nan]},
      "deltas = [0.1, nan]: every entry must be finite and > 0"),
+    # each of these ended in a traceback with exit 1, some after the PDE and
+    # transport work, and ode_rtol = -1.0 exited 0
+    ("prop1-sweep", {"alpha": 1.5}, "alpha = 1.5: must be in (0, 1)"),
+    ("prop1-sweep", {"l5_alpha": 1.5}, "l5_alpha = 1.5: must be in (0, 1)"),
+    ("prop1-sweep", {"ode_rtol": -1.0}, "ode_rtol = -1.0: must be finite and > 0"),
+    ("stability-rate", {"prop1_deltas": [-0.1]},
+     "prop1_deltas = [-0.1]: every entry must be finite and > 0"),
+    ("lemma4-suite", {"delta_range": [-1.0, 0.3]},
+     "delta_range = [-1.0, 0.3]: every entry must be finite and > 0"),
+    ("lemma4-suite", {"eps_range": [-1.0, 0.5]},
+     "eps_range = [-1.0, 0.5]: every entry must be finite and > 0"),
+    ("uniqueness-drive", {"rtol_coarse": -1.0}, "rtol_coarse = -1.0: must be finite and > 0"),
+    ("uniqueness-drive", {"rtol_fine": -1.0}, "rtol_fine = -1.0: must be finite and > 0"),
 ])
 def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        experiment, params, message):
@@ -313,6 +326,24 @@ def test_float_without_a_dot_is_refused_with_its_yaml_spelling(tmp_path, capsys)
     err = capsys.readouterr().err
     assert "delta_range[0] = '1e-3': expected a number; write it as 1.0e-3" in err
     assert not (tmp_path / "lemma4-suite").exists()
+
+
+def test_stability_rate_steps_the_unperturbed_problem_once(monkeypatch):
+    # the unperturbed problem is the same at every r, and each twin is
+    # differenced once: check_prop1 gets the thinned frames of that eta
+    calls = {"eulerian_solve": [], "build_eta": []}
+    for module, name in ((experiments, "eulerian_solve"), (experiments, "build_eta"),
+                         (estimates, "build_eta")):
+        def spy(*args, real=getattr(module, name), made=calls[name], **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+        monkeypatch.setattr(module, name, spy)
+    rs = [1e-2, 1e-3, 1e-4]
+    rec = run_experiment("stability-rate", {"n": 64, "rs": rs, "n_frames": 9,
+                                            "prop1_deltas": [0.1, 0.01]})
+    assert len(calls["eulerian_solve"]) == 1 + len(rs)
+    assert len(calls["build_eta"]) == len(rs)
+    assert rec.meta["upwind_steps"] == sum(t.meta["steps"] for t in calls["eulerian_solve"])
 
 
 def test_upwind_steps_of_the_pde_benchmark_config():

@@ -479,7 +479,7 @@ def stepper_cases():
         "cusp-1d": (g, CountingData(cusp, None, rho0, 0.5)),
         "cusp-1d-constant-source": (g, CountingData(cusp, f, rho0, 0.5)),
         "oscillatory-1d-2pi": (g_osc, CountingData(OscillatoryField(3), None, rho_osc, 0.5)),
-        # eight runs of u <= 0: one multiply per run
+        # eight separate runs of u <= 0 under the one masked multiply
         "oscillatory-1d-many-runs": (g_osc, CountingData(OscillatoryField(8), None, rho_osc, 0.5)),
         "shear-2d": (g2, CountingData(SmoothShear2D(), None, rho2, 0.5)),
         "swirl-2d": (g2, CountingData(SwirlField(), None, rho2, 0.5)),

@@ -61,8 +61,7 @@ def test_empty_instance():
     assert g_empty.mass.size == 0
     rep = check_rate_bounds(plan, OscillatoryField(2), p=2.0, q=2.0)
     assert (rep.delta, rep.lhs_pairing, rep.difference_quotient, rep.chain_slack,
-            rep.over_distance, rep.c_l3, rep.c_l5, rep.psi1) == (0.1, 0.0, 0.0, 0.0, 0.0,
-                                                                None, None, None)
+            rep.c_l3, rep.c_l5, rep.psi1) == (0.1, 0.0, 0.0, 0.0, None, None, None)
 
 
 def test_two_atom_primal_dual():
@@ -324,11 +323,11 @@ def test_gradient_on_support_branches():
     gs = potential_gradient_on_support(plan)
     dist = abs(x - y) if abs(x - y) <= 0.5 else 1 - abs(x - y)
     expect = (0.1**2 / (0.1 + 0.01)) / dist**2
-    assert gs.magnitude[0] == pytest.approx(expect, rel=1e-12)
+    assert abs(gs.grad[0]) == pytest.approx(expect, rel=1e-12)
     eta2, x2, y2 = two_atoms(i=5, j=8)  # distance 3/64 < R
     plan2, _ = solve_primal(eta2, spec)
     gs2 = potential_gradient_on_support(plan2)
-    assert gs2.magnitude[0] == pytest.approx(1.0 / (0.01 + 3 / 64), rel=1e-12)
+    assert abs(gs2.grad[0]) == pytest.approx(1.0 / (0.01 + 3 / 64), rel=1e-12)
     # gradient points from the negative atom toward the positive one in 1-d
     assert gs2.grad[0] < 0  # source at 5 is left of target at 8
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from krlab import experiments
+from krlab import estimates, experiments
 from krlab.cli import main
 from krlab.cost import cost_sup
 from krlab.estimates import stability_rate
@@ -179,6 +179,59 @@ def test_a_nan_row_fails_its_verdict(monkeypatch, verdict, experiment, params, n
                         lambda *args: math.nan if next(calls) == 1 else real(*args))
     rec = run_experiment(experiment, params)
     assert [math.isnan(row[column]) for row in rec.tables[table]] == [False, True, False]
+    (v,) = [v for v in rec.verdicts if v.name == verdict]
+    assert math.isnan(v.measured) and not v.passed, v.line()
+
+
+def nan_entry(module, name, call, index):
+    """Entry ``index`` of what the ``call``-th call of ``module.name``
+    returns made NaN (of a (plan, value) pair, the value)."""
+    def patch(monkeypatch):
+        real = getattr(module, name)
+        calls = itertools.count()
+
+        def patched(*args):
+            out = real(*args)
+            if next(calls) == call:
+                out = out.copy()
+                entry = out[index]
+                out[index] = (entry[0], math.nan) if isinstance(entry, tuple) else math.nan
+            return out
+        monkeypatch.setattr(module, name, patched)
+    return patch
+
+
+UNIQUENESS_SMALL = {"n": 32, "control_n": 32}
+
+NAN_GUARDS = [
+    # verdict, experiment, params, patch: a NaN that a guard of the form
+    # x > 0 would turn into a passing value
+    ("bv-log-growth-r2", "e1-example",
+     {"n": 128, "deltas": [0.1, 0.01, 0.001], "report_deltas": [0.1]},
+     nan_entry(experiments, "solve_batch", 0, 1)),
+    ("uniqueness-bound-reduction", "uniqueness-drive", UNIQUENESS_SMALL,
+     nan_entry(experiments, "kr_distances", 0, -1)),
+    ("bv-control-bound-grows", "uniqueness-drive", UNIQUENESS_SMALL,
+     nan_entry(experiments, "kr_distances", 1, 0)),
+    # the second r: the largest r calibrates C_0
+    ("stability-c-growth", "stability-rate",
+     {"n": 64, "rs": [1e-2, 1e-3], "n_frames": 9, "prop1_deltas": [0.1, 0.01]},
+     nan_entry(experiments, "w_neg11_norms", 1, 0)),
+    ("short-time-vanishing", "prop1-sweep",
+     {"n": 32, "n_frames": 5, "chain_frames": [2], "deltas": [0.1, 0.01], "e1_control_n": 32},
+     nan_entry(estimates, "track_kr", 0, 2)),
+    ("w-neg11-decay-factor", "oscillatory-example", {"ks": [1, 2], "n_grid": 64},
+     nan_entry(experiments, "w_neg11_norms", 0, -1)),
+]
+
+
+@pytest.mark.parametrize("verdict, experiment, params, patch", NAN_GUARDS,
+                         ids=[row[0] for row in NAN_GUARDS])
+def test_a_nan_value_passes_no_guard(monkeypatch, verdict, experiment, params, patch):
+    """A guard against a zero denominator or a flat series is written
+    ``not x <= 0``, so a NaN goes on to its verdict and FAILs it."""
+    patch(monkeypatch)
+    rec = run_experiment(experiment, params)
     (v,) = [v for v in rec.verdicts if v.name == verdict]
     assert math.isnan(v.measured) and not v.passed, v.line()
 
