@@ -306,7 +306,7 @@ def check_prop1(instance: StabilityInstance, eta: SolutionTrajectory, deltas,
             c1_joint, c2_joint = float(coef[0] * factor), float(coef[1] * factor)
     else:
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
-    ratio = float(sup_d.max() / sup_d.min()) if sup_d.min() > 0 else math.inf
+    ratio = float(sup_d.max() / sup_d.min()) if not sup_d.min() <= 0 else math.inf
     return Prop1Report(deltas, sup_d, r, slope, r2, c1_joint, c2_joint,
                        ratio, short_excess, plans)
 

@@ -15,16 +15,14 @@ or one constant-in-time value per cell.
 
 * ``eulerian_solve`` is the first-order upwind finite-volume scheme in flux
   form, so the discrete mass balance telescopes exactly on the torus, and it
-  adds the source, if there is one, at every step.  It updates the density in
-  place, sweeping blocks of whole rows that fit in cache, and keeps the
-  axis-0 flux in a buffer of one block's faces: the flux row at each block's
-  lower edge is carried over from the block before, which computed it from
-  rows not yet updated, and the wrap-around row of face 0 = face n, computed
-  before any block updates the density, is the last block's upper edge.  The
-  face velocities are evaluated one block of rows at a time too.  Where
-  exactly one axis moves and h is a power of two, ``/ h`` and ``* dt`` fold
-  into one exact multiply by ``dt / h``.  An axis whose face velocities are
-  all zero adds no flux.
+  adds the source, if there is one, at every step.  Where one axis moves
+  (every field an experiment advects), each grid line along it is an
+  independent 1-d problem: the lines are stepped in slabs that fit in cache,
+  each slab through every step of the horizon before the next, in place in
+  contiguous buffers that start on cache lines.  A field that moves both
+  axes is one slab, the whole grid.  Where exactly one axis moves and h is a
+  power of two, ``/ h`` and ``* dt`` fold into one exact multiply by
+  ``dt / h``.  An axis whose face velocities are all zero adds no flux.
 
 Both solvers emit snapshots at a shared uniform time grid, which is what the
 stability harness diffs.  Fields with discontinuous characteristics
@@ -112,6 +110,12 @@ def _store_times(horizon: float, n_frames: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Lagrangian solver
 
+def _wrap(x: np.ndarray, L: float) -> np.ndarray:
+    """``np.mod(x, L)`` bit for bit, taken only off the open interval (0, L),
+    where it is x itself; it maps -0.0 and 0.0 to +0.0."""
+    return np.mod(x, L, out=x.copy(), where=~((x > 0) & (x < L)))
+
+
 def _deposit_intervals_1d(left: np.ndarray, right: np.ndarray, masses: np.ndarray,
                           grid: Grid) -> np.ndarray:
     """Split interval masses among grid cells by overlap length (exact).
@@ -123,7 +127,7 @@ def _deposit_intervals_1d(left: np.ndarray, right: np.ndarray, masses: np.ndarra
     does, negative ones included.
     """
     n, h, L = grid.n, grid.h, grid.length
-    a = np.mod(left, L)
+    a = _wrap(left, L)
     width = np.maximum(right - left, 1e-300)
     b = a + width
     ia = np.floor(a / h).astype(np.int64)
@@ -150,7 +154,7 @@ def _deposit_cic_2d(pos: np.ndarray, masses: np.ndarray, grid: Grid) -> np.ndarr
     ``& (n - 1)``, which is ``% n`` for the power of two n.
     """
     n, h, L = grid.n, grid.h, grid.length
-    frac = np.mod(pos, L) / h - 0.5
+    frac = _wrap(pos, L) / h - 0.5
     base = np.floor(frac).astype(np.int64)
     frac -= base
     cols = (base[:, 1] & (n - 1), (base[:, 1] + 1) & (n - 1))
@@ -174,8 +178,10 @@ def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarr
                                use_exact_flow: bool = True) -> tuple[np.ndarray, int]:
     """Positions at the requested times, shape (n_times, *x0.shape), and the
     number of right-hand-side evaluations DOP853 made (0 for an exact flow)."""
-    if use_exact_flow and u.exact_flow(0.0, x0) is not None:
-        return np.stack([np.asarray(u.exact_flow(t, x0)) for t in times]), 0
+    first = u.exact_flow(times[0], x0) if use_exact_flow else None
+    if first is not None:
+        return np.stack([np.asarray(first)]
+                        + [np.asarray(u.exact_flow(t, x0)) for t in times[1:]]), 0
     shape = x0.shape
 
     def rhs(t, y):
@@ -224,41 +230,32 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
 # ---------------------------------------------------------------------------
 # Eulerian solver
 
-# cells per block of rows in the upwind sweep.  A block's rows of rho and of
-# the face velocities, its axis-1 flux, div and term buffers, and the axis-0
-# flux buffer (a block's faces and the wrap row) are about 256 KiB each at
-# this size, so the ufuncs of one block pass over a working set that stays
-# in one core's 2 MiB L2 cache instead of streaming each full-grid array
-# through memory once per operation; the face velocities are evaluated one
-# block of rows at a time for the same reason.  The 512^2 shear solve was
-# fastest at 2^14 and 2^15 cells, 10-30% slower at 2^13 or 2^16 and 40-50%
-# at 2^12 or 2^17 (2-CPU x86-64 host)
+# cells per slab of the upwind sweep.  A slab's density, face velocities,
+# flux and difference buffers are 256 KiB each at this size, so all steps of
+# the horizon pass over a working set that stays in one core's 2 MiB L2
+# cache instead of streaming each full-grid array through it once per step.
+# The 512^2 shear solve was fastest at 2^15 cells, 4% slower at 2^14, 22% at
+# 2^16 and 25% at 2^13 (2-CPU x86-64 host).  The face velocities are
+# evaluated in blocks of rows of this size too
 BLOCK_CELLS = 1 << 15
-
-
-def _row_blocks(grid: Grid) -> list:
-    """The (first, stop) rows of the blocks a sweep takes in turn: whole rows,
-    at most ``BLOCK_CELLS`` cells each, of a 2-d grid; a 1-d grid is one
-    block."""
-    n = grid.n
-    rows = max(1, BLOCK_CELLS // n) if grid.dim == 2 else n
-    return [(i0, min(i0 + rows, n)) for i0 in range(0, n, rows)]
 
 
 def _face_velocities(u: VelocityField, grid: Grid):
     """Velocity normal to each cell's lower face; fields are autonomous.  The
-    2-d field is evaluated at one block of rows of faces at a time, and each
-    component is written straight into its contiguous (n, n) array, so no
-    full-grid points or (n, n, 2) field output is built."""
+    2-d field is evaluated at one block of rows of faces, at most
+    ``BLOCK_CELLS`` cells, at a time, and each component is written straight
+    into its contiguous (n, n) array, so no full-grid points or (n, n, 2)
+    field output is built."""
     n, h = grid.n, grid.h
     edges = np.arange(n) * h
     if grid.dim == 1:
         return (np.asarray(u(0.0, edges)),)
     c = grid.axis_centers()
     ux, uy = np.empty((n, n)), np.empty((n, n))
-    blocks = _row_blocks(grid)
-    pts = np.empty((blocks[0][1], n, 2))
-    for i0, i1 in blocks:
+    rows = min(max(1, BLOCK_CELLS // n), n)
+    pts = np.empty((rows, n, 2))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         p = pts[:i1 - i0]
         # x-faces at (edges[i], c[j]), y-faces at (c[i], edges[j])
         p[..., 0] = edges[i0:i1, None]
@@ -268,6 +265,18 @@ def _face_velocities(u: VelocityField, grid: Grid):
         p[..., 1] = edges
         uy[i0:i1] = np.asarray(u(0.0, p))[..., 1]
     return ux, uy
+
+
+def _lined(shape) -> np.ndarray:
+    """An empty float array whose data starts on a 64-byte cache line, which
+    numpy's own (16-byte aligned) need not: a slab's rows then start on one
+    too, and its ufuncs load no vector that straddles two lines.  A step of
+    a (512, 64) slab took 1.2 ns per cell, against 2.2 ns at numpy's
+    alignment (x86-64 host with AVX-512)."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
 
 
 def _flux_ops(uf, own, rho, cells, below, out) -> list:
@@ -292,26 +301,25 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     term, then ``+ dt * f`` for a source ``f``.  An axis whose face velocities
     are all zero adds no flux: its term would be exactly +-0.
 
-    Each step sweeps axis 0 in blocks of whole rows, at most ``BLOCK_CELLS``
-    cells each (a 1-d grid is one block), and updates ``rho`` in place
-    through buffers, and ufunc calls bound to views of them, made once per
-    solve.  The axis-0 flux is kept in a buffer of one block's faces and one
-    wrap row on top; with one block, the n + 1 faces 0..n are the whole
-    buffer.  The flux of face 0, from the old rows n - 1 and 0, is computed
-    before any block updates ``rho`` and written to the buffer's row 0 and
-    to its top row: face n is face 0 on the torus.  A block computes the
-    fluxes of its faces i0 + 1..i1 from rows not yet updated, reads face
-    i0's from the row the block before carried it to, updates its own rows
-    and carries face i1's flux to the row where the next block reads it.
-    The last block's faces sit so that its face n is the top row.  The
-    axis-1 flux stays within a block's rows.  The blocks change only where
-    values are stored: each cell gets the same ufunc calls on the same
-    operands.  With exactly one moving axis and h a power of two, ``/ h``
-    and ``* dt`` are one multiply by ``dt / h``: dividing by a power of two
-    only rescales (short of overflow or the subnormal range), so both forms
-    round the same real number once.  With two moving axes, or any other h,
-    the step divides and then multiplies, as folding would change the
-    rounding.
+    The dt of every step is found once per solve, with one
+    ``data.source_at`` call per step.  Where at most one axis moves, every
+    grid line along it is an independent 1-d problem.  The lines are split
+    into slabs of at most ``BLOCK_CELLS`` cells.  Each slab is copied into
+    contiguous buffers that start on cache lines (``_lined``), with the
+    moving axis first, shape (n, lines): a cell's neighbor along that axis is
+    one whole row away, and every row starts on a cache line too.  The slab
+    is stepped in place through every step of the horizon while it stays in
+    cache, and written into each stored frame.  Where both axes move, the
+    whole grid is one slab.  A slab's axis-0 flux buffer holds the n + 1
+    faces 0..n, and the flux of face 0, from the old cells n - 1 and 0, is
+    written to its first and last rows: face n is face 0 on the torus.  The
+    slabs change only where values are stored: each cell gets the same ufunc
+    calls on the same operands.  With exactly one moving axis and h a power
+    of two, ``/ h`` and ``* dt`` are one multiply by ``dt / h``: dividing by
+    a power of two only rescales (short of overflow or the subnormal range),
+    so both forms round the same real number once.  With two moving axes, or
+    any other h, the step divides and then multiplies, as folding would
+    change the rounding.
 
     ``meta`` records the number of ``steps``, ``dt_max`` and the discrete
     ``mass_defect``: the mass change less the mass the source added.
@@ -328,87 +336,76 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
             raise ValueError("velocity field produced non-finite face values")
     speed = sum(np.abs(f).max() for f in faces)
     dt_max = cfl * h / speed if speed > 0 else data.horizon
-    # per moving axis: face velocities, and where the flux takes the cell's
-    # own value (u <= 0) instead of its lower neighbor's, if anywhere
-    moving = {axis: (uf, uf <= 0 if np.any(uf <= 0) else None)
-              for axis, uf in enumerate(faces) if np.any(uf)}
+    # the face velocities of each moving axis
+    moving = {axis: uf for axis, uf in enumerate(faces) if np.any(uf)}
     fold = len(moving) == 1 and math.frexp(h)[0] == 0.5
-    blocks = _row_blocks(grid)
-    rows = blocks[0][1]
-    block_shape = (rows,) + grid.shape[1:]
-    # the axis-0 flux buffer's row of each block's face i0: 0, but the last
-    # block's sits so that its face n is the top row
-    top = min(rows + 1, n)
-    lows = [top - (i1 - i0) if i1 == n else 0 for i0, i1 in blocks]
+    # per stored frame, its steps: the multiplier of the flux difference
+    # (dt / h when folded, else dt), dt and the source
+    schedule = []
+    t = 0.0
+    for target in store[1:]:
+        schedule.append([])
+        while t < target - 1e-14:
+            dt = float(min(dt_max, target - t))
+            schedule[-1].append((dt / h if fold else dt, dt, data.source_at(t, grid)))
+            t += dt
+    # a grid array as its lines along the one moving axis, shape (n, lines);
+    # where both axes move, the grid itself, stepped as one slab
+    def lines(a):
+        return a.T if list(moving) == [1] else a.reshape(n, -1)
+
     frames = np.empty((len(store),) + grid.shape)
     frames[0] = data.initial.values
-    rho = frames[0].copy()
-    div = np.empty(block_shape)
-    flux0 = np.empty((top + 1,) + grid.shape[1:]) if 0 in moving else None
-    flux1 = np.empty(block_shape) if 1 in moving else None
-    term = np.empty(block_shape) if len(moving) > 1 else None
-    # each step's calls that depend on neither dt nor the source, bound once
-    # per solve: per block its fluxes (the first block's begin with face 0,
-    # written to rows 0 and top), their difference, the update of its rows
-    # and the carry of its face i1
-    scale = np.empty(())  # dt / h when folded, else dt
-    sweep = []
-    for b, (i0, i1) in enumerate(blocks):
-        d = div[:i1 - i0]
-        lo = lows[b]
+    width = lines(frames[0]).shape[1]
+    slab = width if len(moving) > 1 else max(1, BLOCK_CELLS // n)
+    for j0 in range(0, width, slab):
+        cols = slice(j0, min(j0 + slab, width))
+        rho = _lined((n, cols.stop - j0))
+        rho[...] = lines(frames[0])[:, cols]
+        d = _lined(rho.shape)
+        # each step's calls that depend on neither dt nor the source, bound
+        # once per slab: per moving slab axis its fluxes (axis 0 begins with
+        # face 0, written to its first and last rows), their difference and
+        # the sum of the two axes' terms
         ops = []
-        if i0 == 0 and 0 in moving:
-            ops = _flux_ops(*moving[0], rho, slice(0, 1), slice(n - 1, n), flux0[::top])
-        for i, (axis, (uf, own)) in enumerate(moving.items()):
-            out = d if i == 0 else term[:i1 - i0]
-            if axis == 0:
-                stop = min(i1 + 1, n)
-                ops += _flux_ops(uf, own, rho, slice(i0 + 1, stop), slice(i0, stop - 1),
-                                 flux0[lo + 1:lo + stop - i0])
-                ops.append(partial(np.subtract, flux0[lo + 1:lo + i1 - i0 + 1],
-                                   flux0[lo:lo + i1 - i0], out=out))
+        for s, whole in enumerate(moving.values()):
+            uf = _lined(rho.shape)
+            uf[...] = lines(whole)[:, cols]
+            own = uf <= 0 if np.any(uf <= 0) else None
+            out = d if s == 0 else _lined(rho.shape)
+            flux = _lined((n + 1, rho.shape[1]) if s == 0 else rho.shape)
+            if s == 0:
+                ops += _flux_ops(uf, own, rho, slice(0, 1), slice(n - 1, n), flux[::n])
+                ops += _flux_ops(uf, own, rho, slice(1, n), slice(0, n - 1), flux[1:n])
+                ops.append(partial(np.subtract, flux[1:], flux[:-1], out=out))
             else:
-                fl = flux1[:i1 - i0]
-                r = slice(i0, i1)
-                ops += _flux_ops(uf, own, rho, (r, slice(1, None)), (r, slice(None, -1)),
-                                 fl[:, 1:])
-                ops += _flux_ops(uf, own, rho, (r, slice(0, 1)), (r, slice(n - 1, n)), fl[:, :1])
-                ops.append(partial(np.subtract, fl[:, 1:], fl[:, :-1], out=out[:, :-1]))
-                ops.append(partial(np.subtract, fl[:, :1], fl[:, -1:], out=out[:, -1:]))
+                ops += _flux_ops(uf, own, rho, np.s_[:, 1:], np.s_[:, :-1], flux[:, 1:])
+                ops += _flux_ops(uf, own, rho, np.s_[:, :1], np.s_[:, n - 1:], flux[:, :1])
+                ops.append(partial(np.subtract, flux[:, 1:], flux[:, :-1], out=out[:, :-1]))
+                ops.append(partial(np.subtract, flux[:, :1], flux[:, -1:], out=out[:, -1:]))
             if not fold:
                 ops.append(partial(np.divide, out, h, out=out))
-            if i > 0:
+            if s > 0:
                 ops.append(partial(np.add, d, out, out=d))
-        if moving:
-            ops.append(partial(np.multiply, d, scale, out=d))
-            ops.append(partial(np.subtract, rho[i0:i1], d, out=rho[i0:i1]))
-        if 0 in moving and i1 < n and lows[b + 1] != lo + i1 - i0:
-            ops.append(partial(np.copyto, flux0[lows[b + 1]], flux0[lo + i1 - i0]))
-        sweep.append((slice(i0, i1), d, ops))
-    t = 0.0
-    steps = 0
-    for k in range(1, len(store)):
-        target = store[k]
-        while t < target - 1e-14:
-            dt = min(dt_max, target - t)
-            f = data.source_at(t, grid)
-            scale[...] = dt / h if fold else dt
-            for r, d, ops in sweep:
+        for frame, steps in zip(frames[1:], schedule):
+            for scale, dt, f in steps:
                 for op in ops:
                     op()
+                if moving:
+                    np.multiply(d, scale, out=d)
+                    np.subtract(rho, d, out=rho)
                 if f is not None:
-                    np.multiply(f[r], dt, out=d)
-                    np.add(rho[r], d, out=rho[r])
-            t += dt
-            steps += 1
-        frames[k] = rho
+                    np.multiply(lines(f)[:, cols], dt, out=d)
+                    np.add(rho, d, out=rho)
+            lines(frame)[:, cols] = rho
     # exact discrete mass balance bookkeeping
     total_source = 0.0
     if data.source is not None:
         total_source = float(np.sum(data.source) * grid.cell_volume * store[-1])
     mass_defect = float(frames[-1].sum() - frames[0].sum()) * grid.cell_volume - total_source
     return SolutionTrajectory(grid, store, frames,
-                              meta={"cfl": cfl, "field": u.name, "steps": steps,
+                              meta={"cfl": cfl, "field": u.name,
+                                    "steps": sum(len(steps) for steps in schedule),
                                     "dt_max": float(dt_max), "mass_defect": mass_defect})
 
 

@@ -171,6 +171,15 @@ def test_top_level_jobs_and_seed_are_unknown_config_keys(tmp_path, capsys, key):
     assert f"unknown config keys ['{key}']" in capsys.readouterr().err
 
 
+def test_malformed_config_names_line_and_column(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text("experiment: lemma4-suite\nparams:\n  n: [16, 32\n  trials: 2\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config parse error in {path} at line 4, column 9: " in err
+    assert not (tmp_path / "lemma4-suite").exists()
+
+
 def test_jobs_option_is_rejected(tmp_path):
     cfg = write_config(tmp_path, experiment="lemma4-suite")
     with pytest.raises(SystemExit) as exc:

@@ -148,6 +148,37 @@ def test_lagrangian_meta_counts_the_ode_evaluations(monkeypatch):
     assert [traj.meta["nfev"]] == nfevs and nfevs[0] > 0
 
 
+def test_lagrangian_evaluates_the_exact_flow_once_per_frame(monkeypatch):
+    # the flow at t = 0 both tells that the field has one and is frame 0
+    g = Grid(2, 16)
+    data = CauchyData(SmoothShear2D(), None, _blob_2d(16)[1], 0.5)
+    want = lagrangian_solve(data, g, n_frames=5).frames
+    times = []
+    exact_flow = SmoothShear2D.exact_flow
+
+    def counted(self, t, pos):
+        times.append(t)
+        return exact_flow(self, t, pos)
+
+    monkeypatch.setattr(SmoothShear2D, "exact_flow", counted)
+    traj = lagrangian_solve(data, g, n_frames=5)
+    assert times == list(traj.times)
+    assert np.array_equal(bits(traj.frames), bits(want))
+
+
+@pytest.mark.parametrize("length", [1.0, TWO_PI])
+def test_wrap_is_np_mod_bit_for_bit(length):
+    L = length
+    # the signed zeros, L and the float below it, a tiny negative, and values
+    # above L and below -L
+    x = np.array([-0.0, 0.0, L, np.nextafter(L, 0.0), -1e-300, 1e-300, 0.5 * L, L + 1e-12,
+                  1.75 * L, 3.0 * L, -L, -1.25 * L, -7.5 * L, np.nextafter(-L, 0.0), np.nan,
+                  2.0 * L])
+    x = np.concatenate([x, np.random.default_rng(5).uniform(-3.0 * L, 3.0 * L, size=64)])
+    for pts in (x, x.reshape(-1, 2)):
+        assert np.array_equal(bits(pde._wrap(pts, L)), bits(np.mod(pts, L)))
+
+
 def add_at_intervals(left, right, masses, grid):
     """The np.add.at loop that _deposit_intervals_1d replaced."""
     n, h, L = grid.n, grid.h, grid.length
@@ -471,7 +502,7 @@ def stepper_cases():
     g, cusp, rho0 = _cusp_1d()
     f = 0.3 * np.cos(2 * np.pi * g.axis_centers())
     g2, rho2 = _blob_2d()
-    # 256^2 is eight blocks of rows, so the carried flux row is exercised
+    # 256^2 is two slabs of 128 lines for a field that moves one axis
     gb, rhob = _blob_2d(256)
     g_osc = Grid(1, 256, length=TWO_PI)  # h is not a power of two: no fold
     rho_osc = density_from_function(g_osc, lambda x: 1.0 + 0.5 * np.sin(x))
@@ -488,6 +519,9 @@ def stepper_cases():
         "swirl-2d-blocks": (gb, CountingData(SwirlField(), None, rhob, 0.02)),
         "mixed-x-2d-blocks": (gb, CountingData(MIXED_X, None, SignedDensity(gb, rhob.values - 1.0),
                                                0.02)),
+        # each slab takes its own cells (u <= 0) by the mask and adds a source
+        "mixed-x-2d-blocks-constant-source": (gb, CountingData(
+            MIXED_X, 0.3 * (rhob.values - 1.0), SignedDensity(gb, rhob.values - 1.0), 0.02)),
         "zero-1d": (Grid(1, 64), CountingData(ConstantField([0.0]), None, smooth_1d(Grid(1, 64)),
                                               1.0)),
     }
@@ -510,15 +544,29 @@ def test_in_place_stepper_is_bit_identical(case):
 @pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X],
                          ids=lambda fld: fld.name)
 def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
-    # blocks of 1, 3 (a shorter last block), 4 or n/2 = 16 rows of 32 cells,
-    # or n = 32 rows: one block
+    # BLOCK_CELLS of 1, 3, 4, n/2 = 16 or n = 32 lines of 32 cells: the
+    # stepper's slabs, and the face velocities' blocks of rows.  A field that
+    # moves one axis (shear and mixed-x along x, y-only along y) is stepped
+    # in slabs of that many lines, 3 leaving a shorter last slab, and 32 all
+    # lines in one; the swirl moves both axes and is always one slab
     grid, rho0 = _blob_2d()
     data = CauchyData(field, 0.1 * rho0.values, rho0, 0.25)
+    frames, steps, mass_defect = reference_eulerian(data, grid, cfl=0.45, n_frames=5)
     whole = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
     monkeypatch.setattr(pde, "BLOCK_CELLS", rows * grid.n)
-    blocked = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
-    assert np.array_equal(bits(blocked.frames), bits(whole.frames))
-    assert bits(blocked.meta["mass_defect"]) == bits(whole.meta["mass_defect"])
+    sliced = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    for traj in (whole, sliced):
+        assert np.array_equal(bits(traj.frames), bits(frames))
+        assert bits(traj.meta["mass_defect"]) == bits(mass_defect)
+        assert traj.meta["steps"] == steps
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (512, 1), (32, 3), (513, 64)])
+def test_lined_buffers_start_on_a_cache_line(shape):
+    for _ in range(8):  # whatever offset numpy's allocation lands on
+        a = pde._lined(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.ctypes.data % 64 == 0
 
 
 def meshgrid_face_velocities(u, grid):

@@ -236,6 +236,15 @@ def test_a_nan_value_passes_no_guard(monkeypatch, verdict, experiment, params, p
     assert math.isnan(v.measured) and not v.passed, v.line()
 
 
+def test_a_nan_sweep_reads_a_nan_twin_ratio(monkeypatch):
+    """``twin_ratio`` (max/min of the sweep) carries a NaN series as NaN,
+    not as the inf of a zero minimum."""
+    nan_entry(estimates, "track_kr", 0, 2)(monkeypatch)
+    rec = run_experiment("prop1-sweep", {"n": 32, "n_frames": 5, "chain_frames": [2],
+                                         "deltas": [0.1, 0.01], "e1_control_n": 32})
+    assert math.isnan(rec.meta["twin_ratio"])
+
+
 def test_shifted_potential_fails_only_the_sup_bound(monkeypatch):
     shifted_potential(monkeypatch)
     rec = run_experiment("transport-selftest", SELFTEST_SMALL)
