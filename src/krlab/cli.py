@@ -65,8 +65,11 @@ class RunConfig:
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ValueError("'params' must be a table of experiment parameters")
+        out = raw.get("out", "results")
+        if not (isinstance(out, str) and out):
+            raise ValueError(f"out = {out!r}: expected a non-empty output directory path")
         return cls(experiment=raw["experiment"], params=merge_params(raw["experiment"], params),
-                   out=str(raw.get("out", "results")))
+                   out=out)
 
     def set_grid(self, n: int) -> None:
         """Put ``--grid n`` on the experiment's main grid size parameter."""

@@ -82,9 +82,10 @@ def merge_params(name: str, params: dict | None) -> dict:
     valid keys for an unknown parameter, the key of a value that is not of
     its default's kind (an integer where the default is one, else a number,
     or a non-empty list of them; a ``*_range`` holds two increasing
-    numbers), the key and range of a value outside ``PARAM_RANGES``, a
-    report delta outside the sweep or a chain frame outside the stored
-    frames, and the nearest powers of two for a grid size that is not one.
+    numbers), the key and range of a value outside ``PARAM_RANGES``, the
+    key of a sweep with fewer than two distinct values, a report delta
+    outside the sweep or a chain frame outside the stored frames, and the
+    nearest powers of two for a grid size that is not one.
     """
     if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; valid names: "
@@ -111,6 +112,12 @@ def merge_params(name: str, params: dict | None) -> dict:
         if not all(map(in_range, value if isinstance(value, list) else [value])):
             every = "every entry " if isinstance(value, list) else ""
             raise ValueError(f"{key} = {value!r}: {every}must be {text}")
+    # a fit or a ratio across a sweep reads two distinct values of it at
+    # least; transport-selftest's deltas only cycle over its instances
+    for key in ("deltas", "rs", "prop1_deltas", "ks", "translation_ns", "agreement_ns"):
+        if key in merged and name != "transport-selftest" and len(set(merged[key])) < 2:
+            raise ValueError(f"{key} = {merged[key]!r}: a sweep needs at least two distinct "
+                             "values, which its fit or ratio reads")
     # e1-example checks the closed form only at deltas it sweeps, and
     # prop1-sweep measures the chain only on frames it stores
     for i, delta in enumerate(merged.get("report_deltas", [])):
@@ -130,6 +137,16 @@ def merge_params(name: str, params: dict | None) -> dict:
             for i, n in enumerate(merged[key]):
                 check_grid_size(f"{key}[{i}] = {n!r}", n)
     return merged
+
+
+def _spread(values) -> float:
+    """max/min of a sweep's constants for a uniformity verdict: NaN with no
+    values (or a NaN among them) and inf for a minimum <= 0, so the verdict
+    FAILs on either."""
+    if not values:
+        return math.nan
+    low = np.min(values)
+    return np.max(values) / low if not low <= 0 else math.inf
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
@@ -377,7 +394,8 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
             detail="D(t1) <= 2 x extrapolated D(t2)")
 
     # exact chain + Sobolev-route constants on selected frames, on the plans
-    # that check_prop1 solved for them; a zero frame has no chain rows
+    # that check_prop1 solved for them; a zero frame has no chain rows, and
+    # with no rows the chain and route verdicts read NaN
     worst_chain = 0.0
     c3_by_delta: dict[float, list[float]] = {}
     for k in p["chain_frames"]:
@@ -390,12 +408,10 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
             rec.row("chain", frame=k, delta=d, lhs=rb.lhs_pairing,
                     quotient=rb.difference_quotient, slack=rb.chain_slack, c_l3=rb.c_l3)
-    rec.add("rate-chain-slack", worst_chain, CHAIN_SLACK_TOL)
-    c3_sweep = [np.max(v) for v in c3_by_delta.values()]
-    if c3_sweep:
-        c3_ratio = np.max(c3_sweep) / np.min(c3_sweep)
-        rec.add("sobolev-route-uniformity", c3_ratio, 2.0,
-                detail="max/min fitted L^2-route constant across the delta sweep")
+    rec.add("rate-chain-slack", worst_chain if "chain" in rec.tables else math.nan,
+            CHAIN_SLACK_TOL)
+    rec.add("sobolev-route-uniformity", _spread([np.max(v) for v in c3_by_delta.values()]), 2.0,
+            detail="max/min fitted L^2-route constant across the delta sweep")
 
     # W^{1,1}-route constants for a p = 1 cusp on a frozen frame
     l5field = PowerCuspField(p["l5_alpha"], x0=p["x0"], amp=p["amp"])
@@ -407,10 +423,8 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
         if rb.c_l5 is not None:
             c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
-    if c5_sweep:
-        c5_ratio = np.max(c5_sweep) / np.min(c5_sweep)
-        rec.add("w11-route-uniformity", c5_ratio, 3.0,
-                detail="max/min fitted W^{1,1}-route constant across the delta sweep")
+    rec.add("w11-route-uniformity", _spread(c5_sweep), 3.0,
+            detail="max/min fitted W^{1,1}-route constant across the delta sweep")
 
     # negative control: the static BV construction
     e1 = step_density(Grid(1, p["e1_control_n"]))
@@ -582,10 +596,8 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
                    "at the largest r")
     rec.add("schedule-dominates-norm", report.min_slack, -SCHEDULE_SLACK_TOL, comparator=">=",
             detail="sqrt(r) + eps + 1/log(1/r+1) dominates the measured norm")
-    if not np.min(c2s) <= 0:  # a NaN C2 goes on to FAIL the verdict
-        c2_ratio = np.max(c2s) / np.min(c2s)
-        rec.add("c2-stability-across-r", c2_ratio, 3.0,
-                detail="joint-fit C2 stable across the r sweep")
+    rec.add("c2-stability-across-r", _spread(c2s), 3.0,
+            detail="joint-fit C2 stable across the r sweep")
     return rec
 
 

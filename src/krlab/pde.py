@@ -283,8 +283,8 @@ def _flux_ops(uf, own, rho, cells, below, out) -> list:
     """The calls that set ``out = uf[cells] * rho[below]``, the lower
     neighbor's value, and then ``uf[cells] * rho[cells]`` by one multiply
     masked to the cells where ``own`` (u <= 0) is set, bound to views of
-    ``rho`` that stay valid as it is updated.  Face 0's one row of cells
-    broadcasts to the two rows of ``out`` it is written to."""
+    ``rho`` that stay valid as it is updated.  Face 0's one line of cells
+    broadcasts to the two ends of ``out`` it is written to."""
     ops = [partial(np.multiply, uf[cells], rho[below], out=out)]
     if own is None:
         return ops
@@ -310,9 +310,10 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     one whole row away, and every row starts on a cache line too.  The slab
     is stepped in place through every step of the horizon while it stays in
     cache, and written into each stored frame.  Where both axes move, the
-    whole grid is one slab.  A slab's axis-0 flux buffer holds the n + 1
-    faces 0..n, and the flux of face 0, from the old cells n - 1 and 0, is
-    written to its first and last rows: face n is face 0 on the torus.  The
+    whole grid is one slab.  The flux buffer of each moving slab axis holds
+    the n + 1 faces 0..n along it, and the flux of face 0, from the old
+    cells n - 1 and 0, is written to both ends: face n is face 0 on the
+    torus, so one subtract differences every cell, on either axis.  The
     slabs change only where values are stored: each cell gets the same ufunc
     calls on the same operands.  With exactly one moving axis and h a power
     of two, ``/ h`` and ``* dt`` are one multiply by ``dt / h``: dividing by
@@ -364,25 +365,22 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
         rho[...] = lines(frames[0])[:, cols]
         d = _lined(rho.shape)
         # each step's calls that depend on neither dt nor the source, bound
-        # once per slab: per moving slab axis its fluxes (axis 0 begins with
-        # face 0, written to its first and last rows), their difference and
-        # the sum of the two axes' terms
+        # once per slab: per moving slab axis its fluxes (face 0 first,
+        # written to both ends of the axis), their difference and the sum of
+        # the two axes' terms
         ops = []
         for s, whole in enumerate(moving.values()):
             uf = _lined(rho.shape)
             uf[...] = lines(whole)[:, cols]
             own = uf <= 0 if np.any(uf <= 0) else None
             out = d if s == 0 else _lined(rho.shape)
-            flux = _lined((n + 1, rho.shape[1]) if s == 0 else rho.shape)
-            if s == 0:
-                ops += _flux_ops(uf, own, rho, slice(0, 1), slice(n - 1, n), flux[::n])
-                ops += _flux_ops(uf, own, rho, slice(1, n), slice(0, n - 1), flux[1:n])
-                ops.append(partial(np.subtract, flux[1:], flux[:-1], out=out))
-            else:
-                ops += _flux_ops(uf, own, rho, np.s_[:, 1:], np.s_[:, :-1], flux[:, 1:])
-                ops += _flux_ops(uf, own, rho, np.s_[:, :1], np.s_[:, n - 1:], flux[:, :1])
-                ops.append(partial(np.subtract, flux[:, 1:], flux[:, :-1], out=out[:, :-1]))
-                ops.append(partial(np.subtract, flux[:, :1], flux[:, -1:], out=out[:, -1:]))
+            flux = _lined(rho.shape[:s] + (n + 1,) + rho.shape[s + 1:])  # faces 0..n
+
+            def at(sl):  # the index of sl along slab axis s
+                return (slice(None),) * s + (sl,)
+            ops += _flux_ops(uf, own, rho, at(np.s_[:1]), at(np.s_[n - 1:]), flux[at(np.s_[::n])])
+            ops += _flux_ops(uf, own, rho, at(np.s_[1:]), at(np.s_[:-1]), flux[at(np.s_[1:n])])
+            ops.append(partial(np.subtract, flux[at(np.s_[1:])], flux[at(np.s_[:-1])], out=out))
             if not fold:
                 ops.append(partial(np.divide, out, h, out=out))
             if s > 0:

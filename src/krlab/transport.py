@@ -39,16 +39,17 @@ arithmetic, and an experiment solves hundreds of them, so every solve is
 part of a batch (``solve_batch``; ``solve_primal``, ``kr_distance`` and
 ``w_neg11_norm`` are batches of one).  One level pass takes the atoms,
 prefix sums, levels, block costs, merge and marginal defects of all the
-densities of a batch at once, up to ``BATCH_ATOMS`` atoms, and finds the
-levels of a density once however many instances share it.  The per-call
-cost of each step is paid once per pass instead of once per instance: an
-lp-small pass (590 solves at n = 32-128) spent 139-155 ms in solves one at
-a time and 65-66 ms in batches (fastest of nine passes, 2-CPU x86-64
-host).  A batch gives every plan bit for bit as it was solved alone.  The
-float sums whose rounding depends on their grouping stay one call on each
-density's or instance's slice: the mass sums of the checks and of the
-rescaling, each prefix sum G, and each plan's value.  The heights are
-ranked by one sort of all G and a stable sort by density.
+densities of a batch at once, up to ``BATCH_ATOMS`` atoms, finds the levels
+of a density once however many instances share it, and hands back each
+plan's entries and value, the last fields of its ``TransportPlan``.  The
+per-call cost of each step is paid once per pass instead of once per
+instance: an lp-small pass (590 solves at n = 32-128) spent 139-155 ms in
+solves one at a time and 65-66 ms in batches (fastest of nine passes, 2-CPU
+x86-64 host).  A batch gives every plan bit for bit as it was solved alone.
+The float sums whose rounding depends on their grouping stay one call on
+each density's or instance's slice: the mass sums of the checks and of the
+rescaling, each prefix sum G, and each plan's value.  The heights are ranked
+by one sort of all G and a stable sort by density.
 
 ``solve_batch`` measures the marginal defect of every plan it returns.
 The potential is built from the plan and never from a second solve:
@@ -143,9 +144,9 @@ class TransportPlan:
     cost: CostSpec
     src_pos: np.ndarray = field(repr=False)  # (m,) atom positions on the circle
     src_mass: np.ndarray = field(repr=False)
+    src_cells: np.ndarray = field(repr=False)  # flat cell indices of the atoms
     dst_pos: np.ndarray = field(repr=False)
     dst_mass: np.ndarray = field(repr=False)
-    src_cells: np.ndarray = field(repr=False)  # flat cell indices of the atoms
     dst_cells: np.ndarray = field(repr=False)
     src_idx: np.ndarray = field(repr=False)  # plan entries: src atom index
     dst_idx: np.ndarray = field(repr=False)
@@ -304,22 +305,6 @@ def _level_members(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return atom[order], level[order]
 
 
-@dataclass
-class _LevelPlan:
-    """One instance's plan entries (source, target, mass), sorted by source
-    and then target, the cost of each entry, the value (the costs times the
-    masses, summed in entry order), the number of levels and the number of
-    block entries, the sum of k * k over the levels."""
-
-    si: np.ndarray
-    dj: np.ndarray
-    pm: np.ndarray
-    costs: np.ndarray
-    value: float
-    levels: int
-    entries: int
-
-
 def _best_orders(blocks: np.ndarray) -> np.ndarray:
     """The optimal target order of each k x k block of ``blocks``, shape
     (nb, k, k) for k in ``PERMUTATIONS``: the cheapest of the k! orders, or
@@ -464,10 +449,13 @@ def _solve_levels(spans, pos_p: np.ndarray, pos_n: np.ndarray, src: np.ndarray,
 
 def _level_plans(atoms: _Atoms, specs: list[tuple[CostSpec, float]]):
     """Optimal plans between balanced sources and targets on the circle:
-    yields (i, plan) for each instance i of ``atoms`` that has sources and
-    targets, with ``specs[i]`` = (cost, length), the plan the union of the
-    uniform-mass assignments on the levels of its mass prefix sum (module
-    docstring).  The counts of the solves go into ``SOLVER_COUNTS``.
+    yields (i, (si, dj, pm, value)) for each instance i of ``atoms`` that has
+    sources and targets, with ``specs[i]`` = (cost, length).  The plan is the
+    union of the uniform-mass assignments on the levels of its mass prefix
+    sum (module docstring): its entries (source, target, mass), sorted by
+    source and then target, and its value, the cost of each entry times its
+    mass summed in entry order.  The counts of the solves go into
+    ``SOLVER_COUNTS``.
 
     One level pass finds the levels of the distinct densities of up to
     ``BATCH_ATOMS`` atoms, and each instance takes those of its density; a
@@ -498,10 +486,10 @@ def _level_plans(atoms: _Atoms, specs: list[tuple[CostSpec, float]]):
 
 
 def _plan_pass(atoms: _Atoms, specs: list[tuple[CostSpec, float]], keys: list[int],
-               inst: list[int], dens: list[int]) -> list[tuple[int, _LevelPlan]]:
-    """One level pass of ``_level_plans``: (i, plan) for the instances i of
-    ``inst``, whose densities are ``dens``, in order of first use; the
-    instances of one spec key follow each other."""
+               inst: list[int], dens: list[int]) -> list[tuple[int, tuple]]:
+    """One level pass of ``_level_plans``: (i, (si, dj, pm, value)) for the
+    instances i of ``inst``, whose densities are ``dens``, in order of first
+    use; the instances of one spec key follow each other."""
     count_p, count_n = np.diff(atoms.off_p), np.diff(atoms.off_n)
     m_i, n_i = count_p[dens], count_n[dens]
     take_p = _ranges(np.asarray(atoms.off_p)[dens], m_i)
@@ -549,8 +537,7 @@ def _plan_pass(atoms: _Atoms, specs: list[tuple[CostSpec, float]], keys: list[in
     pairs = np.concatenate(([0], (key[1:] != key[:-1]).nonzero()[0] + 1))
     si, dj = np.divmod(key[pairs], nt)
     pm = np.add.reduceat(widths[lvl][by_pair], pairs)
-    costs = picked[by_pair][pairs]
-    weighted = costs * pm
+    weighted = picked[by_pair][pairs] * pm  # the cost of each entry times its mass
     # the worst relative defect of an instance's row and column sums
     # against its atom masses (TransportPlan.marginal_deviation)
     src_off = np.concatenate(([0], m_i.cumsum()))
@@ -567,19 +554,13 @@ def _plan_pass(atoms: _Atoms, specs: list[tuple[CostSpec, float]], keys: list[in
     per_entry = np.diff(cut)
     si = si - src_off[:-1].repeat(per_entry)
     dj = dj - dst_off[:-1].repeat(per_entry)
-    kk = ks * ks
-    entries = np.add.reduceat(kk, lvl_off[:-1]).tolist()
     SOLVER_COUNTS["instances"] += len(inst)
     SOLVER_COUNTS["levels"] += len(ks)
-    SOLVER_COUNTS["assignment_vars"] += int(kk.sum())
+    SOLVER_COUNTS["assignment_vars"] += int((ks * ks).sum())
     SOLVER_COUNTS["worst_marginal_defect"] = max(SOLVER_COUNTS["worst_marginal_defect"],
                                                  float((defect / scale).max()))
-    plans = []
-    for j, i in enumerate(inst):
-        e = slice(cut[j], cut[j + 1])
-        plans.append((i, _LevelPlan(si[e], dj[e], pm[e], costs[e], float(weighted[e].sum()),
-                                    int(n_lvl[j]), entries[j])))
-    return plans
+    return [(i, (si[a:b], dj[a:b], pm[a:b], float(weighted[a:b].sum())))
+            for i, a, b in zip(inst, cut, cut[1:])]
 
 
 def solve_batch(batch) -> list[tuple[TransportPlan, float]]:
@@ -601,13 +582,10 @@ def solve_batch(batch) -> list[tuple[TransportPlan, float]]:
     atoms = _prepare([eta for eta, _ in batch])
     solved = dict(_level_plans(atoms, [(cost, eta.grid.length) for eta, cost in batch]))
     empty = np.zeros(0, dtype=np.intp)
-    out = []
-    for i, (eta, cost) in enumerate(batch):
-        pos_p, mass_p, cells_p, pos_n, mass_n, cells_n = atoms.instance(i)
-        lp = solved.get(i) or _LevelPlan(empty, empty, np.zeros(0), np.zeros(0), 0.0, 0, 0)
-        out.append((TransportPlan(eta, cost, pos_p, mass_p, pos_n, mass_n, cells_p, cells_n,
-                                  lp.si, lp.dj, lp.pm, lp.value), lp.value))
-    return out
+    plans = [TransportPlan(eta, cost, *atoms.instance(i),
+                           *solved.get(i, (empty, empty, np.zeros(0), 0.0)))
+             for i, (eta, cost) in enumerate(batch)]
+    return [(plan, plan.value) for plan in plans]
 
 
 def solve_primal(eta: SignedDensity, cost: CostSpec) -> tuple[TransportPlan, float]:
@@ -690,9 +668,9 @@ def kr_distances(batch) -> list[float]:
     batch = list(batch)
     values = [0.0] * len(batch)
     if batch:
-        for i, plan in _level_plans(_prepare([eta for eta, _ in batch]),
-                                    [(cost, eta.grid.length) for eta, cost in batch]):
-            values[i] = plan.value
+        for i, (*_, value) in _level_plans(_prepare([eta for eta, _ in batch]),
+                                           [(cost, eta.grid.length) for eta, cost in batch]):
+            values[i] = value
     return values
 
 

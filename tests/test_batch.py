@@ -76,8 +76,7 @@ def test_batch_is_the_reference_one_instance_at_a_time(monkeypatch, seed, limits
             continue
         refs.append((atoms, reference_level_plan(spec, eta.grid.length, *atoms)))
         (si, dj, pm), _, _, _ = refs[-1][1]
-        plan = TransportPlan(eta, spec, atoms[0], atoms[1], atoms[3], atoms[4], atoms[2],
-                             atoms[5], si, dj, pm)
+        plan = TransportPlan(eta, spec, *atoms, si, dj, pm)
         worst = max(worst, plan.marginal_deviation())
     solved = [ref for _, ref in refs if ref is not None]
     monkeypatch.setitem(SOLVER_COUNTS, "worst_marginal_defect", 0.0)  # a maximum, not a total
@@ -106,12 +105,18 @@ def test_batch_is_the_reference_one_instance_at_a_time(monkeypatch, seed, limits
             assert lp is None and plan.n_entries == 0 and value == plan.value == 0.0, i
             continue
         (si, dj, pm), costs, levels, entries = ref
-        assert (lp.levels, lp.entries) == (levels, entries), i
-        for a, b in [(plan.src_idx, si), (plan.dst_idx, dj), (lp.si, si), (lp.dj, dj)]:
+        lp_si, lp_dj, lp_pm, lp_value = lp
+        for a, b in [(plan.src_idx, si), (plan.dst_idx, dj), (lp_si, si), (lp_dj, dj)]:
             assert a.dtype == b.dtype and np.array_equal(a, b), i
-        for a, b in [(plan.plan_mass, pm), (lp.pm, pm), (lp.costs, costs)]:
+        for a, b in [(plan.plan_mass, pm), (lp_pm, pm)]:
             assert np.array_equal(bits(a), bits(b)), i
-        assert value == plan.value == lp.value == float((costs * pm).sum()), i
+        assert value == plan.value == lp_value == float((costs * pm).sum()), i
+        # the instance's levels and sum of k * k, counted around a solve of it alone
+        before = dict(SOLVER_COUNTS)
+        assert solve_primal(eta, spec)[1] == value, i
+        counted = (SOLVER_COUNTS["levels"] - before["levels"],
+                   SOLVER_COUNTS["assignment_vars"] - before["assignment_vars"])
+        assert counted == (levels, entries), i
 
 
 def test_batch_of_zero_frames_and_empty_batch():

@@ -23,9 +23,9 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     level_plans = transport._level_plans
 
     def spy(atoms, specs):
-        for i, plan in level_plans(atoms, specs):  # (unequal masses, levels, Σk²)
-            solves.append((bool(np.ptp(atoms.instance(i)[1]) > 0), plan.levels, plan.entries))
-            yield i, plan
+        for i, entries in level_plans(atoms, specs):
+            solves.append((atoms.instance(i), specs[i], entries[-1]))
+            yield i, entries
 
     monkeypatch.setattr(transport, "_level_plans", spy)
     blocks = []
@@ -61,11 +61,6 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     assert set(counts) == {"instances", "levels", "assignment_vars", "assignment_calls",
                            "enumerated_blocks", "worst_marginal_defect"}
     assert counts["instances"] == 10 == len(solves)
-    assert [s[0] for s in solves].count(True) == 8
-    # the control is the step on 64 cells: 32 levels of one atom pair each
-    assert [s[1:] for s in solves if not s[0]] == [(32, 32)] * 2
-    assert counts["levels"] == sum(s[1] for s in solves)
-    assert counts["assignment_vars"] == sum(s[2] for s in solves)
     # every linear_sum_assignment call is counted: one per level of five or
     # more pairs, and one per tied level of two to four pairs; the other
     # levels of two to four pairs are solved by trying every order
@@ -73,6 +68,22 @@ def test_prop1_sweep_cli_smoke(tmp_path, monkeypatch):
     assert all(k == j > 1 for k, j in blocks)
     assert counts["enumerated_blocks"] + sum(k <= 4 for k, _ in blocks) == sum(small) > 0
     assert 0.0 < counts["worst_marginal_defect"] <= 1e-13
+    # each instance's levels and sum of k * k, counted around a solve of its
+    # atoms alone, which gives its value again: (unequal masses, levels, Σk²)
+    alone = []
+    for atoms, spec, value in solves:
+        before = dict(transport.SOLVER_COUNTS)
+        one = transport._Atoms(*atoms, [0, len(atoms[0])], [0, len(atoms[3])], [0])
+        ((_, entries),) = level_plans(one, [spec])
+        assert entries[-1] == value
+        after = transport.SOLVER_COUNTS
+        alone.append((bool(np.ptp(atoms[1]) > 0), after["levels"] - before["levels"],
+                      after["assignment_vars"] - before["assignment_vars"]))
+    assert [s[0] for s in alone].count(True) == 8
+    # the control is the step on 64 cells: 32 levels of one atom pair each
+    assert [s[1:] for s in alone if not s[0]] == [(32, 32)] * 2
+    assert counts["levels"] == sum(s[1] for s in alone)
+    assert counts["assignment_vars"] == sum(s[2] for s in alone)
 
 
 # every experiment shrunk to well under a second: the parameters of the
@@ -290,6 +301,21 @@ def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
      "eps_range = [-1.0, 0.5]: every entry must be finite and > 0"),
     ("uniqueness-drive", {"rtol_coarse": -1.0}, "rtol_coarse = -1.0: must be finite and > 0"),
     ("uniqueness-drive", {"rtol_fine": -1.0}, "rtol_fine = -1.0: must be finite and > 0"),
+    # a sweep of one value: prop1-sweep and stability-rate passed every
+    # verdict on a one-point fit or a ratio of 1, pde-convergence ended in a
+    # traceback after its solves, and e1-example wrote one verdict twice
+    ("e1-example", {"deltas": [0.1, 0.1]},
+     "deltas = [0.1, 0.1]: a sweep needs at least two distinct values"),
+    ("prop1-sweep", {"deltas": [0.01]}, "deltas = [0.01]: a sweep needs at least two distinct"),
+    ("uniqueness-drive", {"deltas": [0.1]}, "deltas = [0.1]: a sweep needs at least two distinct"),
+    ("stability-rate", {"rs": [0.01]}, "rs = [0.01]: a sweep needs at least two distinct"),
+    ("stability-rate", {"prop1_deltas": [0.1]},
+     "prop1_deltas = [0.1]: a sweep needs at least two distinct"),
+    ("oscillatory-example", {"ks": [4, 4]}, "ks = [4, 4]: a sweep needs at least two distinct"),
+    ("pde-convergence", {"translation_ns": [64]},
+     "translation_ns = [64]: a sweep needs at least two distinct"),
+    ("pde-convergence", {"agreement_ns": [64]},
+     "agreement_ns = [64]: a sweep needs at least two distinct"),
 ])
 def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        experiment, params, message):
@@ -321,6 +347,17 @@ def test_param_outside_its_sweep_is_refused_before_any_work(tmp_path, capsys, mo
     assert main(["run", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / experiment).exists()
+
+
+@pytest.mark.parametrize("out", [None, 5, ""], ids=["empty", "number", "empty-string"])
+def test_out_that_is_not_a_path_is_refused(tmp_path, capsys, monkeypatch, out):
+    # unchecked, an empty out: wrote into a directory named None and out: 5
+    # into one named 5, both relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, experiment="lemma4-suite", out=out, params={"trials": 2})
+    assert main(["run", cfg]) == 2
+    assert f"out = {out!r}: expected a non-empty output directory path" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.yaml"]
 
 
 def test_every_ranged_key_is_a_parameter():

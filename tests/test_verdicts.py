@@ -1,7 +1,9 @@
 """The verdict rule and one negative control per verdict whose margin is a
 number derived from a report: a known-bad input on which that verdict FAILs."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -243,6 +245,60 @@ def test_a_nan_sweep_reads_a_nan_twin_ratio(monkeypatch):
     rec = run_experiment("prop1-sweep", {"n": 32, "n_frames": 5, "chain_frames": [2],
                                          "deltas": [0.1, 0.01], "e1_control_n": 32})
     assert math.isnan(rec.meta["twin_ratio"])
+
+
+def no_l5_constant(monkeypatch):
+    """No W^{1,1}-route constant at any delta: the route has no rows."""
+    real = experiments.check_rate_bounds
+    monkeypatch.setattr(experiments, "check_rate_bounds", lambda *args, **kwargs: (
+        dataclasses.replace(real(*args, **kwargs), c_l5=None)))
+
+
+def zero_c2_at_the_first_r(monkeypatch):
+    """The joint-fit C2 of the first r set to 0, the nnls fit's floor."""
+    real = experiments.check_prop1
+    calls = itertools.count()
+    monkeypatch.setattr(experiments, "check_prop1", lambda *args: (
+        dataclasses.replace(real(*args), c2_joint=0.0) if next(calls) == 0 else real(*args)))
+
+
+PROP1_SMALL = {"n": 32, "n_frames": 5, "chain_frames": [2], "deltas": [0.1, 0.01],
+               "e1_control_n": 32}
+
+EMPTY_OR_ZERO_SWEEPS = [
+    # verdict, experiment, params, patch, measured
+    ("w11-route-uniformity", "prop1-sweep", PROP1_SMALL, no_l5_constant, math.nan),
+    ("c2-stability-across-r", "stability-rate",
+     {"n": 64, "rs": [1e-2, 1e-3], "n_frames": 9, "prop1_deltas": [0.1, 0.01]},
+     zero_c2_at_the_first_r, math.inf),
+]
+
+
+@pytest.mark.parametrize("verdict, experiment, params, patch, measured", EMPTY_OR_ZERO_SWEEPS,
+                         ids=[row[0] for row in EMPTY_OR_ZERO_SWEEPS])
+def test_an_empty_or_zero_sweep_fails_its_verdict(monkeypatch, verdict, experiment, params,
+                                                  patch, measured):
+    """A verdict over a sweep's rows is there on every run: with no rows it
+    reads NaN, and a ratio with a minimum of 0 reads inf; both FAIL.  Each
+    verdict was missing from the record."""
+    patch(monkeypatch)
+    rec = run_experiment(experiment, params)
+    (v,) = [v for v in rec.verdicts if v.name == verdict]
+    assert np.array_equal(v.measured, measured, equal_nan=True), v.line()
+    assert not v.passed and not rec.ok, v.line()
+
+
+def test_a_zero_chain_frame_exits_1(tmp_path):
+    # frame 0 of the twin is zero, so it has no chain rows: the chain slack
+    # PASSed at 0.0 over them and sobolev-route-uniformity was missing
+    cfg = tmp_path / "prop1.yaml"
+    cfg.write_text(yaml.safe_dump({"experiment": "prop1-sweep",
+                                   "params": {**PROP1_SMALL, "chain_frames": [0]}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 1
+    record = json.loads((tmp_path / "prop1-sweep" / "record.json").read_text())
+    failed = [(v["name"], math.isnan(v["measured"])) for v in record["verdicts"] if not v["passed"]]
+    assert failed == [("rate-chain-slack", True), ("sobolev-route-uniformity", True)]
+    assert len(record["verdicts"]) == 7
 
 
 def test_shifted_potential_fails_only_the_sup_bound(monkeypatch):
