@@ -9,7 +9,7 @@ from .measures import Grid, SignedDensity, density_from_function, jordan_decompo
 from .transport import Potential, TransportPlan, duality_gap, kr_distance, \
     potential_gradient_on_support, solve_dual, solve_primal, w_neg11_norm
 from .fields import ConstantField, E1StepField, OscillatoryField, PowerCuspField, SmoothShear2D, \
-    VelocityField, modulus, modulus_at, psi_one
+    VelocityField, modulus, psi_one
 from .pde import AprioriReport, CauchyData, SolutionTrajectory, apriori_lq_check, \
     eulerian_solve, lagrangian_solve
 from .estimates import StabilityInstance, build_eta, check_derivative_identity, check_prop1, \

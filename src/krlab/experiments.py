@@ -13,14 +13,13 @@ import math
 import time
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cost import bounded_log, cost_eval, cost_sup, truncated_linear
 from .estimates import (CHAIN_SLACK_TOL, SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
                         check_prop1, check_rate_bounds, lemma4_combine, linear_fit,
                         stability_rate, uniqueness_drive)
 from .fields import (TWO_PI, ConstantField, E1StepField, OscillatoryField, PowerCuspField,
-                     SmoothShear2D, _bump_f, modulus_gradient_integral)
+                     SmoothShear2D, _bump_f, gauss_legendre)
 from .measures import (Grid, SignedDensity, check_grid_size, density_from_function, lq_norm,
                        mean_zero_projection)
 from .pde import CauchyData, SolutionTrajectory, apriori_lq_check, eulerian_solve, \
@@ -47,8 +46,15 @@ PARAM_RANGES = {
     **dict.fromkeys(("deltas", "prop1_deltas", "delta_range", "eps_range", "radius", "horizon",
                      "horizon_2d", "ode_rtol", "rtol_coarse", "rtol_fine"),
                     (lambda x: 0 < x < math.inf, "finite and > 0")),
-    **dict.fromkeys(("cfl", "rs", "alpha", "l5_alpha"), (lambda x: 0 < x < 1, "in (0, 1)")),
+    **dict.fromkeys(("cfl", "rs", "l5_alpha"), (lambda x: 0 < x < 1, "in (0, 1)")),
     "n_frames": (lambda x: 2 <= x <= 65, "in [2, 65]"),
+    # prop1-sweep's cusp: its twin is W^{1,2}, and the gradient of
+    # |x - x0|^alpha is in L^2 only for alpha > 1/2 (else the L^2-route
+    # constants read NaN); amp 0 is a field that moves nothing, whose route
+    # constants read NaN; every finite x0 gives the same cusp, shifted
+    "alpha": (lambda x: 0.5 < x < 1, "in (1/2, 1)"),
+    "amp": (lambda x: 0 < x < math.inf, "finite and > 0"),
+    "x0": (math.isfinite, "finite"),
 }
 
 
@@ -83,7 +89,7 @@ def merge_params(name: str, params: dict | None) -> dict:
     its default's kind (an integer where the default is one, else a number,
     or a non-empty list of them; a ``*_range`` holds two increasing
     numbers), the key and range of a value outside ``PARAM_RANGES``, the
-    key of a sweep with fewer than two distinct values, a report delta
+    key of a sweep with fewer than two values or a repeated one, a report delta
     outside the sweep or a chain frame outside the stored frames, and the
     nearest powers of two for a grid size that is not one.
     """
@@ -113,11 +119,13 @@ def merge_params(name: str, params: dict | None) -> dict:
             every = "every entry " if isinstance(value, list) else ""
             raise ValueError(f"{key} = {value!r}: {every}must be {text}")
     # a fit or a ratio across a sweep reads two distinct values of it at
-    # least; transport-selftest's deltas only cycle over its instances
+    # least, and each entry as a new point; transport-selftest's deltas only
+    # cycle over its instances
     for key in ("deltas", "rs", "prop1_deltas", "ks", "translation_ns", "agreement_ns"):
-        if key in merged and name != "transport-selftest" and len(set(merged[key])) < 2:
+        if key in merged and name != "transport-selftest" and (
+                len(set(merged[key])) < max(2, len(merged[key]))):
             raise ValueError(f"{key} = {merged[key]!r}: a sweep needs at least two distinct "
-                             "values, which its fit or ratio reads")
+                             "values, each once, which its fit or ratio reads")
     # e1-example checks the closed form only at deltas it sweeps, and
     # prop1-sweep measures the chain only on frames it stores
     for i, delta in enumerate(merged.get("report_deltas", [])):
@@ -311,11 +319,16 @@ OSCILLATORY_DEFAULTS = {
 
 
 def _oscillatory_l1(k: int, T: float) -> float:
-    breaks = [m * math.pi / k for m in range(2 * k + 1)]
-    jacobian = OscillatoryField(k).jacobian_point(-T)
-    val, _ = quad(lambda y: abs(jacobian(y) - 1.0), 0.0, TWO_PI,
-                  points=breaks[1:-1], limit=800, epsabs=1e-11, epsrel=1e-11)
-    return val
+    """||rho_k(T) - 1||_{L^1}, rho_k(T) = J(-T, .): the fixed rule on the 4k
+    pieces of [0, 2 pi] between the cell edges m pi/k and the points where
+    J = 1, at tan(z/2) = e^(T/2) in even cells and e^(-T/2) in odd ones
+    (z = k y - m pi)."""
+    m = np.arange(2 * k)
+    cells = m * math.pi
+    ones = cells + 2.0 * np.arctan(np.exp(0.5 * T * (-1.0) ** m))
+    edges = np.sort(np.r_[cells, ones, 2 * k * math.pi]) / k
+    jacobian = OscillatoryField(k).exact_flow_jacobian
+    return gauss_legendre(lambda y: np.abs(jacobian(-T, y) - 1.0), edges)
 
 
 def run_oscillatory_example(p: dict) -> ExperimentRecord:
@@ -334,9 +347,12 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
         rec.row("sweep", k=k, l1_norm=l1, w_neg11=w, sup_flow_deviation=sup_dev,
                 k_times_dev=k * sup_dev)
         l1s.append(l1)
-    spread = np.max(l1s) - np.min(l1s)
-    rec.add("l1-scaling-agreement", spread, p["l1_agree_tol"],
-            detail=f"||rho_k(T)-1||_L1 across k={p['ks']}")
+    # the integral of J - 1 between its sign changes is the flow's
+    # displacement there, the same for every k
+    exact = 8.0 * (math.atan(math.exp(0.5 * T)) - math.atan(math.exp(-0.5 * T)))
+    rec.add("l1-scaling-agreement", np.max(np.abs(np.subtract(l1s, exact))), p["l1_agree_tol"],
+            detail=f"||rho_k(T)-1||_L1 at k={p['ks']} vs 8(atan e^(T/2) - atan e^(-T/2)) "
+                   f"= {exact:.6f}")
     decay = wnorms[0] / wnorms[-1] if not wnorms[-1] <= 0 else math.inf
     rec.add("w-neg11-decay-factor", decay, p["w_decay_factor"], comparator=">=",
             detail=f"k={p['ks'][0]} vs k={p['ks'][-1]}")
@@ -415,7 +431,7 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
 
     # W^{1,1}-route constants for a p = 1 cusp on a frozen frame
     l5field = PowerCuspField(p["l5_alpha"], x0=p["x0"], amp=p["amp"])
-    e_int = modulus_gradient_integral(l5field)
+    e_int = l5field.modulus_integral()
     c5_sweep = []
     for d in p["deltas"]:
         rb = check_rate_bounds(report.plans[d][-1], l5field, p=1.0, q=math.inf,

@@ -16,39 +16,52 @@ Field families:
 
 All fields are autonomous and share one interface (``VelocityField``).
 
-Point forms.  ``scipy.integrate.quad`` calls its integrand once per node with
-one Python float, and wrapping that float in an array to run 15-40 small
-numpy operations costs far more than the arithmetic.  So the fields and the
-modulus that feed a ``quad`` integral also have a point form that takes and
-returns one float: ``PowerCuspField.derivative_at``,
-``OscillatoryField.jacobian_point(t)`` and ``modulus_at``.
-A point form must stay bit-identical to its array form: the same IEEE
-operations in the same order, with exp, log, tan and power taken from the
-numpy ufuncs (``math.exp`` and the scalar ``**`` round differently), every
-square written ``t * t`` (what numpy does for ``** 2``), Python's ``round``
-(half to even, like ``np.round``) and ``max(x, c)`` for ``np.maximum`` (both
-keep a NaN ``x``).  A numpy call on one float costs about a microsecond, so
-a point form does no per-node work with a fixed answer: it computes a value
-that is constant over an integral once, when the integrand is built
-(``exp(+-t)`` of the Jacobian), and skips the cutoff's terms where the
-cutoff is exactly 1 or exactly 0 (and w' exactly -0.0).  The array forms
-stay for grid evaluations; ``tests/test_point_forms.py`` holds the two to
-``==``.
+Integrals over a period are a closed form where one exists, else a fixed
+64-point Gauss-Legendre rule (``gauss_legendre``) on the array forms, over
+pieces split at every kink of the integrand.  The cusp's integrals
+(``PowerCuspField.grad_norm_lp`` and ``.modulus_integral``) are twice a
+closed core on |x - x0| <= ``cut0``, where u' = amp*alpha*|x - x0|^(alpha-1),
+plus the rule on the cutoff band ``cut0`` <= |x - x0| <= ``cut1``, split
+where u' is -1, 0 or 1 (the kinks of |u'| and of e); beyond ``cut1`` u' = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import minimize_scalar
 
 from .measures import periodic_wrap
 
 TWO_PI = 2.0 * math.pi
+
+
+@functools.cache
+def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1]: Newton on
+    the Legendre recurrence from Tricomi's guesses.  Built at first use, not
+    at import, and not by ``leggauss``, whose LAPACK eigensolve maps about
+    1 MiB more: a run that integrates nothing pages in none of it."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(4):  # quadratic convergence from guesses within 1e-3
+        p0, p1 = np.ones(n), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        one = (1.0 - x) * (1.0 + x)
+        dp = n * (p0 - x * p1) / one  # P_n'(x)
+        x = x - p1 / dp
+    return x, 2.0 / (one * dp * dp)
+
+
+def gauss_legendre(g, edges) -> float:
+    """The integral of ``g``, an elementwise array function, from
+    ``edges[0]`` to ``edges[-1]``: the fixed rule on each piece between
+    consecutive edges, one call of ``g`` on every node."""
+    nodes, weights = gauss_legendre_rule(64)
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return float((g(lo + half * (nodes + 1.0)) * weights * half).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +83,6 @@ def _bump_fprime(t):
     return out
 
 
-def _bump_at(t: float) -> tuple[float, float]:
-    """(_bump_f(t), _bump_fprime(t)) at one float, bit for bit."""
-    if not t > 0:
-        return 0.0, 0.0
-    f = float(np.exp(-1.0 / t))
-    tt = t * t
-    return f, f / tt if tt else math.nan  # t*t underflows only where f is 0: 0/0
-
-
 def smoothstep_down(s, s0: float, s1: float):
     """C-infty function equal to 1 for s <= s0 and 0 for s >= s1."""
     t = (np.asarray(s, dtype=float) - s0) / (s1 - s0)
@@ -92,15 +96,6 @@ def smoothstep_down_prime(s, s0: float, s1: float):
     f1, f2 = _bump_f(1.0 - t), _bump_f(t)
     d1, d2 = -_bump_fprime(1.0 - t), _bump_fprime(t)
     return (d1 * f2 - f1 * d2) / (f1 + f2) ** 2 / (s1 - s0)
-
-
-def _smoothstep_down_at(s: float, s0: float, s1: float) -> tuple[float, float]:
-    """(smoothstep_down, smoothstep_down_prime) at one float, bit for bit."""
-    t = (s - s0) / (s1 - s0)
-    f1, d1 = _bump_at(1.0 - t)
-    f2, d2 = _bump_at(t)
-    total = f1 + f2
-    return f1 / total, (-d1 * f2 - f1 * d2) / (total * total) / (s1 - s0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +117,6 @@ class VelocityField:
 
     def exact_flow(self, t: float, pos: np.ndarray) -> np.ndarray | None:
         return None
-
-    def derivative_at(self, x: float) -> float:
-        """Point form of u' for a 1-d field (see the module docstring)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no point form: define derivative_at(x), which "
-            "returns u'(x) for one float x bit-identical to the array derivative, "
-            "to integrate its gradient with quad")
-
-    def singular_points(self) -> list[float]:
-        return []
 
 
 def _abs_cos_lp_factor(p: float) -> float:
@@ -200,23 +185,6 @@ class OscillatoryField(VelocityField):
         _, jac = _flow_unit_circle(t, self.k * np.asarray(pos, dtype=float))
         return jac
 
-    def jacobian_point(self, t: float) -> Callable[[float], float]:
-        """exact_flow_jacobian(t, .) at one float x, bit for bit: the Jacobian
-        half of _flow_unit_circle, whose exponent is +-t."""
-        k, exp_t, exp_neg_t = self.k, float(np.exp(t)), float(np.exp(-t))
-
-        def at(x: float) -> float:
-            y = k * x
-            m = math.floor(y / math.pi)
-            z = y - m * math.pi
-            lower = z <= math.pi / 2
-            s = float(np.tan((z if lower else math.pi - z) / 2.0))
-            e = exp_t if (m % 2 == 0) == lower else exp_neg_t
-            se = s * e
-            return e * (1.0 + s * s) / (1.0 + se * se)
-
-        return at
-
 
 class PowerCuspField(VelocityField):
     """Sign-symmetric |x - x0|^alpha cusp with a C-infty far cutoff.
@@ -247,40 +215,54 @@ class PowerCuspField(VelocityField):
         return self.amp * np.sign(xi) * a**self.alpha * smoothstep_down(a, self.cut0, self.cut1)
 
     def derivative(self, pos):
-        xi = self._xi(pos)
-        a = np.abs(xi)
+        return self._slope(np.abs(self._xi(pos)))
+
+    def _slope(self, a):
+        """u' at the distance ``a`` from the cusp (u' is even about x0)."""
         w = smoothstep_down(a, self.cut0, self.cut1)
         wp = smoothstep_down_prime(a, self.cut0, self.cut1)
         with np.errstate(divide="ignore"):
             core = self.alpha * a ** (self.alpha - 1.0)
         return self.amp * (core * w + a**self.alpha * wp)
 
-    def derivative_at(self, x: float) -> float:
-        """derivative at one float x, bit for bit."""
-        d = x - self.x0
-        a = abs(d - self.length * round(d / self.length))
-        if a >= self.cut1:  # w = 0.0 and w' = -0.0: core * 0.0 + a**alpha * -0.0
-            return self.amp * 0.0
-        core = math.inf if a == 0.0 else self.alpha * float(np.power(a, self.alpha - 1.0))
-        if a <= self.cut0:  # w = 1.0 and w' = -0.0: core * 1.0 + a**alpha * -0.0
-            return self.amp * core
-        w, wp = _smoothstep_down_at(a, self.cut0, self.cut1)
-        return self.amp * (core * w + float(np.power(a, self.alpha)) * wp)
-
     def divergence(self, t, pos):
         return self.derivative(pos)
 
-    def singular_points(self):
-        return [self.x0]
+    def _band_integral(self, g) -> float:
+        """The integral of g(u') over the cutoff band cut0 <= a <= cut1: the
+        fixed rule on the pieces between the points where u' is -1, 0 or 1,
+        each bracketed on a grid of the band and bisected to roundoff."""
+        levels = np.array([[-1.0], [0.0], [1.0]])
+        grid = np.linspace(self.cut0, self.cut1, 257)
+        f = self._slope(grid) - levels
+        i, j = np.nonzero(f[:, :-1] * f[:, 1:] < 0)
+        lo, hi, level, sign = grid[j], grid[j + 1], levels[i, 0], np.sign(f[i, j])
+        for _ in range(40):  # the grid step 2^-10 halved to below 1e-15
+            mid = 0.5 * (lo + hi)
+            right = np.sign(self._slope(mid) - level) == sign
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        edges = np.sort(np.r_[self.cut0, 0.5 * (lo + hi), self.cut1])
+        return gauss_legendre(lambda a: g(self._slope(a)), edges)
 
     def grad_norm_lp(self, p):
         if p >= self.p_max:
             return math.inf
         if p not in self._grad_norms:
-            val, _ = integrate.quad(lambda x: abs(self.derivative_at(x)) ** p,
-                                    0.0, 1.0, points=[self.x0], limit=400)
-            self._grad_norms[p] = val ** (1.0 / p)
+            c, k = abs(self.amp) * self.alpha, p * (self.alpha - 1.0) + 1.0
+            core = c**p * self.cut0**k / k  # of |u'|^p = (c a^(alpha-1))^p over [0, cut0]
+            band = self._band_integral(lambda d: np.abs(d) ** p)
+            self._grad_norms[p] = (2.0 * (core + band)) ** (1.0 / p)
         return self._grad_norms[p]
+
+    def modulus_integral(self) -> float:
+        """|| e(|u'|) ||_{L^1} over one period; it does not depend on x0."""
+        c, al = abs(self.amp) * self.alpha, self.alpha
+        top = min(c ** (1.0 / (1.0 - al)), self.cut0)  # |u'| >= 1 on a <= top
+        # of e(|u'|) over [0, cut0]: |u'| everywhere, and |u'| log|u'| on
+        # [0, top], where int_0^A a^(al-1) log a da = A^al (log A / al - 1/al^2)
+        core = c * self.cut0**al / al + c * top**al * (
+            math.log(c) / al + (al - 1.0) * (math.log(top) / al - 1.0 / al**2))
+        return 2.0 * (core + self._band_integral(lambda d: modulus(np.abs(d))))
 
 
 class SmoothShear2D(VelocityField):
@@ -342,78 +324,23 @@ def modulus(xi):
     return x * (1.0 + np.maximum(np.log(np.maximum(x, 1e-300)), 0.0))
 
 
-def modulus_at(x: float) -> float:
-    """``modulus`` at one float, bit for bit."""
-    return x * (1.0 + max(float(np.log(max(x, 1e-300))), 0.0))
-
-
-_PSI_LOG_GRID = np.linspace(math.log(1e-12), math.log(1e10), 3001)  # log M scanned by psi_one
-
-
-def _psi_one_scan(L: float) -> np.ndarray:
-    """M + M/e(M) * L at each M = exp(_PSI_LOG_GRID), with e applied once to
-    the whole grid: bit for bit the objective psi_one minimizes."""
-    ms = np.array([math.exp(g) for g in _PSI_LOG_GRID])
-    return ms + ms / modulus(ms) * L
-
-
 def psi_one(delta: float) -> float:
-    """inf over M > 0 of  M + M/e(M) * (|log delta| + 1).
+    """inf over M > 0 of  M + M/e(M) * L, with L = |log delta| + 1.
 
-    Scanned on a log-spaced M grid and refined by golden-section around the
-    best grid point (the objective is unimodal in log M).
+    For M < 1 the objective is M + L, whose infimum is L.  For M >= 1, with
+    s = 1 + log M, it is e^(s-1) + L/s, least where log s + s/2 = (1 + log L)/2
+    (a Lambert W equation), so psi_1 = min(L, e^(s-1) + L/s); a root s < 1
+    gives e^(s-1) + L/s > L.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     L = abs(math.log(delta)) + 1.0
-
-    def obj(logm: float) -> float:
-        m = math.exp(logm)
-        return m + m / modulus_at(m) * L
-
-    grid = _PSI_LOG_GRID
-    vals = _psi_one_scan(L)
-    i = int(np.argmin(vals))
-    best = vals[i]
-    if 0 < i < len(grid) - 1:
-        res = minimize_scalar(obj, bracket=(grid[i - 1], grid[i], grid[i + 1]), method="golden",
-                              options={"xtol": 1e-12})
-        best = min(best, float(res.fun))
-    return float(best)
-
-
-def modulus_gradient_integral(field: VelocityField) -> float:
-    """|| e(|grad u|) ||_{L^1} over one period of a 1-d field.
-
-    The integrand is the point forms ``derivative_at`` and ``modulus_at``.
-    Integrable gradient blow-ups at the field's singular points are handled
-    by dyadic subdivision towards the singularity.  Evaluation works in
-    absolute coordinates, so the resolved neighborhood of a singular point
-    floors at its float ulp; for the steepest admissible cusp this leaves a
-    ~1e-3 relative tail, far below the fitted-constant resolution these
-    integrals feed.
-    """
-    if field.dim != 1:
-        raise ValueError("implemented for 1-d fields")
-
-    def f(x):
-        return modulus_at(abs(field.derivative_at(x)))
-
-    sing = sorted(s for s in field.singular_points() if 0.0 < s < field.length)
-    edges = [0.0] + sing + [field.length]
-    total = 0.0
-    with warnings.catch_warnings():
-        # e(xi) = xi(1+log+ xi) has a kink at xi = 1; quad resolves it far
-        # beyond the fitted-constant accuracy but flags the slow convergence
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            # dyadic refinement towards both endpoints (possible singularities)
-            pts = [a + (b - a) * 2.0**-j for j in range(60, 0, -1)]
-            pts += [b - (b - a) * 2.0**-j for j in range(1, 61)]
-            pts = [a] + [x for x in pts if a < x < b] + [b]
-            for lo, hi in zip(pts[:-1], pts[1:]):
-                if hi - lo <= 0:
-                    continue
-                val, _ = integrate.quad(f, lo, hi, limit=200)
-                total += val
-    return total
+    b = 0.5 * (1.0 + math.log(L))
+    # Newton on the concave increasing log s + s/2 - b rises monotonically
+    # to its root from s = 1, where it is <= 0 (L >= 1)
+    s = 1.0
+    while True:
+        nxt = s + (b - math.log(s) - 0.5 * s) / (1.0 / s + 0.5)
+        if not nxt > s:
+            return min(L, math.exp(s - 1.0) + L / s)
+        s = nxt

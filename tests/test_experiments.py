@@ -290,7 +290,7 @@ def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
      "deltas = [0.1, nan]: every entry must be finite and > 0"),
     # each of these ended in a traceback with exit 1, some after the PDE and
     # transport work, and ode_rtol = -1.0 exited 0
-    ("prop1-sweep", {"alpha": 1.5}, "alpha = 1.5: must be in (0, 1)"),
+    ("prop1-sweep", {"alpha": 1.5}, "alpha = 1.5: must be in (1/2, 1)"),
     ("prop1-sweep", {"l5_alpha": 1.5}, "l5_alpha = 1.5: must be in (0, 1)"),
     ("prop1-sweep", {"ode_rtol": -1.0}, "ode_rtol = -1.0: must be finite and > 0"),
     ("stability-rate", {"prop1_deltas": [-0.1]},
@@ -316,6 +316,20 @@ def test_count_below_one_is_refused(tmp_path, capsys, experiment, key):
      "translation_ns = [64]: a sweep needs at least two distinct"),
     ("pde-convergence", {"agreement_ns": [64]},
      "agreement_ns = [64]: a sweep needs at least two distinct"),
+    # a repeated value: e1-example wrote e1-closed-form-delta=0.1 twice and
+    # fitted its slope with that point counted twice; prop1-sweep solved it twice
+    ("e1-example", {"deltas": [0.1, 0.1, 0.01]},
+     "deltas = [0.1, 0.1, 0.01]: a sweep needs at least two distinct values, each once"),
+    ("prop1-sweep", {"deltas": [0.1, 0.1, 0.01]},
+     "deltas = [0.1, 0.1, 0.01]: a sweep needs at least two distinct values, each once"),
+    ("oscillatory-example", {"ks": [1, 4, 4]},
+     "ks = [1, 4, 4]: a sweep needs at least two distinct values, each once"),
+    # prop1-sweep's cusp: alpha <= 1/2 FAILed sobolev-route-uniformity at nan
+    # (its gradient is not in L^2), and amp = 0 three verdicts at nan
+    ("prop1-sweep", {"alpha": 0.5}, "alpha = 0.5: must be in (1/2, 1)"),
+    ("prop1-sweep", {"amp": 0.0}, "amp = 0.0: must be finite and > 0"),
+    ("prop1-sweep", {"amp": math.inf}, "amp = inf: must be finite and > 0"),
+    ("prop1-sweep", {"x0": math.nan}, "x0 = nan: must be finite"),
 ])
 def test_param_out_of_range_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                        experiment, params, message):

@@ -1,119 +1,67 @@
-"""Point forms (one float in, one float out) against their array forms, and
-the quad integrals built on them against the integrands they replaced.
+"""Point forms (one float in, one float out, scalar code) against the array
+forms, and the integrals built on the array forms against kink-split
+quadrature of the integrands written out per node.
 
-Every comparison is bit for bit: a point form that rounds differently from
-its array form moves verdict bytes."""
+The point forms live here as oracles of the array forms, which compute the
+integrals: a Python transcription of each definition that must agree with
+the array form bit for bit.  The integral references are adaptive
+quadrature of the same integrand (``reference_integrals``); they agree with
+the fixed rule to the rule's accuracy, not to the bit."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import minimize_scalar
+from reference_integrals import dense_psi_scan, oscillatory_split_quad, split_quad
 
 from krlab.experiments import _oscillatory_l1
-from krlab.fields import (ConstantField, OscillatoryField, PowerCuspField, _bump_at, _bump_f,
-                          _bump_fprime, _psi_one_scan, _smoothstep_down_at, modulus, modulus_at,
-                          modulus_gradient_integral, psi_one, smoothstep_down,
-                          smoothstep_down_prime)
+from krlab.fields import (OscillatoryField, PowerCuspField, _bump_f, _bump_fprime, modulus,
+                          psi_one, smoothstep_down, smoothstep_down_prime)
 
 TWO_PI = 2.0 * math.pi
 
-# the oracles below evaluate the array form of the modulus on each float;
+# the references below evaluate the array form of the modulus on each float;
 # the cases that use it name it in their ids
 ARRAY_MODULUS = [pytest.param(modulus, id="xi*(1+log+xi)")]
 
 
 # ---------------------------------------------------------------------------
-# the integrands and the scan used before the point forms: the oracles
+# the point forms: exp, log, tan and power from the numpy ufuncs (math.exp
+# and the scalar ** round differently), every square written t * t
 
-def _old_oscillatory_l1(k, T):
-    field = OscillatoryField(k)
-    breaks = [m * math.pi / k for m in range(2 * k + 1)]
-    val, _ = quad(lambda y: abs(float(field.exact_flow_jacobian(-T, np.array([y]))[0]) - 1.0),
-                  0.0, TWO_PI, points=breaks[1:-1], limit=800, epsabs=1e-11, epsrel=1e-11)
-    return val
-
-
-def _old_grad_norm_lp(field, p, as_array=False):
-    """as_array passes each node as a 1-element array instead of a float, so
-    the powers inside ``derivative`` run in numpy's array loop and not in
-    its scalar ``**`` (C pow), which rounds differently on some nodes."""
-    def f(x):
-        d = field.derivative(np.array([x]))[0] if as_array else field.derivative(x)
-        return float(np.abs(d)) ** p
-
-    val, _ = quad(f, 0.0, 1.0, points=[field.x0], limit=400)
-    return val ** (1.0 / p)
+def _bump_at(t):
+    """(_bump_f(t), _bump_fprime(t)) at one float."""
+    if not t > 0:
+        return 0.0, 0.0
+    f = float(np.exp(-1.0 / t))
+    tt = t * t
+    return f, f / tt if tt else math.nan  # t*t underflows only where f is 0: 0/0
 
 
-def _old_modulus_gradient_integral(field):
-    return _dyadic_quad(lambda x: float(modulus(float(np.abs(field.derivative(x))))), field)
+def _smoothstep_down_at(s, s0, s1):
+    """(smoothstep_down, smoothstep_down_prime) at one float."""
+    t = (s - s0) / (s1 - s0)
+    f1, d1 = _bump_at(1.0 - t)
+    f2, d2 = _bump_at(t)
+    total = f1 + f2
+    return f1 / total, (-d1 * f2 - f1 * d2) / (total * total) / (s1 - s0)
 
 
-def _dyadic_quad(f, field):
-    """modulus_gradient_integral's subdivision and summation, with integrand f."""
-    sing = sorted(s for s in field.singular_points() if 0.0 < s < field.length)
-    edges = [0.0] + sing + [field.length]
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in zip(edges[:-1], edges[1:]):
-            pts = [a + (b - a) * 2.0**-j for j in range(60, 0, -1)]
-            pts += [b - (b - a) * 2.0**-j for j in range(1, 61)]
-            pts = [a] + [x for x in pts if a < x < b] + [b]
-            for lo, hi in zip(pts[:-1], pts[1:]):
-                if hi - lo <= 0:
-                    continue
-                val, _ = quad(f, lo, hi, limit=200)
-                total += val
-    return total
-
-
-def _old_psi_one_obj(e, L, logm):
-    m = math.exp(logm)
-    return m + m / float(e(m)) * L
-
-
-def _old_psi_one_scan(e, L):
-    grid = np.linspace(math.log(1e-12), math.log(1e10), 3001)
-    return np.array([_old_psi_one_obj(e, L, g) for g in grid])
-
-
-def _old_psi_one(e, delta):
-    L = abs(math.log(delta)) + 1.0
-
-    def obj(logm):
-        return _old_psi_one_obj(e, L, logm)
-
-    grid = np.linspace(math.log(1e-12), math.log(1e10), 3001)
-    vals = _old_psi_one_scan(e, L)
-    i = int(np.argmin(vals))
-    best = vals[i]
-    if 0 < i < len(grid) - 1:
-        res = minimize_scalar(obj, bracket=(grid[i - 1], grid[i], grid[i + 1]), method="golden",
-                              options={"xtol": 1e-12})
-        best = min(best, float(res.fun))
-    return float(best)
-
-
-# ---------------------------------------------------------------------------
-# the point forms that did all their work at every node, and the integrals
-# on them: the oracles of the per-integral constants and the cutoff shortcuts
-
-def _full_derivative_at(f, x):
-    """PowerCuspField.derivative_at with the cutoff evaluated at every node."""
-    d = x - f.x0
-    a = abs(d - f.length * round(d / f.length))
+def _slope_at(f, a):
+    """The cusp's u' at the float distance a from x0, the cutoff at every a."""
     w, wp = _smoothstep_down_at(a, f.cut0, f.cut1)
     core = math.inf if a == 0.0 else f.alpha * float(np.power(a, f.alpha - 1.0))
     return f.amp * (core * w + float(np.power(a, f.alpha)) * wp)
 
 
-def _per_node_jacobian_at(field, t, x):
-    """OscillatoryField's Jacobian point form with exp(+-t) taken at every node."""
+def _derivative_at(f, x):
+    """The cusp's u' at one float x (Python's round is half to even, like np.round)."""
+    d = x - f.x0
+    return _slope_at(f, abs(d - f.length * round(d / f.length)))
+
+
+def _jacobian_at(field, t, x):
+    """OscillatoryField.exact_flow_jacobian(t, .) at one float x."""
     y = field.k * x
     m = math.floor(y / math.pi)
     z = y - m * math.pi
@@ -125,22 +73,9 @@ def _per_node_jacobian_at(field, t, x):
     return e * (1.0 + s * s) / (1.0 + se * se)
 
 
-def _per_node_oscillatory_l1(k, T):
-    field = OscillatoryField(k)
-    breaks = [m * math.pi / k for m in range(2 * k + 1)]
-    val, _ = quad(lambda y: abs(_per_node_jacobian_at(field, -T, y) - 1.0), 0.0, TWO_PI,
-                  points=breaks[1:-1], limit=800, epsabs=1e-11, epsrel=1e-11)
-    return val
-
-
-def _per_node_grad_norm_lp(f, p):
-    val, _ = quad(lambda x: abs(_full_derivative_at(f, x)) ** p, 0.0, 1.0, points=[f.x0],
-                  limit=400)
-    return val ** (1.0 / p)
-
-
-def _per_node_modulus_gradient_integral(field, e):
-    return _dyadic_quad(lambda x: float(e(abs(_full_derivative_at(field, x)))), field)
+def _modulus_at(x):
+    """``modulus`` at one float (max(x, c) keeps a NaN x, like np.maximum)."""
+    return x * (1.0 + max(float(np.log(max(x, 1e-300))), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +90,7 @@ def _same_bits(got, expected):
 
 
 def _at_points(fn, xs):
-    """fn at each entry of xs, passed as the Python float quad passes."""
+    """fn at each entry of xs, passed as a Python float."""
     out = [fn(x) for x in np.asarray(xs, dtype=float).tolist()]
     assert all(type(v) is float for v in out)
     return out
@@ -199,9 +134,7 @@ def test_cusp_derivative_point_form_is_bit_identical(alpha, x0):
         xs = _cusp_points(f)
         with np.errstate(divide="ignore"):
             expected = f.derivative(xs)
-        got = _at_points(f.derivative_at, xs)
-        assert _same_bits(got, expected), amp
-        assert _same_bits(got, [_full_derivative_at(f, x) for x in xs.tolist()]), amp
+        assert _same_bits(_at_points(lambda x: _derivative_at(f, x), xs), expected), amp
 
 
 def _oscillatory_points(k):
@@ -218,7 +151,7 @@ MODULUS_POINTS = np.concatenate([np.logspace(-320, 300, 20001),
 def test_modulus_point_form_is_bit_identical():
     with np.errstate(over="ignore"):
         expected = modulus(MODULUS_POINTS)
-    assert _same_bits(_at_points(modulus_at, MODULUS_POINTS), expected)
+    assert _same_bits(_at_points(_modulus_at, MODULUS_POINTS), expected)
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
@@ -226,86 +159,98 @@ def test_oscillatory_jacobian_point_form_is_bit_identical(k):
     field = OscillatoryField(k)
     xs = _oscillatory_points(k)
     for t in np.linspace(-2.0, 2.0, 21).tolist() + [1.0, -1.0, 0.5, -0.5, 0.0, -0.0]:
-        got = _at_points(field.jacobian_point(t), xs)
+        got = _at_points(lambda x: _jacobian_at(field, t, x), xs)
         assert _same_bits(got, field.exact_flow_jacobian(t, xs)), t
-        assert _same_bits(got, [_per_node_jacobian_at(field, t, x) for x in xs.tolist()]), t
 
 
 # ---------------------------------------------------------------------------
-# the integrals against the old integrands
+# the integrals against kink-split quadrature of the integrand evaluated one
+# float at a time: through the array form ("array integrand"), the array
+# form on a float ("old integrand") or the point forms ("per node").  The
+# cusp's integrals do not depend on x0, so the references integrate over the
+# distance a from the cusp, where floats near the cusp keep their precision.
+
+# at an even p, |u'|^p is smooth across the zero of u'; elsewhere it has an
+# (a - r)^p end there, on which the fixed rule converges algebraically
+def _lp_rel(p):
+    return 1e-12 if p % 2 == 0 else 1e-9
+
+
+def _array_slope(f):
+    """u' at one float distance a, through the array derivative of f's twin
+    with the cusp at 0 (where x = a exactly)."""
+    twin = PowerCuspField(f.alpha, x0=0.0, amp=f.amp)
+    return lambda a: float(twin.derivative(np.array([a]))[0])
+
+
+def _lp_reference(f, p, slope):
+    return split_quad(f, lambda xi: xi**p, slope) ** (1.0 / p)
+
+
+def _osc_reference(k, T, jacobian_at):
+    return oscillatory_split_quad(OscillatoryField(k), T, jacobian_at)
+
 
 @pytest.mark.parametrize("k", [1, 4, 16])
 def test_oscillatory_l1_matches_the_array_integrand(k):
-    assert _oscillatory_l1(k, 1.0) == _old_oscillatory_l1(k, 1.0)
+    field = OscillatoryField(k)
+    ref = _osc_reference(k, 1.0, lambda y: float(field.exact_flow_jacobian(-1.0, np.array([y]))[0]))
+    assert _oscillatory_l1(k, 1.0) == pytest.approx(ref, rel=0.0, abs=1e-13)
 
 
 def test_oscillatory_l1_matches_the_array_integrand_at_another_horizon():
-    assert _oscillatory_l1(4, 0.37) == _old_oscillatory_l1(4, 0.37)
+    field = OscillatoryField(4)
+    ref = _osc_reference(4, 0.37,
+                         lambda y: float(field.exact_flow_jacobian(-0.37, np.array([y]))[0]))
+    assert _oscillatory_l1(4, 0.37) == pytest.approx(ref, rel=0.0, abs=1e-13)
 
 
 def test_grad_norm_lp_matches_the_old_integrand_at_the_prop1_cusp():
     f = PowerCuspField(0.6, x0=0.31, amp=0.4)
-    assert f.grad_norm_lp(2.0) == _old_grad_norm_lp(f, 2.0)
-
-
-def test_old_integrand_took_powers_through_the_scalar_path():
-    """Why the float-fed old integrands are oracles only at the cusps the
-    experiments integrate: on a 0-d input ``derivative`` took its powers
-    through numpy's scalar ``**``, one ulp off the array loop at this node
-    where numpy runs its AVX-512 (X86_V4) power loop; without it the two
-    agree here.  The integrals there still agree to the bit; grad_norm_lp at
-    p = 1.5 or 1.2 moves in the last digit."""
-    f = PowerCuspField(0.6, x0=0.31, amp=0.4)
-    x = 0.38561788432768623
-    assert f.derivative_at(x) == f.derivative(np.array([x]))[0]
-    if __cpu_features__.get("X86_V4"):
-        assert f.derivative_at(x) != f.derivative(x)
+    twin = PowerCuspField(f.alpha, x0=0.0, amp=f.amp)
+    ref = _lp_reference(f, 2.0, lambda a: float(twin.derivative(a)))
+    assert f.grad_norm_lp(2.0) == pytest.approx(ref, rel=_lp_rel(2.0), abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, p", [(0.6, 2.0), (0.6, 1.5), (0.25, 1.2)])
 def test_grad_norm_lp_matches_the_array_integrand(alpha, p):
     f = PowerCuspField(alpha, x0=0.31, amp=0.4)
-    assert f.grad_norm_lp(p) == _old_grad_norm_lp(f, p, as_array=True)
+    ref = _lp_reference(f, p, _array_slope(f))
+    assert f.grad_norm_lp(p) == pytest.approx(ref, rel=_lp_rel(p), abs=0.0)
 
 
 @pytest.mark.parametrize("alpha, x0", [(0.25, 0.31), (0.6, 0.5)])
 def test_modulus_gradient_integral_matches_the_old_integrand(alpha, x0):
     f = PowerCuspField(alpha, x0=x0, amp=0.4)
-    assert modulus_gradient_integral(f) == _old_modulus_gradient_integral(f)
+    slope = _array_slope(f)
+    ref = split_quad(f, lambda xi: float(modulus(xi)), slope)
+    assert f.modulus_integral() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("k, T", [(1, 1.0), (4, 1.0), (16, 1.0), (4, 0.37)])
 def test_oscillatory_l1_matches_the_per_node_integrand(k, T):
-    assert _oscillatory_l1(k, T) == _per_node_oscillatory_l1(k, T)
+    field = OscillatoryField(k)
+    ref = _osc_reference(k, T, lambda y: _jacobian_at(field, -T, y))
+    assert _oscillatory_l1(k, T) == pytest.approx(ref, rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("alpha, x0, p", [(0.6, 0.31, 2.0), (0.6, 0.31, 1.5), (0.25, 0.31, 1.2),
                                           (0.6, 0.0, 2.0)])
 def test_grad_norm_lp_matches_the_per_node_integrand(alpha, x0, p):
     f = PowerCuspField(alpha, x0=x0, amp=0.4)
-    assert f.grad_norm_lp(p) == _per_node_grad_norm_lp(f, p)
+    ref = _lp_reference(f, p, lambda a: _slope_at(f, a))
+    assert f.grad_norm_lp(p) == pytest.approx(ref, rel=_lp_rel(p), abs=0.0)
 
 
 @pytest.mark.parametrize("e", ARRAY_MODULUS)
 @pytest.mark.parametrize("alpha, x0", [(0.25, 0.31), (0.6, 0.31), (0.6, 0.0)])
 def test_modulus_gradient_integral_matches_the_per_node_integrand(alpha, x0, e):
     f = PowerCuspField(alpha, x0=x0, amp=0.4)
-    assert modulus_gradient_integral(f) == _per_node_modulus_gradient_integral(f, e)
+    ref = split_quad(f, lambda xi: float(e(xi)), lambda a: _slope_at(f, a))
+    assert f.modulus_integral() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("e", ARRAY_MODULUS)
 def test_psi_one_matches_the_pointwise_scan(e):
     for delta in (0.9, 0.5, 1e-1, 1e-2, 1e-4, 1e-8, 1e-12):
-        assert psi_one(delta) == _old_psi_one(e, delta), delta
-
-
-@pytest.mark.parametrize("e", ARRAY_MODULUS)
-def test_psi_one_scan_is_bit_identical_to_the_pointwise_scan(e):
-    for delta in (0.9, 1e-2, 1e-8):
-        L = abs(math.log(delta)) + 1.0
-        assert _same_bits(_psi_one_scan(L), _old_psi_one_scan(e, L))
-
-
-def test_field_without_a_point_form_names_the_fix():
-    with pytest.raises(NotImplementedError, match="derivative_at"):
-        modulus_gradient_integral(ConstantField([1.0]))
+        assert psi_one(delta) == pytest.approx(dense_psi_scan(delta, e), rel=1e-14, abs=0.0), delta
