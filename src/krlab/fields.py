@@ -118,6 +118,12 @@ class VelocityField:
     def exact_flow(self, t: float, pos: np.ndarray) -> np.ndarray | None:
         return None
 
+    def component(self, t: float, pos: np.ndarray, axis: int) -> np.ndarray:
+        """The velocity's ``axis`` component at ``pos`` (shape (..., 2)), as
+        ``field(t, pos)[..., axis]``; a field may give it without computing
+        the other."""
+        return np.asarray(self(t, pos))[..., axis]
+
 
 def _abs_cos_lp_factor(p: float) -> float:
     # mean of |cos|^p over a period: Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2+1))
@@ -198,6 +204,11 @@ class PowerCuspField(VelocityField):
     def __init__(self, alpha: float, x0: float = 0.5, amp: float = 0.4):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        # amp 0 has no core slope to take the log of, in modulus_integral
+        if not (math.isfinite(amp) and amp != 0.0):
+            raise ValueError(f"amp must be finite and nonzero, got {amp}")
+        if not math.isfinite(x0):
+            raise ValueError(f"x0 must be finite, got {x0}")
         self.alpha, self.x0, self.amp = alpha, x0, amp
         self.name = f"power_cusp:{alpha:g}"
         self._grad_norms: dict[float, float] = {}  # by p; the field is never mutated
@@ -280,6 +291,10 @@ class SmoothShear2D(VelocityField):
         out = np.zeros_like(p)
         out[..., 0] = self._u1(p[..., 1])
         return out
+
+    def component(self, t, pos, axis):
+        p = np.asarray(pos, dtype=float)
+        return self._u1(p[..., 1]) if axis == 0 else np.zeros(p.shape[:-1])
 
     def divergence(self, t, pos):
         p = np.asarray(pos, dtype=float)

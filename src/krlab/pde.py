@@ -17,12 +17,14 @@ or one constant-in-time value per cell.
   form, so the discrete mass balance telescopes exactly on the torus, and it
   adds the source, if there is one, at every step.  Where one axis moves
   (every field an experiment advects), each grid line along it is an
-  independent 1-d problem: the lines are stepped in slabs that fit in cache,
-  each slab through every step of the horizon before the next, in place in
-  contiguous buffers that start on cache lines.  A field that moves both
-  axes is one slab, the whole grid.  Where exactly one axis moves and h is a
-  power of two, ``/ h`` and ``* dt`` fold into one exact multiply by
-  ``dt / h``.  An axis whose face velocities are all zero adds no flux.
+  independent 1-d problem: the lines are stepped in slabs that fit in one
+  core's cache, each slab through every step of the horizon, in place in
+  contiguous buffers that start on cache lines.  The calling thread and one
+  helper thread per further CPU share the slabs out, bit for bit; the caller
+  allocates every buffer and makes every ``source_at`` call.  A field that
+  moves both axes is one slab, the whole grid.  Where exactly one axis moves
+  and h is a power of two, ``/ h`` and ``* dt`` fold into one exact multiply
+  by ``dt / h``.  An axis whose face velocities are all zero adds no flux.
 
 Both solvers emit snapshots at a shared uniform time grid, which is what the
 stability harness diffs.  Fields with discontinuous characteristics
@@ -33,6 +35,8 @@ ad-hoc Filippov convention.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -232,20 +236,30 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
 
 # cells per slab of the upwind sweep.  A slab's density, face velocities,
 # flux and difference buffers are 256 KiB each at this size, so all steps of
-# the horizon pass over a working set that stays in one core's 2 MiB L2
-# cache instead of streaming each full-grid array through it once per step.
-# The 512^2 shear solve was fastest at 2^15 cells, 4% slower at 2^14, 22% at
-# 2^16 and 25% at 2^13 (2-CPU x86-64 host).  The face velocities are
-# evaluated in blocks of rows of this size too
+# the horizon pass over a working set that stays in the 2 MiB L2 cache of
+# the core that steps it, instead of streaming each full-grid array through
+# it once per step; each worker thread keeps its own slab in its own core's
+# L2.  The 512^2 shear solve was fastest at 2^15 cells, 4% slower at 2^14,
+# 22% at 2^16 and 25% at 2^13 (one thread, 2-CPU x86-64 host).  Smaller
+# slabs spend more of each step holding the GIL, so on two threads 2^13 and
+# 2^14 took 187 and 118 ms, against 118 and 91 ms on one, where 2^15 took
+# 59 ms against 82.  The face velocities are evaluated in blocks of rows of
+# this size too
 BLOCK_CELLS = 1 << 15
+
+# the CPUs this process may run on: the most worker threads, the calling
+# one included, that step the slabs of one solve
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 
 
 def _face_velocities(u: VelocityField, grid: Grid):
     """Velocity normal to each cell's lower face; fields are autonomous.  The
     2-d field is evaluated at one block of rows of faces, at most
-    ``BLOCK_CELLS`` cells, at a time, and each component is written straight
-    into its contiguous (n, n) array, so no full-grid points or (n, n, 2)
-    field output is built."""
+    ``BLOCK_CELLS`` cells, at a time, and only the component normal to the
+    faces (``VelocityField.component``) is written straight into its
+    contiguous (n, n) array, so no full-grid points or (n, n, 2) field output
+    is built."""
     n, h = grid.n, grid.h
     edges = np.arange(n) * h
     if grid.dim == 1:
@@ -260,10 +274,10 @@ def _face_velocities(u: VelocityField, grid: Grid):
         # x-faces at (edges[i], c[j]), y-faces at (c[i], edges[j])
         p[..., 0] = edges[i0:i1, None]
         p[..., 1] = c
-        ux[i0:i1] = np.asarray(u(0.0, p))[..., 0]
+        ux[i0:i1] = u.component(0.0, p, 0)
         p[..., 0] = c[i0:i1, None]
         p[..., 1] = edges
-        uy[i0:i1] = np.asarray(u(0.0, p))[..., 1]
+        uy[i0:i1] = u.component(0.0, p, 1)
     return ux, uy
 
 
@@ -285,10 +299,10 @@ def _flux_ops(uf, own, rho, cells, below, out) -> list:
     masked to the cells where ``own`` (u <= 0) is set, bound to views of
     ``rho`` that stay valid as it is updated.  Face 0's one line of cells
     broadcasts to the two ends of ``out`` it is written to."""
-    ops = [partial(np.multiply, uf[cells], rho[below], out=out)]
+    ops = [partial(np.multiply, uf[cells], rho[below], out)]
     if own is None:
         return ops
-    return ops + [partial(np.multiply, uf[cells], rho[cells], out=out, where=own[cells])]
+    return ops + [partial(np.multiply, uf[cells], rho[cells], out, where=own[cells])]
 
 
 def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
@@ -321,6 +335,24 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     so both forms round the same real number once.  With two moving axes, or
     any other h, the step divides and then multiplies, as folding would
     change the rounding.
+
+    The slabs are independent, so they are stepped on every CPU the process
+    may use: with w = min(``CPUS``, slabs) workers, the calling thread steps
+    slabs 0, w, 2w, ... and helper thread k steps slabs k, k + w, ...; a solve
+    of one slab starts no thread.  Each worker keeps the slab it steps in its
+    own core's L2 cache, and writes only that slab's lines of the frames.
+    The calling thread allocates every worker's buffers, once per solve and
+    sized for the widest slab, before any helper starts: a narrower slab
+    takes the leading part of each flat buffer.  A thread that allocated its
+    own would get a fresh glibc malloc arena, which raised the pde benchmark
+    workload's peak RSS by 1.8 MiB in a prototype.  The helpers hold the GIL
+    only to bind and dispatch ufunc calls, and every per-step call passes
+    ``out`` positionally, which numpy dispatches faster than a keyword (1.17
+    against 1.37 us a bound multiply of a small array), so each thread holds
+    the GIL for less of each step.  The schedule, and with it every
+    ``source_at`` call, is built in the calling thread before any helper
+    starts.  An error in a helper is raised in the calling thread after
+    every helper has been joined; no thread outlives the call.
 
     ``meta`` records the number of ``steps``, ``dt_max`` and the discrete
     ``mass_defect``: the mass change less the mass the source added.
@@ -359,43 +391,89 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     frames[0] = data.initial.values
     width = lines(frames[0]).shape[1]
     slab = width if len(moving) > 1 else max(1, BLOCK_CELLS // n)
-    for j0 in range(0, width, slab):
-        cols = slice(j0, min(j0 + slab, width))
-        rho = _lined((n, cols.stop - j0))
-        rho[...] = lines(frames[0])[:, cols]
-        d = _lined(rho.shape)
-        # each step's calls that depend on neither dt nor the source, bound
-        # once per slab: per moving slab axis its fluxes (face 0 first,
-        # written to both ends of the axis), their difference and the sum of
-        # the two axes' terms
-        ops = []
-        for s, whole in enumerate(moving.values()):
-            uf = _lined(rho.shape)
-            uf[...] = lines(whole)[:, cols]
-            own = uf <= 0 if np.any(uf <= 0) else None
-            out = d if s == 0 else _lined(rho.shape)
-            flux = _lined(rho.shape[:s] + (n + 1,) + rho.shape[s + 1:])  # faces 0..n
+    starts = range(0, width, slab)
+    workers = min(CPUS, len(starts))
 
-            def at(sl):  # the index of sl along slab axis s
-                return (slice(None),) * s + (sl,)
-            ops += _flux_ops(uf, own, rho, at(np.s_[:1]), at(np.s_[n - 1:]), flux[at(np.s_[::n])])
-            ops += _flux_ops(uf, own, rho, at(np.s_[1:]), at(np.s_[:-1]), flux[at(np.s_[1:n])])
-            ops.append(partial(np.subtract, flux[at(np.s_[1:])], flux[at(np.s_[:-1])], out=out))
-            if not fold:
-                ops.append(partial(np.divide, out, h, out=out))
-            if s > 0:
-                ops.append(partial(np.add, d, out, out=d))
-        for frame, steps in zip(frames[1:], schedule):
-            for scale, dt, f in steps:
-                for op in ops:
-                    op()
-                if moving:
-                    np.multiply(d, scale, out=d)
-                    np.subtract(rho, d, out=rho)
-                if f is not None:
-                    np.multiply(lines(f)[:, cols], dt, out=d)
-                    np.add(rho, d, out=rho)
-            lines(frame)[:, cols] = rho
+    def buffers():
+        """One worker's flat buffers for its widest slab: rho and d, and per
+        moving axis its face velocities, their u <= 0 mask, the difference
+        (d itself on the first axis) and the n + 1 faces."""
+        size = n * min(slab, width)
+        return _lined((size,)), _lined((size,)), [
+            (_lined((size,)), np.empty(size, dtype=bool), _lined((size,)) if s else None,
+             _lined((size + size // n,))) for s in range(len(moving))]
+
+    def fit(buf, shape):  # a slab's array: the leading part of a flat buffer
+        return buf[:math.prod(shape)].reshape(shape)
+
+    bufs = [buffers() for _ in range(workers)]  # in this thread, before any helper starts
+
+    def step(k):
+        """Step the slabs k, k + workers, ... in worker k's buffers."""
+        rho_buf, d_buf, axis_bufs = bufs[k]
+        for j0 in starts[k::workers]:
+            cols = slice(j0, min(j0 + slab, width))
+            shape = (n, cols.stop - j0)
+            rho, d = fit(rho_buf, shape), fit(d_buf, shape)
+            rho[...] = lines(frames[0])[:, cols]
+            # each step's calls that depend on neither dt nor the source,
+            # bound once per slab: per moving slab axis its fluxes (face 0
+            # first, written to both ends of the axis), their difference and
+            # the sum of the two axes' terms
+            ops = []
+            for s, (whole, (uf, own, out, flux)) in enumerate(zip(moving.values(), axis_bufs)):
+                uf, own = fit(uf, shape), fit(own, shape)
+                uf[...] = lines(whole)[:, cols]
+                np.less_equal(uf, 0, own)
+                own = own if own.any() else None
+                out = d if s == 0 else fit(out, shape)
+                flux = fit(flux, shape[:s] + (n + 1,) + shape[s + 1:])
+
+                def at(sl):  # the index of sl along slab axis s
+                    return (slice(None),) * s + (sl,)
+                ops += _flux_ops(uf, own, rho, at(np.s_[:1]), at(np.s_[n - 1:]),
+                                 flux[at(np.s_[::n])])
+                ops += _flux_ops(uf, own, rho, at(np.s_[1:]), at(np.s_[:-1]), flux[at(np.s_[1:n])])
+                ops.append(partial(np.subtract, flux[at(np.s_[1:])], flux[at(np.s_[:-1])], out))
+                if not fold:
+                    ops.append(partial(np.divide, out, h, out))
+                if s > 0:
+                    ops.append(partial(np.add, d, out, d))
+            for frame, steps in zip(frames[1:], schedule):
+                for scale, dt, f in steps:
+                    for op in ops:
+                        op()
+                    if moving:
+                        np.multiply(d, scale, d)
+                        np.subtract(rho, d, rho)
+                    if f is not None:
+                        np.multiply(lines(f)[:, cols], dt, d)
+                        np.add(rho, d, rho)
+                lines(frame)[:, cols] = rho
+
+    # the caller steps its share of the slabs while each helper steps its
+    # own; a helper's error is raised here
+    errors = []
+
+    def helper(k):
+        try:
+            step(k)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=helper, args=(k,))
+            thread.start()
+            helpers.append(thread)
+        step(0)
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
     # exact discrete mass balance bookkeeping
     total_source = 0.0
     if data.source is not None:

@@ -102,6 +102,21 @@ def test_power_cusp_admissible_range():
     assert f.grad_norm_lp(1) < math.inf
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"amp": 0.0}, "amp must be finite and nonzero, got 0.0"),
+    ({"amp": math.nan}, "amp must be finite and nonzero, got nan"),
+    ({"amp": math.inf}, "amp must be finite and nonzero, got inf"),
+    ({"amp": -math.inf}, "amp must be finite and nonzero, got -inf"),
+    ({"x0": math.nan}, "x0 must be finite, got nan"),
+    ({"x0": math.inf}, "x0 must be finite, got inf"),
+    ({"x0": -math.inf}, "x0 must be finite, got -inf"),
+])
+def test_power_cusp_refuses_a_zero_or_non_finite_parameter(kwargs, message):
+    # amp 0 used to reach modulus_integral's log as "math domain error"
+    with pytest.raises(ValueError, match=message):
+        PowerCuspField(0.6, **kwargs)
+
+
 def test_power_cusp_derivative_matches_fd():
     f = PowerCuspField(0.6, x0=0.5, amp=0.4)
     x = np.array([0.1, 0.3, 0.45, 0.55, 0.62, 0.9])

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -540,6 +542,21 @@ def test_in_place_stepper_is_bit_identical(case):
     assert data.calls == steps
 
 
+@pytest.mark.parametrize("case", sorted(c for c in stepper_cases() if "-blocks" in c))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_slabs_on_one_or_two_workers_are_bit_identical(monkeypatch, case, cpus):
+    # at 256^2 a field that moves one axis is two slabs, stepped by the
+    # caller alone or by the caller and one helper
+    monkeypatch.setattr(pde, "CPUS", cpus)
+    grid, data = stepper_cases()[case]
+    frames, steps, mass_defect = reference_eulerian(data, grid, cfl=0.45, n_frames=9)
+    data.calls = 0
+    traj = eulerian_solve(data, grid, cfl=0.45, n_frames=9)
+    assert np.array_equal(bits(traj.frames), bits(frames))
+    assert bits(traj.meta["mass_defect"]) == bits(mass_defect)
+    assert traj.meta["steps"] == steps == data.calls
+
+
 @pytest.mark.parametrize("rows", [1, 3, 4, 16, 32])
 @pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X],
                          ids=lambda fld: fld.name)
@@ -548,17 +565,84 @@ def test_row_blocks_do_not_change_a_bit(monkeypatch, field, rows):
     # stepper's slabs, and the face velocities' blocks of rows.  A field that
     # moves one axis (shear and mixed-x along x, y-only along y) is stepped
     # in slabs of that many lines, 3 leaving a shorter last slab, and 32 all
-    # lines in one; the swirl moves both axes and is always one slab
+    # lines in one; the swirl moves both axes and is always one slab.  The
+    # slabs are shared among 1, 2 or 3 workers
     grid, rho0 = _blob_2d()
     data = CauchyData(field, 0.1 * rho0.values, rho0, 0.25)
     frames, steps, mass_defect = reference_eulerian(data, grid, cfl=0.45, n_frames=5)
-    whole = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    solves = [eulerian_solve(data, grid, cfl=0.45, n_frames=5)]
     monkeypatch.setattr(pde, "BLOCK_CELLS", rows * grid.n)
-    sliced = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
-    for traj in (whole, sliced):
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(pde, "CPUS", cpus)
+        solves.append(eulerian_solve(data, grid, cfl=0.45, n_frames=5))
+    for traj in solves:
         assert np.array_equal(bits(traj.frames), bits(frames))
         assert bits(traj.meta["mass_defect"]) == bits(mass_defect)
         assert traj.meta["steps"] == steps
+
+
+def test_more_workers_than_cores_switching_often_are_bit_identical(monkeypatch):
+    # 32 slabs of one line on 8 workers, with the interpreter handing the
+    # GIL between threads every microsecond: a slab left out, or stepped in
+    # a buffer that another worker also uses, would change the frames
+    grid, rho0 = _blob_2d()
+    data = CauchyData(MIXED_X, 0.1 * rho0.values, rho0, 0.25)
+    frames, steps, _ = reference_eulerian(data, grid, cfl=0.45, n_frames=5)
+    monkeypatch.setattr(pde, "BLOCK_CELLS", grid.n)
+    monkeypatch.setattr(pde, "CPUS", 8)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traj = eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(bits(traj.frames), bits(frames))
+    assert traj.meta["steps"] == steps
+    assert threading.active_count() == before
+
+
+def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
+    # four slabs on two workers: the helper's first slab raises, the
+    # caller's slabs do not, and the helper is joined before the error is
+    # raised
+    grid, rho0 = _blob_2d()
+    data = CauchyData(SmoothShear2D(), None, rho0, 0.25)
+    flux_ops = pde._flux_ops
+
+    def main_thread_only(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("flux bound in a helper")
+        return flux_ops(*args)
+
+    monkeypatch.setattr(pde, "_flux_ops", main_thread_only)
+    monkeypatch.setattr(pde, "BLOCK_CELLS", 8 * grid.n)
+    monkeypatch.setattr(pde, "CPUS", 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="flux bound in a helper"):
+        eulerian_solve(data, grid, cfl=0.45, n_frames=5)
+    assert threading.active_count() == before
+
+
+def test_a_solve_of_one_slab_starts_no_thread(monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(pde, "CPUS", 4)
+    g1 = Grid(1, 512)
+    eulerian_solve(CauchyData(ConstantField([1.0]), None, smooth_1d(g1), 0.1), g1)
+    grid, rho0 = _blob_2d(128)  # 2^14 cells, under BLOCK_CELLS
+    eulerian_solve(CauchyData(SmoothShear2D(), None, rho0, 0.1), grid)
+    grid, rho0 = _blob_2d(256)  # moves both axes: the whole grid is one slab
+    eulerian_solve(CauchyData(SwirlField(), None, rho0, 0.01), grid)
+    assert started == []
+    # two slabs of 128 lines: one helper
+    eulerian_solve(CauchyData(SmoothShear2D(), None, rho0, 0.01), grid)
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (512, 1), (32, 3), (513, 64)])
@@ -594,6 +678,33 @@ def test_face_velocities_by_row_blocks_are_the_full_grid_ones(monkeypatch, field
     for got, want in zip(_face_velocities(field, grid), meshgrid_face_velocities(field, grid)):
         assert got.flags.c_contiguous
         assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("field", [SmoothShear2D(), SwirlField(), Y_ONLY, MIXED_X, CROSS],
+                         ids=lambda fld: fld.name)
+def test_a_component_is_that_of_the_whole_field(field):
+    pts = np.random.default_rng(3).uniform(-0.5, 1.5, size=(6, 9, 2))
+    strided = np.random.default_rng(4).uniform(-0.5, 1.5, size=(12, 9, 2))[::2]
+    for pos in (pts, strided):
+        for axis in (0, 1):
+            got = np.asarray(field.component(0.0, pos, axis))
+            assert got.shape == pos.shape[:-1]
+            assert np.array_equal(bits(got), bits(np.asarray(field(0.0, pos))[..., axis]))
+
+
+def test_face_velocities_evaluate_the_shear_once_per_block_of_rows(monkeypatch):
+    grid = Grid(2, 64)
+    monkeypatch.setattr(pde, "BLOCK_CELLS", 5 * grid.n)  # 13 blocks, the last of 4 rows
+    calls = []
+    u1 = SmoothShear2D._u1
+
+    def counted(self, y):
+        calls.append(np.shape(y))
+        return u1(self, y)
+
+    monkeypatch.setattr(SmoothShear2D, "_u1", counted)
+    _face_velocities(SmoothShear2D(), grid)
+    assert calls == [(5, 64)] * 12 + [(4, 64)]
 
 
 def test_stepper_meta_reports_steps_and_dt_max():
