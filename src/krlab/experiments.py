@@ -634,10 +634,19 @@ PDE_DEFAULTS = {
 
 
 def run_pde_convergence(p: dict) -> ExperimentRecord:
+    """Three sections, each a function that writes its rows and verdicts and
+    returns only its upwind steps, so that the grids of one are freed before
+    the next builds its own: the 256^2 agreement trajectories are gone
+    before the 512^2 a-priori solve."""
     rec = ExperimentRecord("pde-convergence", p)
-    upwind_steps = 0
+    upwind_steps = _pde_translation(rec, p) + _pde_agreement(rec, p) + _pde_apriori(rec, p)
+    rec.meta["upwind_steps"] = upwind_steps
+    return rec
 
-    # 1-d translation refinement: constant field over one full period
+
+def _pde_translation(rec: ExperimentRecord, p: dict) -> int:
+    """1-d translation refinement: constant field over one full period."""
+    upwind_steps = 0
     errs = []
     for n in p["translation_ns"]:
         grid = Grid(1, n)
@@ -655,18 +664,24 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     h23 = [e / (1.0 / n) ** (2.0 / 3.0) for e, n in zip(errs, ns)]
     rec.add("translation-h23-envelope", np.max(h23), h23[ns.index(min(ns))] * (1 + 1e-12),
             detail="L1 error <= C h^{2/3} with C fixed by the coarsest run")
+    return upwind_steps
 
-    def shear(n):  # the smooth 2-d datum of the agreement and a-priori runs
-        return CauchyData(SmoothShear2D(), None, density_from_function(
-            Grid(2, n), lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X)
-            * (0.5 + 0.5 * np.cos(2 * np.pi * Y))), p["horizon_2d"])
 
-    # 2-d Lagrangian/Eulerian agreement under refinement
+def _shear(n: int, p: dict) -> CauchyData:
+    """The smooth 2-d datum of the agreement and a-priori runs."""
+    return CauchyData(SmoothShear2D(), None, density_from_function(
+        Grid(2, n), lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X)
+        * (0.5 + 0.5 * np.cos(2 * np.pi * Y))), p["horizon_2d"])
+
+
+def _pde_agreement(rec: ExperimentRecord, p: dict) -> int:
+    """2-d Lagrangian/Eulerian agreement under refinement."""
+    upwind_steps = 0
     agree = []
     worst_mass = 0.0
     min_rho = math.inf
     for n in p["agreement_ns"]:
-        data = shear(n)
+        data = _shear(n, p)
         grid = data.initial.grid
         lag = lagrangian_solve(data, grid, n_frames=5)
         eul = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=5)
@@ -683,23 +698,26 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
     rec.add("eulerian-mass-balance", worst_mass, p["mass_tol_scale"],
             detail="|mass change - integrated source| / (1+||rho0||_1)")
     rec.add("upwind-positivity", min_rho, -1e-14, comparator=">=")
+    return upwind_steps
 
-    # a-priori L^q bound on the oscillatory and shear instances
+
+def _pde_apriori(rec: ExperimentRecord, p: dict) -> int:
+    """A-priori L^q bound on the oscillatory and shear instances."""
+    upwind_steps = 0
     worst_slack = -math.inf
     oscillatory = CauchyData(OscillatoryField(p["apriori_k"]), None, density_from_function(
         Grid(1, p["apriori_n"], length=TWO_PI), lambda x: np.ones_like(x)), 1.0)
     for name, data, n_frames in (("oscillatory", oscillatory, 9),
-                                 ("shear2d", shear(p["apriori_n"]), 5)):
+                                 ("shear2d", _shear(p["apriori_n"], p), 5)):
         traj = eulerian_solve(data, data.initial.grid, cfl=p["cfl"], n_frames=n_frames)
         upwind_steps += traj.meta["steps"]
         for rep in apriori_lq_check(traj, data, (1.0, 2.0)):
             rec.row("apriori", instance=name, q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                     slack=rep.slack, div_l1_linf=rep.div_l1_linf)
             worst_slack = np.maximum(worst_slack, rep.slack)
-    rec.meta["upwind_steps"] = upwind_steps
     rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],
             detail="growth bound with q in {1,2}")
-    return rec
+    return upwind_steps
 
 
 EXPERIMENTS = {

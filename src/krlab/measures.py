@@ -113,10 +113,22 @@ class SignedDensity:
 
 def density_from_function(grid: Grid, fn) -> SignedDensity:
     """Sample a function of position at the cell centers (midpoint rule):
-    ``fn(x)`` on the circle, ``fn(X, Y)`` on the torus."""
-    c = grid.centers()
-    values = fn(c) if grid.dim == 1 else fn(c[..., 0], c[..., 1])
-    return SignedDensity(grid, np.asarray(values, dtype=float))
+    ``fn(x)`` on the circle, ``fn(X, Y)`` on the torus.
+
+    On the torus ``fn`` must be elementwise and broadcast like a ufunc: it is
+    called with the column ``X`` (n, 1) and the row ``Y`` (1, n) of cell
+    centers, and its result is broadcast to (n, n), copied only where it is
+    not already a full grid.  Every cell gets the same operations on the same
+    inputs as from the full (n, n) meshgrid, so the values are the same bit
+    for bit, while a separable datum takes its sines and cosines of n values
+    each, not of n^2."""
+    c = grid.axis_centers()
+    if grid.dim == 1:
+        return SignedDensity(grid, fn(c))
+    values = np.asarray(fn(c[:, None], c[None, :]), dtype=float)
+    if values.shape != grid.shape:
+        values = np.broadcast_to(values, grid.shape).copy()
+    return SignedDensity(grid, values)
 
 
 def mass(eta: SignedDensity) -> float:

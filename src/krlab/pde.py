@@ -11,7 +11,10 @@ or one constant-in-time value per cell.
   h x h footprint and is split by overlap area (the cloud-in-cell rule).
   Both deposits scatter all shares with one ``np.bincount`` in a fixed piece
   order, so each cell's sum is, bit for bit, that of an ``np.add.at`` loop
-  over the pieces.
+  over the pieces.  The 2-d deposit leaves out the upper corner of an axis
+  along which every particle sits on a cell center (both axes at t = 0, the
+  shear's y axis at every t): its shares are exactly +-0.0, which change no
+  sum.
 
 * ``eulerian_solve`` is the first-order upwind finite-volume scheme in flux
   form, so the discrete mass balance telescopes exactly on the torus, and it
@@ -47,6 +50,13 @@ from .fields import VelocityField
 from .measures import Grid, SignedDensity, lq_norm
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"{name} has NaN or inf in {bad} of {values.size} cells; every cell "
+                         "must hold a finite number")
+
+
 @dataclass
 class CauchyData:
     """Velocity, source and initial datum for the continuity equation on
@@ -54,7 +64,8 @@ class CauchyData:
 
     ``source`` is None or one constant-in-time value per cell of the initial
     datum's grid, stored as a float array; only ``eulerian_solve`` integrates
-    a source.  The horizon is finite and positive.
+    a source.  The horizon is finite and positive, and every cell of the
+    datum and of the source holds a finite number.
     """
 
     velocity: VelocityField
@@ -65,6 +76,7 @@ class CauchyData:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        _require_finite("initial datum", self.initial.values)
         if self.source is None:
             return
         shape = self.initial.grid.shape
@@ -75,6 +87,7 @@ class CauchyData:
         if source.shape != shape:
             raise ValueError(f"a source has one value per cell: expected shape {shape}, "
                              f"got {source.shape}")
+        _require_finite("source", source)
         self.source = source
 
     def source_at(self, t: float, grid: Grid) -> np.ndarray | None:
@@ -151,28 +164,37 @@ def _deposit_intervals_1d(left: np.ndarray, right: np.ndarray, masses: np.ndarra
 def _deposit_cic_2d(pos: np.ndarray, masses: np.ndarray, grid: Grid) -> np.ndarray:
     """Overlap-area split of an h x h cell footprint (bilinear weights).
 
-    The four corners' shares are scattered with one ``bincount`` over their
+    The corners' shares are scattered with one ``bincount`` over their
     concatenation, corners (dx, dy) in the order (0, 0), (0, 1), (1, 0),
     (1, 1), so each cell adds its shares in that order; a ``bincount`` per
     corner would reassociate the sums.  Row and column indices wrap with
     ``& (n - 1)``, which is ``% n`` for the power of two n.
+
+    Only the corners that can carry mass are scattered: on an axis where
+    every particle's fractional offset is exactly 0 (particles on cell
+    centers along it), the upper corner's shares are mass * 0 = +-0.0 for
+    finite masses (``CauchyData`` refuses others).  A ``bincount`` sum starts
+    at +0.0 and is never -0.0, so adding +-0.0 to it changes no bit, and the
+    kept corners keep their order.
     """
     n, h, L = grid.n, grid.h, grid.length
     frac = _wrap(pos, L) / h - 0.5
     base = np.floor(frac).astype(np.int64)
     frac -= base
-    cols = (base[:, 1] & (n - 1), (base[:, 1] + 1) & (n - 1))
-    wy = (1.0 - frac[:, 1], frac[:, 1])
+    dxs, dys = ((0, 1) if frac[:, axis].any() else (0,) for axis in (0, 1))
+    cols = [(base[:, 1] + dy) & (n - 1) for dy in dys]
+    wy = [frac[:, 1] if dy else 1.0 - frac[:, 1] for dy in dys]
     m = len(masses)
-    cells = np.empty(4 * m, dtype=np.int64)
-    weights = np.empty(4 * m)
-    for dx in (0, 1):
+    cells = np.empty(len(dxs) * len(dys) * m, dtype=np.int64)
+    weights = np.empty(len(cells))
+    part = 0
+    for dx in dxs:
         row = ((base[:, 0] + dx) & (n - 1)) * n
         mx = masses * (frac[:, 0] if dx else 1.0 - frac[:, 0])
-        for dy in (0, 1):
-            part = slice((2 * dx + dy) * m, (2 * dx + dy + 1) * m)
-            np.add(row, cols[dy], out=cells[part])
-            np.multiply(mx, wy[dy], out=weights[part])
+        for col, w in zip(cols, wy):
+            np.add(row, col, out=cells[part:part + m])
+            np.multiply(mx, w, out=weights[part:part + m])
+            part += m
     out = np.bincount(cells, weights, minlength=n * n)
     return out.reshape(n, n) / grid.cell_volume
 
@@ -184,8 +206,12 @@ def _integrate_characteristics(u: VelocityField, x0: np.ndarray, times: np.ndarr
     number of right-hand-side evaluations DOP853 made (0 for an exact flow)."""
     first = u.exact_flow(times[0], x0) if use_exact_flow else None
     if first is not None:
-        return np.stack([np.asarray(first)]
-                        + [np.asarray(u.exact_flow(t, x0)) for t in times[1:]]), 0
+        first = np.asarray(first)
+        out = np.empty((len(times),) + first.shape)
+        out[0] = first
+        for k in range(1, len(times)):
+            out[k] = u.exact_flow(times[k], x0)
+        return out, 0
     shape = x0.shape
 
     def rhs(t, y):
@@ -204,7 +230,14 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
     """Characteristics solver implementing the push-forward formula, for a
     problem without a source.  ``meta`` records ``nfev``, the right-hand-side
     evaluations of the DOP853 integration, or 0 where the field's exact flow
-    was used."""
+    was used.
+
+    The positions at every stored time are found first, stacked in one
+    (n_times, ...) array, and each frame is then deposited into one
+    (n_times, *grid.shape) array; both are allocated once.  Depositing each
+    frame as soon as its positions were found was slower, 36 against 27 ms
+    for the 256^2 shear in a fresh process (2-CPU x86-64 host): the freed
+    arrays were paged in again."""
     u = data.velocity
     _check_advectable(u)
     if data.source is not None:
@@ -215,8 +248,8 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
                                             use_exact_flow)
 
     masses = data.initial.values * grid.cell_volume
-    frames = []
-    for pos in traj:
+    frames = np.empty((len(store),) + grid.shape)
+    for frame, pos in zip(frames, traj):
         if grid.dim == 1:
             nxt = np.roll(pos, -1)
             nxt[-1] += grid.length
@@ -224,10 +257,10 @@ def lagrangian_solve(data: CauchyData, grid: Grid, n_frames: int = 33,
             prv[0] -= grid.length
             left = 0.5 * (prv + pos)
             right = 0.5 * (pos + nxt)
-            frames.append(_deposit_intervals_1d(left, right, masses, grid))
+            frame[...] = _deposit_intervals_1d(left, right, masses, grid)
         else:
-            frames.append(_deposit_cic_2d(pos.reshape(-1, 2), masses.ravel(), grid))
-    return SolutionTrajectory(grid, store, np.stack(frames),
+            frame[...] = _deposit_cic_2d(pos.reshape(-1, 2), masses.ravel(), grid)
+    return SolutionTrajectory(grid, store, frames,
                               meta={"ode_rtol": ode_rtol, "field": u.name, "nfev": nfev})
 
 
@@ -266,19 +299,29 @@ def _face_velocities(u: VelocityField, grid: Grid):
         return (np.asarray(u(0.0, edges)),)
     c = grid.axis_centers()
     ux, uy = np.empty((n, n)), np.empty((n, n))
+    for rows, p in _row_blocks(n):
+        # x-faces at (edges[i], c[j]), y-faces at (c[i], edges[j])
+        ux[rows] = u.component(0.0, _points(p, edges[rows], c), 0)
+        uy[rows] = u.component(0.0, _points(p, c[rows], edges), 1)
+    return ux, uy
+
+
+def _row_blocks(n: int):
+    """The blocks of whole rows of an n x n grid, at most ``BLOCK_CELLS``
+    cells each: per block its rows, a slice, and the leading part of one
+    (rows, n, 2) points buffer that every block reuses."""
     rows = min(max(1, BLOCK_CELLS // n), n)
     pts = np.empty((rows, n, 2))
     for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        p = pts[:i1 - i0]
-        # x-faces at (edges[i], c[j]), y-faces at (c[i], edges[j])
-        p[..., 0] = edges[i0:i1, None]
-        p[..., 1] = c
-        ux[i0:i1] = u.component(0.0, p, 0)
-        p[..., 0] = c[i0:i1, None]
-        p[..., 1] = edges
-        uy[i0:i1] = u.component(0.0, p, 1)
-    return ux, uy
+        block = slice(i0, min(i0 + rows, n))
+        yield block, pts[:block.stop - i0]
+
+
+def _points(p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The block buffer ``p`` filled with the points (x[i], y[j])."""
+    p[..., 0] = x[:, None]
+    p[..., 1] = y
+    return p
 
 
 def _lined(shape) -> np.ndarray:
@@ -501,9 +544,14 @@ def apriori_lq_check(traj: SolutionTrajectory, data: CauchyData, qs) -> list[Apr
     """Both sides of the growth bound
     ||rho||_{L^inf(L^q)} <= exp^{1-1/q}(||div u||_{L^1(L^inf)}) (||rho0||_q + ||f||_{L^1(L^q)})
     for each exponent q of ``qs``, one report per q; the field's divergence
-    is evaluated once."""
+    is evaluated once, on the 2-d grid one block of rows of cell centers at
+    a time (``_row_blocks``), so no full-grid points are built beside the
+    frames.  A max is exact, so the blocks change no bit."""
     grid = traj.grid
-    div_sup = float(np.abs(np.asarray(data.velocity.divergence(0.0, grid.centers()))).max())
+    c = grid.axis_centers()
+    points = [c] if grid.dim == 1 else (_points(p, c[rows], c) for rows, p in _row_blocks(grid.n))
+    div_sup = float(np.max([np.abs(np.asarray(data.velocity.divergence(0.0, pts))).max()
+                            for pts in points]))
     div_l1 = div_sup * data.horizon
     reports = []
     for q in qs:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -412,3 +413,22 @@ def test_upwind_steps_of_the_pde_benchmark_config():
     params = yaml.safe_load(config.read_text())["params"]
     rec = run_experiment("pde-convergence", params)
     assert rec.meta["upwind_steps"] == 1596
+
+
+def test_pde_benchmark_config_traced_peak(monkeypatch):
+    # each section frees its grids before the next builds its own, the 2-d
+    # data come from their axes, and the deposits and a-priori divergence
+    # build no full-grid temporaries.  Traced peak with the slabs on two
+    # workers (one buffer set each): 18.14 MiB, against 25.03 MiB when the
+    # 256^2 agreement trajectories were still alive in the 512^2 a-priori
+    # solve; the bound leaves 1.86 MiB of margin
+    monkeypatch.setattr(pde, "CPUS", 2)
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "pde-convergence.yaml"
+    params = yaml.safe_load(config.read_text())["params"]
+    tracemalloc.start()
+    try:
+        run_experiment("pde-convergence", params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20

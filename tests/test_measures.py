@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,53 @@ def test_grid_centers_are_the_axis_centers_per_axis():
     assert pts.shape == (8, 8, 2)
     assert np.array_equal(pts[..., 0], np.repeat(c[:, None], 8, axis=1))
     assert np.array_equal(pts[..., 1], np.repeat(c[None, :], 8, axis=0))
+
+
+def bits(a):
+    """The float64 bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def meshgrid_density(grid, fn):
+    """The full-grid evaluation that density_from_function replaced: fn(X, Y)
+    on the (n, n, 2) cell centers."""
+    c = grid.centers()
+    return np.asarray(fn(c[..., 0], c[..., 1]), dtype=float)
+
+
+DATA_2D = {
+    # pde-convergence's shear datum
+    "shear": lambda X, Y: 1.0 + 0.5 * np.sin(2 * np.pi * X) * (0.5 + 0.5 * np.cos(2 * np.pi * Y)),
+    # the datum of the 2-d Lagrangian mass and a-priori divergence tests
+    "sin-cos": lambda X, Y: 1.0 + 0.5 * np.sin(2 * math.pi * X) * np.cos(Y),
+    "non-separable": lambda X, Y: np.sin(2 * np.pi * (X + Y)),
+    # a result that is not a full grid is broadcast to one
+    "x-only": lambda X, Y: np.exp(np.cos(2 * np.pi * X)),
+    "y-only": lambda X, Y: np.where(Y < 0.5, 1.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("n", [2, 64, 512])
+@pytest.mark.parametrize("name", sorted(DATA_2D))
+def test_a_2d_datum_from_its_axes_is_the_meshgrid_one_bit_for_bit(name, n):
+    g = Grid(2, n)
+    got = density_from_function(g, DATA_2D[name]).values
+    assert got.shape == (n, n) and got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(bits(got), bits(meshgrid_density(g, DATA_2D[name])))
+
+
+def test_the_512_shear_datum_peaks_at_two_grids():
+    # the meshgrid evaluation peaked at 10.0 MiB: the (n, n, 2) centers, X, Y,
+    # the sines, the cosines and their products, each of n^2 values
+    g = Grid(2, 512)
+    tracemalloc.start()
+    try:
+        density_from_function(g, DATA_2D["shear"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two (n, n) grids, the product and the datum, and the O(n) axis arrays
+    assert peak <= 2 * g.ncells * 8 + 32 * g.n * 8
 
 
 def test_grid_validation():

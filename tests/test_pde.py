@@ -72,6 +72,24 @@ def test_cauchy_data_refuses_what_no_solver_can_step(source, horizon, message):
         CauchyData(ConstantField([1.0]), source, smooth_1d(g), horizon)
 
 
+@pytest.mark.parametrize("where", ["initial datum", "source"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cauchy_data_refuses_non_finite_data(dim, bad, where):
+    # the 2-d deposit leaves out corners whose shares are mass * 0, exact
+    # only for finite masses
+    g = Grid(dim, 8)
+    good = np.ones(g.shape)
+    values = good.copy()
+    values.flat[[3, 5]] = bad
+    initial, source = (values, good) if where == "initial datum" else (good, values)
+    field = ConstantField([1.0]) if dim == 1 else SmoothShear2D()
+    message = f"^{where} has NaN or inf in 2 of {g.ncells} cells; every cell must hold a " \
+              "finite number$"
+    with pytest.raises(ValueError, match=message):
+        CauchyData(field, source, SignedDensity(g, initial), 1.0)
+
+
 def test_step_field_refused():
     g = Grid(1, 64)
     data = CauchyData(E1StepField(), None, smooth_1d(g), 1.0)
@@ -248,6 +266,37 @@ def test_deposits_are_the_add_at_loops_bit_for_bit(length):
                           bits(add_at_intervals(left, right, masses1, g1)))
 
 
+@pytest.mark.parametrize("length", [1.0, TWO_PI])
+@pytest.mark.parametrize("on_centers, pieces", [
+    ((0, 1), 1), ((0,), 2), ((1,), 2), ((), 4)], ids=["both", "x", "y", "neither"])
+def test_deposit_leaves_out_only_corners_without_mass(monkeypatch, length, on_centers, pieces):
+    # particles on cell centers along the axes of on_centers, anywhere along
+    # the others; some masses are exactly 0.  On the unit torus the centers'
+    # fractional offsets are exactly 0 and the upper corners along those
+    # axes are left out; on the 2*pi torus they are not exactly 0, and every
+    # corner is kept
+    rng = np.random.default_rng(17)
+    g = Grid(2, 16, length=length)
+    h, L, m = g.h, g.length, 200
+    pos = rng.uniform(-L, 2.0 * L, size=(m, 2))
+    for axis in on_centers:
+        pos[:, axis] = (rng.integers(-16, 32, size=m) + 0.5) * h
+    masses = _masses(rng, m)
+    masses[::7] = 0.0
+    counted = []
+    bincount = np.bincount
+
+    def spy(cells, weights, minlength):
+        counted.append(len(cells))
+        return bincount(cells, weights, minlength=minlength)
+
+    monkeypatch.setattr(pde.np, "bincount", spy)
+    got = pde._deposit_cic_2d(pos, masses, g)
+    monkeypatch.undo()
+    assert np.array_equal(bits(got), bits(add_at_cic(pos, masses, g)))
+    assert counted == [(pieces if length == 1.0 else 4) * m]
+
+
 # ---------------------------------------------------------------------------
 # Eulerian solver
 
@@ -387,6 +436,46 @@ def test_apriori_evaluates_the_divergence_once_for_every_q(monkeypatch):
     assert reports == single
 
 
+def centers_apriori(traj, data, qs):
+    """apriori_lq_check with the divergence taken on the full (n, n, 2) cell
+    centers at once, as it was."""
+    grid = traj.grid
+    div_sup = float(np.abs(np.asarray(data.velocity.divergence(0.0, grid.centers()))).max())
+    div_l1 = div_sup * data.horizon
+    reports = []
+    for q in qs:
+        lhs = max(lq_norm(traj.frame(k), q) for k in range(traj.n_frames))
+        fnorm = 0.0
+        if data.source is not None:
+            fnorm = lq_norm(SignedDensity(grid, data.source), q) * data.horizon
+        rho0 = lq_norm(SignedDensity(grid, traj.frames[0]), q)
+        rhs = np.exp((1.0 - 1.0 / q) * div_l1) * (rho0 + fnorm)
+        slack = lhs / rhs - 1.0 if rhs > 0 else (0.0 if lhs == 0 else np.inf)
+        reports.append(pde.AprioriReport(q, lhs, float(rhs), float(slack), div_l1))
+    return reports
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("case", ["shear-512", "spreading-64", "spreading-64-source"])
+def test_apriori_by_row_blocks_is_the_centers_one(monkeypatch, case, rows):
+    # blocks of 1 or 3 rows (a shorter last block), or the default
+    # BLOCK_CELLS: the 512^2 shear in 8 blocks, 64^2 in one
+    name, n = case.split("-")[:2]
+    grid, rho0 = _blob_2d(int(n))
+    field = SmoothShear2D() if name == "shear" else SPREADING
+    source = 0.1 * rho0.values if case.endswith("source") else None
+    data = CauchyData(field, source, rho0, 0.25)
+    traj = eulerian_solve(data, grid, cfl=0.45, n_frames=3)
+    if rows is not None:
+        monkeypatch.setattr(pde, "BLOCK_CELLS", rows * grid.n)
+    got = apriori_lq_check(traj, data, (1.0, 2.0, 3.5))
+    want = centers_apriori(traj, data, (1.0, 2.0, 3.5))
+    assert (got[0].div_l1_linf > 0) == (name == "spreading")
+    for a, b in zip(got, want):
+        assert [bits(x) for x in (a.q, a.lhs, a.rhs, a.slack, a.div_l1_linf)] == \
+            [bits(x) for x in (b.q, b.lhs, b.rhs, b.slack, b.div_l1_linf)]
+
+
 @pytest.mark.parametrize("solver", [lagrangian_solve, eulerian_solve])
 @pytest.mark.parametrize("n_frames", [1, 66])
 def test_frame_count_out_of_range_is_refused(solver, n_frames):
@@ -476,6 +565,17 @@ MIXED_X = PlaneField("mixed-x",
 # both components vary along both axes
 CROSS = PlaneField("cross", lambda x, y: 0.2 * np.sin(TWO_PI * x) + 0.1 * np.cos(TWO_PI * y),
                    lambda x, y: 0.1 + 0.2 * np.sin(TWO_PI * y) * np.cos(TWO_PI * x))
+
+
+class SpreadingField(PlaneField):
+    """The cross field, with its divergence 0.4 pi cos(2 pi x) (1 + cos(2 pi y))."""
+
+    def divergence(self, t, pos):
+        p = np.asarray(pos, dtype=float)
+        return 0.4 * math.pi * np.cos(TWO_PI * p[..., 0]) * (1.0 + np.cos(TWO_PI * p[..., 1]))
+
+
+SPREADING = SpreadingField("spreading", CROSS.ux, CROSS.uy)
 
 
 class CountingData(CauchyData):
