@@ -1,4 +1,4 @@
-"""Batch front end: ``krlab run <config> [--grid N] [--out DIR]`` and
+"""Batch front end: ``krlab run <config> [--out DIR]`` and
 ``krlab list``.
 
 Configs are YAML with one table per section::
@@ -10,10 +10,8 @@ Configs are YAML with one table per section::
       deltas: [1.0e-1, 1.0e-2]
 
 A seed, where the experiment takes one, is the ``seed`` key under
-``params``.  ``--grid`` sets the experiment's main grid size (``n``,
-``n_grid`` or ``apriori_n``).  Every grid size, given by ``--grid`` or
-under ``params``, must be a power of two; any other exits 2 with the two
-nearest powers of two.
+``params``.  Every grid size under ``params`` must be a power of two; any
+other exits 2 with the two nearest powers of two.
 
 Outputs per run: ``record.json``, one ``<table>.csv`` per sweep table, and
 ``verdict.txt`` (one inequality per line; byte-stable for a fixed config and
@@ -32,9 +30,6 @@ from pathlib import Path
 import yaml
 
 from .experiments import EXPERIMENTS, merge_params, run_experiment
-from .measures import check_grid_size
-
-GRID_KEYS = ("n", "n_grid", "apriori_n")
 
 
 @dataclass
@@ -71,16 +66,6 @@ class RunConfig:
         return cls(experiment=raw["experiment"], params=merge_params(raw["experiment"], params),
                    out=out)
 
-    def set_grid(self, n: int) -> None:
-        """Put ``--grid n`` on the experiment's main grid size parameter."""
-        key = next((k for k in GRID_KEYS if k in self.params), None)
-        if key is None:
-            raise ValueError(f"--grid: {self.experiment!r} has no main grid size "
-                             f"({', '.join(GRID_KEYS)}); drop --grid and set its sizes "
-                             "under params in the config")
-        check_grid_size(f"--grid {n}", n)
-        self.params[key] = n
-
 
 def run(config: RunConfig, out_override: str | None = None) -> int:
     rec = run_experiment(config.experiment, config.params)
@@ -96,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a YAML config")
     p_run.add_argument("config", help="path to the YAML config file")
-    p_run.add_argument("--grid", type=int, default=None,
-                       help="override the main grid size (a power of two)")
     p_run.add_argument("--out", default=None, help="override the output directory")
     sub.add_parser("list", help="print the available experiment names")
     args = parser.parse_args(argv)
@@ -108,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         config = RunConfig.from_file(args.config)
-        if args.grid is not None:
-            config.set_grid(args.grid)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

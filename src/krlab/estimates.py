@@ -24,6 +24,12 @@ from .pde import CauchyData, SolutionTrajectory
 from .transport import TransportPlan, potential_gradient_on_support, solve_batch
 
 
+def ratio(a: float, b: float) -> float:
+    """a / b, and inf for b <= 0; a NaN b gives NaN, so that a verdict on
+    the ratio FAILs on either."""
+    return a / b if not b <= 0 else math.inf
+
+
 def linear_fit(x, y) -> tuple[float, float, float]:
     """Least-squares line y = a*x + b; returns (a, b, R^2)."""
     x = np.asarray(x, dtype=float)
@@ -184,13 +190,11 @@ def check_derivative_identity(instance: StabilityInstance, eta: SolutionTrajecto
         times.append(eta.times[k])
         j = eta_flux(instance, eta, traj2, k)
         g = potential_gradient_on_support(plans[k])
-        # deposit the support gradient at both endpoint cells, mass-averaged
-        acc = np.zeros(eta.grid.ncells)
-        wts = np.zeros(eta.grid.ncells)
-        np.add.at(acc, g.src_cells, g.grad * g.mass)
-        np.add.at(acc, g.dst_cells, g.grad * g.mass)
-        np.add.at(wts, g.src_cells, g.mass)
-        np.add.at(wts, g.dst_cells, g.mass)
+        # deposit the support gradient at both endpoint cells, mass-averaged;
+        # each cell sums its source entries, then its destination entries
+        cells = np.concatenate([g.src_cells, g.dst_cells])
+        acc = np.bincount(cells, np.tile(g.grad * g.mass, 2), eta.grid.ncells)
+        wts = np.bincount(cells, np.tile(g.mass, 2), eta.grid.ncells)
         covered = wts > 0
         rhs.append(float((j[covered] * (acc[covered] / wts[covered])).sum() * hv))
     times = np.asarray(times)
@@ -306,9 +310,8 @@ def check_prop1(instance: StabilityInstance, eta: SolutionTrajectory, deltas,
             c1_joint, c2_joint = float(coef[0] * factor), float(coef[1] * factor)
     else:
         c1_joint, c2_joint = float((sup_d / psi).max()), 0.0
-    ratio = float(sup_d.max() / sup_d.min()) if not sup_d.min() <= 0 else math.inf
     return Prop1Report(deltas, sup_d, r, slope, r2, c1_joint, c2_joint,
-                       ratio, short_excess, plans)
+                       float(ratio(sup_d.max(), sup_d.min())), short_excess, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +354,8 @@ def uniqueness_drive(d_by_delta: dict[float, float], eta_l1: float,
     bounds_w = 2.0 * bounds
     worst_rise = float(np.max(np.diff(bounds) / np.maximum(bounds[:-1], 1e-300),
                               initial=-math.inf))
-    reduction = float(bounds[0] / bounds[-1]) if not bounds[-1] <= 0 else math.inf
-    return UniquenessReport(deltas, bounds, bounds_w, worst_rise, reduction)
+    return UniquenessReport(deltas, bounds, bounds_w, worst_rise,
+                            float(ratio(bounds[0], bounds[-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cost import bounded_log, cost_eval, cost_sup, truncated_linear
 from .estimates import (CHAIN_SLACK_TOL, SCHEDULE_SLACK_TOL, StabilityInstance, build_eta,
-                        check_prop1, check_rate_bounds, lemma4_combine, linear_fit,
+                        check_prop1, check_rate_bounds, lemma4_combine, linear_fit, ratio,
                         stability_rate, uniqueness_drive)
 from .fields import (TWO_PI, ConstantField, E1StepField, OscillatoryField, PowerCuspField,
                      SmoothShear2D, _bump_f, gauss_legendre)
@@ -151,10 +151,9 @@ def _spread(values) -> float:
     """max/min of a sweep's constants for a uniformity verdict: NaN with no
     values (or a NaN among them) and inf for a minimum <= 0, so the verdict
     FAILs on either."""
-    if not values:
+    if len(values) == 0:
         return math.nan
-    low = np.min(values)
-    return np.max(values) / low if not low <= 0 else math.inf
+    return ratio(np.max(values), np.min(values))
 
 
 def random_mean_zero(grid: Grid, rng, smooth: bool = False) -> SignedDensity:
@@ -201,7 +200,6 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     rng = np.random.default_rng(p["seed"])
     rec = ExperimentRecord("transport-selftest", p)
 
-    max_gap = max_sat = max_phi_excess = max_slope_excess = 0.0
     instances = [(random_mean_zero(Grid(1, p["sizes"][i % len(p["sizes"])]), rng),
                   bounded_log(p["deltas"][i % len(p["deltas"])], p["radius"]))
                  for i in range(p["n_instances"])]
@@ -219,19 +217,17 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
         rec.row("instances", n=n, delta=delta, primal=primal, dual=dual,
                 rel_gap=gap, saturation=sat, phi_sup_excess=phi_excess,
                 slope_excess=slope_excess)
-        max_gap = np.maximum(max_gap, gap)
-        max_sat = np.maximum(max_sat, sat)
-        max_phi_excess = np.maximum(max_phi_excess, phi_excess)
-        max_slope_excess = np.maximum(max_slope_excess, slope_excess)
-    rec.add("duality-gap-relative", max_gap, 1e-8)
-    rec.add("plan-saturates-potential", max_sat, 1e-8)
-    rec.add("potential-sup-bound", max_phi_excess, 1e-12,
+
+    def worst(key):
+        return np.max(rec.column("instances", key), initial=0.0)
+    rec.add("duality-gap-relative", worst("rel_gap"), 1e-8)
+    rec.add("plan-saturates-potential", worst("saturation"), 1e-8)
+    rec.add("potential-sup-bound", worst("phi_sup_excess"), 1e-12,
             detail="||phi||_inf <= log(R/delta+1) + R/(R+delta)")
-    rec.add("potential-slope-bound", max_slope_excess, 1e-9,
+    rec.add("potential-slope-bound", worst("slope_excess"), 1e-9,
             detail="neighbor difference quotients <= 1/delta")
 
     grid3 = Grid(1, p["triple_n"])
-    worst_tri = -math.inf
     worst_sym = 0.0
     kinds, pairs = [], []
     for i in range(p["n_triples"]):
@@ -243,23 +239,21 @@ def run_transport_selftest(p: dict) -> ExperimentRecord:
     d = kr_distances(pairs)
     for i, kind in enumerate(kinds):
         dab, dbc, dac, dba = d[4 * i:4 * i + 4]
-        worst_tri = np.maximum(worst_tri, dac - dab - dbc)
         worst_sym = np.maximum(worst_sym, abs(dab - dba))
         rec.row("triples", i=i, kind=kind.kind.value, d_ab=dab, d_bc=dbc, d_ac=dac,
                 violation=dac - dab - dbc)
-    rec.add("triangle-inequality", worst_tri, 1e-9)
+    rec.add("triangle-inequality", np.max(rec.column("triples", "violation"), initial=-math.inf),
+            1e-9)
     rec.add("metric-symmetry", worst_sym, 1e-10)
 
     gridw = Grid(1, p["sandwich_n"])
-    lo_ok, hi_worst = math.inf, -math.inf
     etas = [random_mean_zero(gridw, rng) for _ in range(p["n_sandwich"])]
     d1s = kr_distances([(eta, truncated_linear(1.0)) for eta in etas])
     for i, (d1, w) in enumerate(zip(d1s, w_neg11_norms(etas))):
-        lo_ok = np.minimum(lo_ok, w - d1)
-        hi_worst = np.maximum(hi_worst, w - 2.0 * d1)
         rec.row("sandwich", i=i, d1=d1, w_neg11=w)
-    rec.add("d1-lower-bounds-w", lo_ok, -1e-9, comparator=">=")
-    rec.add("w-below-twice-d1", hi_worst, 1e-9)
+    d1, w = rec.column("sandwich", "d1"), rec.column("sandwich", "w_neg11")
+    rec.add("d1-lower-bounds-w", np.min(w - d1, initial=math.inf), -1e-9, comparator=">=")
+    rec.add("w-below-twice-d1", np.max(w - 2.0 * d1, initial=-math.inf), 1e-9)
     return rec
 
 
@@ -280,8 +274,6 @@ def run_e1_example(p: dict) -> ExperimentRecord:
     deltas = sorted(p["deltas"], reverse=True)
     grid = Grid(1, p["n"])
     eta = step_density(grid)
-    worst_chain = 0.0
-    dvals = []
     solved = solve_batch([(eta, bounded_log(delta, p["radius"])) for delta in deltas])
     for delta, (plan, value) in zip(deltas, solved):
         report = check_rate_bounds(plan, E1StepField(), p=1.0, q=math.inf)
@@ -292,17 +284,15 @@ def run_e1_example(p: dict) -> ExperimentRecord:
         rec.row("sweep", delta=delta, measured_integral=integral, closed_form=closed,
                 rel_error=rel, kr_value=value, kr_continuum=exact_d,
                 chain_lhs=report.lhs_pairing, chain_slack=chain_slack)
-        worst_chain = np.maximum(worst_chain, chain_slack)
-        dvals.append(value)
         if delta in p["report_deltas"]:
             rec.add(f"e1-closed-form-delta={delta:g}", abs(rel), p["rel_tol"],
                     detail=f"measured {integral:.4f} vs 2log(1/(2delta)+1) = {closed:.4f}")
-    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(deltas)), dvals)
+    slope, _, r2 = linear_fit(np.log(1.0 / np.asarray(deltas)), rec.column("sweep", "kr_value"))
     rec.add("bv-log-growth-slope", slope, 0.3, comparator=">=",
             detail="D_{delta,R}(step) regressed against log(1/delta)")
     rec.add("bv-log-growth-r2", r2, 0.95, comparator=">=")
-    rec.add("rate-chain-slack", worst_chain, CHAIN_SLACK_TOL,
-            detail="|int u.grad(phi) eta| <= iint |u(x)-u(y)|/(delta+|x-y|) dpi")
+    rec.add("rate-chain-slack", np.max(rec.column("sweep", "chain_slack"), initial=0.0),
+            CHAIN_SLACK_TOL, detail="|int u.grad(phi) eta| <= iint |u(x)-u(y)|/(delta+|x-y|) dpi")
     return rec
 
 
@@ -336,7 +326,6 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
     T = p["horizon"]
     grid = Grid(1, p["n_grid"], length=TWO_PI)
     centers = grid.axis_centers()
-    l1s = []
     fields = [OscillatoryField(k) for k in p["ks"]]
     wnorms = w_neg11_norms([
         mean_zero_projection(SignedDensity(grid, np.asarray(field.exact_flow_jacobian(-T, centers))
@@ -346,16 +335,15 @@ def run_oscillatory_example(p: dict) -> ExperimentRecord:
         sup_dev = float(np.abs(np.asarray(field.exact_flow(T, centers)) - centers).max())
         rec.row("sweep", k=k, l1_norm=l1, w_neg11=w, sup_flow_deviation=sup_dev,
                 k_times_dev=k * sup_dev)
-        l1s.append(l1)
     # the integral of J - 1 between its sign changes is the flow's
     # displacement there, the same for every k
     exact = 8.0 * (math.atan(math.exp(0.5 * T)) - math.atan(math.exp(-0.5 * T)))
-    rec.add("l1-scaling-agreement", np.max(np.abs(np.subtract(l1s, exact))), p["l1_agree_tol"],
+    rec.add("l1-scaling-agreement", np.max(np.abs(rec.column("sweep", "l1_norm") - exact)),
+            p["l1_agree_tol"],
             detail=f"||rho_k(T)-1||_L1 at k={p['ks']} vs 8(atan e^(T/2) - atan e^(-T/2)) "
                    f"= {exact:.6f}")
-    decay = wnorms[0] / wnorms[-1] if not wnorms[-1] <= 0 else math.inf
-    rec.add("w-neg11-decay-factor", decay, p["w_decay_factor"], comparator=">=",
-            detail=f"k={p['ks'][0]} vs k={p['ks'][-1]}")
+    rec.add("w-neg11-decay-factor", ratio(wnorms[0], wnorms[-1]), p["w_decay_factor"],
+            comparator=">=", detail=f"k={p['ks'][0]} vs k={p['ks'][-1]}")
     return rec
 
 
@@ -412,34 +400,30 @@ def run_prop1_sweep(p: dict) -> ExperimentRecord:
     # exact chain + Sobolev-route constants on selected frames, on the plans
     # that check_prop1 solved for them; a zero frame has no chain rows, and
     # with no rows the chain and route verdicts read NaN
-    worst_chain = 0.0
     c3_by_delta: dict[float, list[float]] = {}
     for k in p["chain_frames"]:
         if not eta.frames[k].any():
             continue
         for d in p["deltas"]:
             rb = check_rate_bounds(report.plans[d][k], field, p=2.0, q=2.0)
-            worst_chain = np.maximum(worst_chain, rb.chain_slack)
             if rb.c_l3 is not None:
                 c3_by_delta.setdefault(d, []).append(rb.c_l3)
             rec.row("chain", frame=k, delta=d, lhs=rb.lhs_pairing,
                     quotient=rb.difference_quotient, slack=rb.chain_slack, c_l3=rb.c_l3)
-    rec.add("rate-chain-slack", worst_chain if "chain" in rec.tables else math.nan,
-            CHAIN_SLACK_TOL)
+    rec.add("rate-chain-slack", np.max(rec.column("chain", "slack"), initial=0.0)
+            if "chain" in rec.tables else math.nan, CHAIN_SLACK_TOL)
     rec.add("sobolev-route-uniformity", _spread([np.max(v) for v in c3_by_delta.values()]), 2.0,
             detail="max/min fitted L^2-route constant across the delta sweep")
 
     # W^{1,1}-route constants for a p = 1 cusp on a frozen frame
     l5field = PowerCuspField(p["l5_alpha"], x0=p["x0"], amp=p["amp"])
     e_int = l5field.modulus_integral()
-    c5_sweep = []
     for d in p["deltas"]:
         rb = check_rate_bounds(report.plans[d][-1], l5field, p=1.0, q=math.inf,
                                modulus_integral=e_int)
         if rb.c_l5 is not None:
-            c5_sweep.append(rb.c_l5)
             rec.row("l5_route", delta=d, c_l5=rb.c_l5, psi1=rb.psi1)
-    rec.add("w11-route-uniformity", _spread(c5_sweep), 3.0,
+    rec.add("w11-route-uniformity", _spread(rec.column("l5_route", "c_l5")), 3.0,
             detail="max/min fitted W^{1,1}-route constant across the delta sweep")
 
     # negative control: the static BV construction
@@ -473,7 +457,6 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
     rec = ExperimentRecord("lemma4-suite", p)
     grid = Grid(1, p["n"])
     R = p["radius"]
-    worst = math.inf
     trials = []
     for i in range(p["trials"]):
         eta = random_mean_zero(grid, rng, smooth=bool(i % 2))
@@ -486,11 +469,10 @@ def run_lemma4_suite(p: dict) -> ExperimentRecord:
         d_log, d_trunc = d[2 * i:2 * i + 2]
         eta_l1 = lq_norm(eta, 1)
         bound = lemma4_combine(d_log, eta_l1, eps, delta, R)
-        slack = bound - d_trunc
-        worst = np.minimum(worst, slack)
         rec.row("trials", i=i, delta=delta, eps=eps, d_log=d_log, d_trunc=d_trunc,
-                eta_l1=eta_l1, bound=bound, slack=slack)
-    rec.add("truncated-distance-bound", worst, -1e-9, comparator=">=",
+                eta_l1=eta_l1, bound=bound, slack=bound - d_trunc)
+    rec.add("truncated-distance-bound", np.min(rec.column("trials", "slack"), initial=math.inf),
+            -1e-9, comparator=">=",
             detail="D_R <= delta e^{D/eps} ||eta||_1 + eps R + R D / log(R/delta+1)")
     return rec
 
@@ -525,10 +507,8 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     eta = build_eta(inst, t1, t2)
     frame = eta.frame(eta.n_frames - 1)
     eta_l1 = lq_norm(frame, 1)
-    d_by_delta = dict.fromkeys(p["deltas"], 0.0)
-    if eta_l1 > 0:
-        d_by_delta = dict(zip(p["deltas"], kr_distances(
-            [(frame, bounded_log(d, p["radius"])) for d in p["deltas"]])))
+    d_by_delta = dict(zip(p["deltas"], kr_distances(
+        [(frame, bounded_log(d, p["radius"])) for d in p["deltas"]])))
     drive = uniqueness_drive(d_by_delta, eta_l1, p["radius"])
     for d, b, bw in zip(drive.deltas, drive.bounds_dr, drive.bounds_w):
         rec.row("twin_drive", delta=float(d), d_value=d_by_delta[float(d)],
@@ -548,10 +528,8 @@ def run_uniqueness_drive(p: dict) -> ExperimentRecord:
     ctrl = uniqueness_drive(d_ctrl, lq_norm(e1, 1), p["radius"])
     for d, b in zip(ctrl.deltas, ctrl.bounds_dr):
         rec.row("control_drive", delta=float(d), d_value=d_ctrl[float(d)], bound_dr=float(b))
-    growth = float(ctrl.bounds_dr[-1] / ctrl.bounds_dr[0]) if not ctrl.bounds_dr[0] <= 0 \
-        else math.inf
-    rec.add("bv-control-bound-grows", growth, 10.0, comparator=">=",
-            detail="negative control: bound must NOT decrease for the step")
+    rec.add("bv-control-bound-grows", ratio(ctrl.bounds_dr[-1], ctrl.bounds_dr[0]), 10.0,
+            comparator=">=", detail="negative control: bound must NOT decrease for the step")
     return rec
 
 
@@ -579,7 +557,6 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
     g = _bump_f(1.0 - s ** 2)  # exp(-1/(1 - s^2)) for |s| < 1, else 0
     g_density = SignedDensity(grid, g)
     g = g / lq_norm(g_density, 2)  # unit L^2 so r is exactly the coefficient
-    sup_w, c2s = [], []
     # the unperturbed problem is the same at every r: one solve serves them all
     data1 = CauchyData(field, None, base, p["horizon"])
     traj1 = eulerian_solve(data1, grid, cfl=p["cfl"], n_frames=p["n_frames"])
@@ -591,28 +568,27 @@ def run_stability_rate(p: dict) -> ExperimentRecord:
         upwind_steps += traj2.meta["steps"]
         eta = build_eta(inst, traj1, traj2)
         norms = w_neg11_norms([eta.frame(k) for k in range(eta.n_frames)])
-        sup_w.append(float(np.max(norms)))
+        sup_w = float(np.max(norms))
         r_measured = inst.perturbation_size()
         prop1 = check_prop1(inst, _thin(eta, 4), p["prop1_deltas"], p["radius"])
-        c2s.append(prop1.c2_joint)
         rho2_lq = max(lq_norm(traj2.frame(k), 2) for k in range(traj2.n_frames))
         u1_l1lp = p["horizon"] * math.sqrt(math.pi)  # ||u_1||_{L^1(L^2)} of sin(x)
-        rec.row("rate", r=r, r_measured=r_measured, sup_w_neg11=sup_w[-1],
-                fitted_c=sup_w[-1] * abs(math.log(r)), c2_joint=prop1.c2_joint,
+        rec.row("rate", r=r, r_measured=r_measured, sup_w_neg11=sup_w,
+                fitted_c=sup_w * abs(math.log(r)), c2_joint=prop1.c2_joint,
                 c2_normalized=prop1.c2_joint / max(rho2_lq * u1_l1lp, 1e-300))
     rec.meta["upwind_steps"] = upwind_steps
-    report = stability_rate(p["rs"], sup_w)
+    report = stability_rate(p["rs"], rec.column("rate", "sup_w_neg11"))
     for i, r in enumerate(p["rs"]):
         t = report.schedule_terms[i]
         rec.row("schedule", r=r, sqrt_r=float(t[0]), eps_term=float(t[1]), log_term=float(t[2]),
-                total=float(t.sum()), measured=sup_w[i], dominated=bool(report.dominated[i]),
-                r_star=float(report.r_star[i]))
+                total=float(t.sum()), measured=float(report.sup_w[i]),
+                dominated=bool(report.dominated[i]), r_star=float(report.r_star[i]))
     rec.add("stability-c-growth", report.c_growth, p["c_growth_max"],
             detail="max r*/r, r* = exp(-C0/sup_t ||eta||_W), C0 = sup_t ||eta||_W x |log r| "
                    "at the largest r")
     rec.add("schedule-dominates-norm", report.min_slack, -SCHEDULE_SLACK_TOL, comparator=">=",
             detail="sqrt(r) + eps + 1/log(1/r+1) dominates the measured norm")
-    rec.add("c2-stability-across-r", _spread(c2s), 3.0,
+    rec.add("c2-stability-across-r", _spread(rec.column("rate", "c2_joint")), 3.0,
             detail="joint-fit C2 stable across the r sweep")
     return rec
 
@@ -647,19 +623,17 @@ def run_pde_convergence(p: dict) -> ExperimentRecord:
 def _pde_translation(rec: ExperimentRecord, p: dict) -> int:
     """1-d translation refinement: constant field over one full period."""
     upwind_steps = 0
-    errs = []
     for n in p["translation_ns"]:
         grid = Grid(1, n)
         rho0 = density_from_function(grid, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
         data = CauchyData(ConstantField([1.0]), None, rho0, 1.0)
         traj = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=9)
         upwind_steps += traj.meta["steps"]
-        err = lq_norm(SignedDensity(grid, traj.frames[-1] - rho0.values), 1)
-        errs.append(err)
-        rec.row("translation", n=n, l1_error=err,
+        rec.row("translation", n=n,
+                l1_error=lq_norm(SignedDensity(grid, traj.frames[-1] - rho0.values), 1),
                 mass_defect=abs(traj.meta["mass_defect"]))
-    worst_ratio = np.max([errs[i + 1] / errs[i] for i in range(len(errs) - 1)])
-    rec.add("translation-error-monotone", worst_ratio, 1.0, comparator="<")
+    errs = rec.column("translation", "l1_error")
+    rec.add("translation-error-monotone", np.max(errs[1:] / errs[:-1]), 1.0, comparator="<")
     ns = p["translation_ns"]
     h23 = [e / (1.0 / n) ** (2.0 / 3.0) for e, n in zip(errs, ns)]
     rec.add("translation-h23-envelope", np.max(h23), h23[ns.index(min(ns))] * (1 + 1e-12),
@@ -677,7 +651,6 @@ def _shear(n: int, p: dict) -> CauchyData:
 def _pde_agreement(rec: ExperimentRecord, p: dict) -> int:
     """2-d Lagrangian/Eulerian agreement under refinement."""
     upwind_steps = 0
-    agree = []
     worst_mass = 0.0
     min_rho = math.inf
     for n in p["agreement_ns"]:
@@ -686,14 +659,13 @@ def _pde_agreement(rec: ExperimentRecord, p: dict) -> int:
         lag = lagrangian_solve(data, grid, n_frames=5)
         eul = eulerian_solve(data, grid, cfl=p["cfl"], n_frames=5)
         upwind_steps += eul.meta["steps"]
-        diff = lq_norm(SignedDensity(grid, lag.frames[-1] - eul.frames[-1]), 1)
-        agree.append(diff)
         worst_mass = np.maximum(worst_mass, abs(eul.meta["mass_defect"])
                                 / (1.0 + lq_norm(data.initial, 1)))
         min_rho = np.minimum(min_rho, float(eul.frames[-1].min()))
-        rec.row("agreement2d", n=n, l1_gap=diff)
-    ratios = [agree[i + 1] / agree[i] for i in range(len(agree) - 1)]
-    rec.add("lagrangian-eulerian-ratio", np.max(ratios), p["error_ratio_max"],
+        rec.row("agreement2d", n=n,
+                l1_gap=lq_norm(SignedDensity(grid, lag.frames[-1] - eul.frames[-1]), 1))
+    gaps = rec.column("agreement2d", "l1_gap")
+    rec.add("lagrangian-eulerian-ratio", np.max(gaps[1:] / gaps[:-1]), p["error_ratio_max"],
             detail="successive L1 gaps on smooth 2-d data")
     rec.add("eulerian-mass-balance", worst_mass, p["mass_tol_scale"],
             detail="|mass change - integrated source| / (1+||rho0||_1)")
@@ -704,7 +676,6 @@ def _pde_agreement(rec: ExperimentRecord, p: dict) -> int:
 def _pde_apriori(rec: ExperimentRecord, p: dict) -> int:
     """A-priori L^q bound on the oscillatory and shear instances."""
     upwind_steps = 0
-    worst_slack = -math.inf
     oscillatory = CauchyData(OscillatoryField(p["apriori_k"]), None, density_from_function(
         Grid(1, p["apriori_n"], length=TWO_PI), lambda x: np.ones_like(x)), 1.0)
     for name, data, n_frames in (("oscillatory", oscillatory, 9),
@@ -714,9 +685,8 @@ def _pde_apriori(rec: ExperimentRecord, p: dict) -> int:
         for rep in apriori_lq_check(traj, data, (1.0, 2.0)):
             rec.row("apriori", instance=name, q=rep.q, lhs=rep.lhs, rhs=rep.rhs,
                     slack=rep.slack, div_l1_linf=rep.div_l1_linf)
-            worst_slack = np.maximum(worst_slack, rep.slack)
-    rec.add("apriori-lq-bound", worst_slack, p["apriori_slack"],
-            detail="growth bound with q in {1,2}")
+    rec.add("apriori-lq-bound", np.max(rec.column("apriori", "slack"), initial=-math.inf),
+            p["apriori_slack"], detail="growth bound with q in {1,2}")
     return upwind_steps
 
 

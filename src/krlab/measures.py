@@ -149,8 +149,9 @@ def lq_norm(eta: SignedDensity, q: float) -> float:
     v = np.abs(eta.values)
     if q == np.inf:
         return float(v.max()) if v.size else 0.0
-    hv = eta.grid.cell_volume
-    return float((v**q).sum() * hv) ** (1.0 / q)
+    if q != 1:
+        v **= q  # in place: |values| is the one full-grid temporary
+    return float(v.sum() * eta.grid.cell_volume) ** (1.0 / q)
 
 
 def mean_zero_projection(eta: SignedDensity) -> SignedDensity:

@@ -407,13 +407,14 @@ def eulerian_solve(data: CauchyData, grid: Grid, cfl: float = 0.5,
     store = _store_times(data.horizon, n_frames)
     n, h = grid.n, grid.h
     faces = _face_velocities(u, grid)
-    for f in faces:
-        if not np.all(np.isfinite(f)):
-            raise ValueError("velocity field produced non-finite face values")
+    if not all(np.isfinite(f).all() for f in faces):
+        raise ValueError("velocity field produced non-finite face values")
     speed = sum(np.abs(f).max() for f in faces)
     dt_max = cfl * h / speed if speed > 0 else data.horizon
-    # the face velocities of each moving axis
+    # the face velocities of each moving axis; the grid of an axis that does
+    # not move (the shear's y faces, all zero) is freed here, not after the solve
     moving = {axis: uf for axis, uf in enumerate(faces) if np.any(uf)}
+    del faces
     fold = len(moving) == 1 and math.frexp(h)[0] == 0.5
     # per stored frame, its steps: the multiplier of the flux difference
     # (dt / h when folded, else dt), dt and the source

@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 COMPARATORS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
@@ -55,6 +57,12 @@ class ExperimentRecord:
 
     def row(self, table: str, **kwargs) -> None:
         self.tables.setdefault(table, []).append(kwargs)
+
+    def column(self, table: str, key: str) -> np.ndarray:
+        """The ``key`` cells of ``table`` as floats, in row order (a missing
+        or ``None`` cell is NaN); empty for a table without rows."""
+        rows = self.tables.get(table, [])
+        return np.array([r.get(key) for r in rows], dtype=float)
 
     @property
     def ok(self) -> bool:

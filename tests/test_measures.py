@@ -86,8 +86,8 @@ def test_grid_validation():
     for dim in (3, "1", 1.5):
         with pytest.raises(ValueError, match=f"^{re.escape(f'dim must be 1 or 2, got {dim!r}')}$"):
             Grid(dim, 32)
-    # the one rule for grid sizes: Grid states it, and krlab run's checks of
-    # --grid and of params call the same function
+    # the one rule for grid sizes: Grid states it, and krlab run's check of
+    # the grid sizes under params calls the same function
     for n, fix in [(48, "; use 32 or 64"), (1, "; use 2 or 4"), (0, "; use 2 or 4"),
                    (4.0, "; use 4 or 8"),  # a float, even of a power of two, is no cell count
                    ("8", "; use 8 or 16"), (None, "")]:

@@ -49,6 +49,29 @@ def test_unknown_comparator_is_refused(comparator):
     assert rec.verdicts == []
 
 
+@pytest.mark.parametrize("a, b, expected", [
+    (math.nan, 2.0, math.nan),
+    (1.0, math.nan, math.nan),
+    (1.0, 0.0, math.inf),
+    (1.0, -2.0, math.inf),
+    (3.0, 2.0, 1.5),
+], ids=["nan-numerator", "nan-denominator", "zero", "negative", "positive"])
+def test_ratio_is_inf_below_zero_and_nan_on_nan(a, b, expected):
+    assert estimates.ratio(a, b) == pytest.approx(expected, nan_ok=True)
+
+
+def test_column_reads_a_table_in_row_order():
+    rec = ExperimentRecord("rule", {})
+    for i, x in enumerate([3.0, None, -1.0]):
+        rec.row("t", i=i, x=x)
+    x = rec.column("t", "x")
+    assert x.dtype == float
+    np.testing.assert_array_equal(x, [3.0, math.nan, -1.0])
+    np.testing.assert_array_equal(rec.column("t", "i"), [0.0, 1.0, 2.0])
+    absent = rec.column("none", "x")
+    assert absent.dtype == float and absent.shape == (0,)
+
+
 def test_failing_run_exits_1(tmp_path, capsys):
     # at n = 128 the measured E1 integral is 5.5e-4 off its closed form
     cfg = tmp_path / "e1.yaml"
