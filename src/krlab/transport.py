@@ -86,7 +86,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cost import CostSpec, cost_derivative, cost_eval, truncated_linear
 from .measures import Grid, SignedDensity, periodic_distance_matrix, periodic_wrap
@@ -133,6 +132,26 @@ TIE_MARGIN = 1e-9
 # plan (a maximum, not a total)
 SOLVER_COUNTS = {"instances": 0, "levels": 0, "assignment_vars": 0, "assignment_calls": 0,
                  "enumerated_blocks": 0, "worst_marginal_defect": 0.0}
+
+
+def linear_sum_assignment(cost_matrix):
+    """``scipy.optimize.linear_sum_assignment``, imported at the first call:
+    importing ``scipy.optimize`` took 0.64-0.68 s (2-CPU x86-64 host), longer
+    than most runs, and a run whose levels hold four pairs or fewer and no
+    tie never calls it (e1-example's hold one pair each).  The first call
+    puts scipy's function in this name's place, so no later call imports; a
+    spy or a tracer's wrapper that holds the name already stays in place,
+    and its calls import each time.  Every assignment goes through this
+    name."""
+    global linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment as solve
+    if getattr(linear_sum_assignment, "__code__", None) is _FIRST_CALL:
+        linear_sum_assignment = solve
+    return solve(cost_matrix)
+
+
+# the code of the stub above: the name holds the stub while it holds this code
+_FIRST_CALL = linear_sum_assignment.__code__
 
 
 @dataclass

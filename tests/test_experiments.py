@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import krlab
 from krlab import estimates, experiments, pde, transport
 from krlab.cli import main
 from krlab.experiments import EXPERIMENTS, PARAM_RANGES, run_experiment
@@ -131,19 +135,48 @@ def test_every_experiment_passes_shrunk(name):
 
 @pytest.mark.parametrize("name, solves", [("prop1-sweep", 1), ("uniqueness-drive", 2)])
 def test_ode_nfev_sums_the_dop853_evaluations(monkeypatch, name, solves):
-    # the benchmark tracer wraps krlab.pde.solve_ivp and counts the same nfev
-    nfevs = []
-    solve_ivp = pde.solve_ivp
+    # the right-hand side's calls, counted one by one in each integration
+    counts = []
+    dop853 = pde.dop853
 
-    def spy(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        nfevs.append(sol.nfev)
-        return sol
+    def spy(fun, *args):
+        counts.append(0)
 
-    monkeypatch.setattr(pde, "solve_ivp", spy)
+        def counted(t, y):
+            counts[-1] += 1
+            return fun(t, y)
+
+        return dop853(counted, *args)
+
+    monkeypatch.setattr(pde, "dop853", spy)
     rec = run_experiment(name, SMOKE[name])
-    assert len(nfevs) == solves
-    assert rec.meta["ode_nfev"] == sum(nfevs) > 0
+    assert len(counts) == solves
+    assert rec.meta["ode_nfev"] == sum(counts) > 0
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """The scipy modules that a fresh interpreter holds after running ``code``."""
+    path = [str(Path(krlab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    script = code + ("\nimport sys\nprint(*sorted(m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')))")
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules_after("import krlab.cli") == []
+
+
+# a run loads scipy.optimize only when it solves an assignment of five or more
+# pairs or a tie (or calls nnls), and no run loads scipy.integrate
+@pytest.mark.parametrize("name, absent", [("e1-example", "scipy"), ("pde-convergence", "scipy"),
+                                          ("prop1-sweep", "scipy.integrate"),
+                                          ("uniqueness-drive", "scipy.integrate")])
+def test_a_run_loads_only_the_scipy_it_calls(name, absent):
+    loaded = scipy_modules_after("from krlab.experiments import run_experiment\n"
+                                 f"assert run_experiment({name!r}, {SMOKE[name]!r}).ok")
+    assert [m for m in loaded if m == absent or m.startswith(absent + ".")] == []
 
 
 def test_e1_example_at_its_defaults():

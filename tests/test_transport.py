@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -481,6 +482,30 @@ def test_every_level_of_two_or_more_pairs_is_one_linear_sum_assignment(monkeypat
     entries = sum(k * k for k in blocks)
     assert SOLVER_COUNTS["assignment_vars"] == before["assignment_vars"] + entries
     assert SOLVER_COUNTS["assignment_calls"] == before["assignment_calls"] + len(sizes)
+
+
+def test_the_first_assignment_puts_scipys_function_in_the_names_place(monkeypatch):
+    """``transport.linear_sum_assignment`` starts as a stub that imports
+    scipy's function; its first call binds scipy's in its place, unless a
+    spy holds the name, which then stays."""
+    eta = SignedDensity(Grid(1, 64), np.tile([1.0, -1.0], 32))  # one level of 32 pairs
+    want = solve_primal(eta, bounded_log(0.01, 0.5))
+    stub = types.FunctionType(transport._FIRST_CALL, vars(transport))
+    calls = []
+
+    def spy(C):
+        calls.append(len(C))
+        return stub(C)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    for _ in range(2):
+        plan, value = solve_primal(eta, bounded_log(0.01, 0.5))
+        assert transport.linear_sum_assignment is spy
+    assert calls == [32, 32]
+    assert np.array_equal(plan.dst_idx, want[0].dst_idx) and value == want[1]
+    monkeypatch.setattr(transport, "linear_sum_assignment", stub)
+    solve_primal(eta, bounded_log(0.01, 0.5))
+    assert transport.linear_sum_assignment is optimize.linear_sum_assignment
 
 
 # ---------------------------------------------------------------------------
